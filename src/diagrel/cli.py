@@ -13,7 +13,7 @@ import sys
 from . import doctrine as D
 from . import finrel, rewrite, theory as theory_mod
 from .finrel import evaluate, included, inclusion_witness, parse_interpretation
-from .terms import DiagrelError, ParseError, Signature, parse_term, print_term, typecheck
+from .terms import DiagrelError, Signature, desugar, parse_term, print_term, typecheck
 
 
 def _read(path):
@@ -56,7 +56,6 @@ def _cmd_typecheck(args):
 
 def _cmd_desugar(args):
     sig = _load_sig(args)
-    from .terms import desugar
     print(print_term(desugar(_term_arg(args.term, sig), sig)))
     return 0
 
@@ -184,74 +183,65 @@ def build_parser():
                     "semantics, proof checking, model finding.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, interp=False):
-        p.add_argument("--sig", help="signature file (`sig NAME : N -> M` lines)")
+    # --max-bits is declared once and inherited by every subcommand but doctrine
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-bits", type=int,
+                        help="relation size guard in bits (default 2^30)")
+
+    def command(name, fn, summary, sig=True, interp=False):
+        p = sub.add_parser(name, help=summary, parents=[limits])
+        if sig:
+            p.add_argument("--sig", help="signature file (`sig NAME : N -> M` lines)")
         if interp:
             p.add_argument("--interp", help="interpretation file")
-        p.add_argument("--max-bits", type=int, default=finrel.MAX_BITS,
-                       help="relation size guard in bits")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("typecheck", help="type a term")
-    common(p)
+    p = command("typecheck", _cmd_typecheck, "type a term")
     p.add_argument("term")
-    p.set_defaults(fn=_cmd_typecheck)
 
-    p = sub.add_parser("desugar", help="expand derived constructors")
-    common(p)
+    p = command("desugar", _cmd_desugar, "expand derived constructors")
     p.add_argument("term")
-    p.set_defaults(fn=_cmd_desugar)
 
-    p = sub.add_parser("eval", help="evaluate a term as a finite relation")
-    common(p, interp=True)
+    p = command("eval", _cmd_eval, "evaluate a term as a finite relation", interp=True)
     p.add_argument("term")
-    p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("included", help="test semantic inclusion of two terms")
-    common(p, interp=True)
+    p = command("included", _cmd_included, "test semantic inclusion of two terms",
+                interp=True)
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.set_defaults(fn=_cmd_included)
 
-    p = sub.add_parser("check-model", help="check an interpretation against a theory")
+    p = command("check-model", _cmd_check_model,
+                "check an interpretation against a theory", sig=False, interp=True)
     p.add_argument("theory", help="theory file")
-    p.add_argument("--interp", help="interpretation file")
     p.add_argument("--machine", action="store_true")
-    p.add_argument("--max-bits", type=int, default=finrel.MAX_BITS)
-    p.set_defaults(fn=_cmd_check_model)
 
-    p = sub.add_parser("find-models", help="enumerate models at a carrier size")
+    p = command("find-models", _cmd_find_models, "enumerate models at a carrier size",
+                sig=False)
     p.add_argument("theory", help="theory file")
     p.add_argument("--size", type=int, default=2)
     p.add_argument("--max-space", type=int, default=theory_mod.DEFAULT_SEARCH_BOUND)
     p.add_argument("--machine", action="store_true")
-    p.add_argument("--max-bits", type=int, default=finrel.MAX_BITS)
-    p.set_defaults(fn=_cmd_find_models)
 
-    p = sub.add_parser("check-proof", help="validate a proof script")
-    common(p)
+    p = command("check-proof", _cmd_check_proof, "validate a proof script")
     p.add_argument("proof", help="proof file")
     p.add_argument("--spotcheck", action="store_true",
                    help="also test the claim on random interpretations")
     p.add_argument("--size", type=int, default=2)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_check_proof)
 
-    p = sub.add_parser("verify-axioms",
-                       help="check the axiom database against the relation model")
+    p = command("verify-axioms", _cmd_verify_axioms,
+                "check the axiom database against the relation model", sig=False)
     p.add_argument("--size", type=int, default=2)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", choices=["cartesian", "cocartesian", "linear",
                                         "fo", "structural", "generator-adjoint"])
     p.add_argument("--machine", action="store_true")
-    p.add_argument("--max-bits", type=int, default=finrel.MAX_BITS)
-    p.set_defaults(fn=_cmd_verify_axioms)
 
-    p = sub.add_parser("spider", help="normalize a Frobenius-fragment term")
-    common(p)
+    p = command("spider", _cmd_spider, "normalize a Frobenius-fragment term")
     p.add_argument("term")
-    p.set_defaults(fn=_cmd_spider)
 
     p = sub.add_parser("doctrine", help="powerset-doctrine utilities")
     p.add_argument("action", choices=["comprehension", "ruc"])
@@ -270,16 +260,19 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 2
-    if getattr(args, "max_bits", None):
+    saved = finrel.MAX_BITS
+    if getattr(args, "max_bits", None) is not None:
         finrel.MAX_BITS = args.max_bits
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, OSError) as e:
+    except (DiagrelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DiagrelError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except RecursionError:
+        print("error: term nesting too deep", file=sys.stderr)
         return 2
+    finally:
+        finrel.MAX_BITS = saved
 
 
 def main():

@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .terms import (
-    Const, DiagrelError, Gen, GenOp, IdB, IdW, ParseError, SeqB, SeqW,
-    Signature, SymB, SymW, TensB, TensW, desugar, typecheck,
+    Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
+    ParseError, SeqB, SeqW, Signature, SymB, SymW, TensB, TensW, Top, typecheck,
 )
 
 MAX_BITS = 2 ** 30
@@ -405,21 +405,20 @@ class Interpretation:
 
 
 def evaluate(t, interp, _cache=None):
-    """Evaluate a term in the relation model given by `interp`."""
+    """Evaluate a term in the relation model given by `interp`.  The derived
+    constructors are evaluated directly, as the Boolean operations and the
+    converse they denote in relations."""
     typecheck(t, interp.signature)
-    return _eval(desugar(t, interp.signature), interp,
-                 {} if _cache is None else _cache)
+    return _eval(t, interp, {} if _cache is None else _cache)
 
 
 def _eval(t, interp, cache):
-    # keyed by object identity: shared subterm objects (macros and desugaring
-    # reuse them) evaluate once, and lookups stay O(1)
-    got = cache.get(id(t))
-    if got is not None:
-        return got[1]
-    out = _eval_raw(t, interp, cache)
-    cache[id(t)] = (t, out)  # keep t alive so its id is not recycled
-    return out
+    # keyed by the term itself (terms are frozen dataclasses): structurally
+    # equal subterms evaluate once per cache, also across the sides of an axiom
+    got = cache.get(t)
+    if got is None:
+        got = cache[t] = _eval_raw(t, interp, cache)
+    return got
 
 
 def _eval_raw(t, interp, cache):
@@ -446,6 +445,18 @@ def _eval_raw(t, interp, cache):
         return tensor_white(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
     if isinstance(t, TensB):
         return tensor_black(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+    if isinstance(t, Meet):
+        return intersection(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+    if isinstance(t, Join):
+        return union(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+    if isinstance(t, Dag):
+        return converse(_eval(t.t, interp, cache))
+    if isinstance(t, Neg):
+        return complement(_eval(t.t, interp, cache))
+    if isinstance(t, Top):
+        return FinRelation.full(k, t.n, t.m)
+    if isinstance(t, Bot):
+        return FinRelation.empty(k, t.n, t.m)
     raise DiagrelError(f"cannot evaluate {t!r}")
 
 

@@ -921,7 +921,11 @@ def _fragment_colour(t):
 
 def spider_relation(form, k):
     """The relation a spider form denotes at carrier k: coordinates equal
-    within each partition block (white) or its complement (black)."""
+    within each partition block (white) or its complement (black).
+
+    A closed component is an existential over the carrier, so at k = 0 it
+    empties the white relation.  Form equality ignores closed components:
+    equal forms denote equal relations only for k >= 1."""
     import itertools
     from . import finrel
 
@@ -943,5 +947,7 @@ def spider_relation(form, k):
                 vals[blk] = v
             if ok:
                 pairs.append((xs, ys))
+    if k == 0 and form.closed:
+        pairs = []  # a closed component has no value to take
     rel = FinRelation.from_pairs(k, form.n, form.m, pairs)
     return rel if form.colour == "w" else finrel.complement(rel)

@@ -4,7 +4,9 @@ Terms are immutable trees.  The primitive calculus has two colours (white
 and black) of identities, symmetries, (co)monoid constants, sequential
 composition and tensor, plus generator boxes and their opposed boxes.
 Derived constructors (dagger, negation, meet, join, top, bottom) are sugar
-nodes that `desugar` expands into the primitive calculus.
+nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them
+into the primitive calculus for the proof kernel (`rewrite.check_proof`,
+`rewrite.spider_normalize`) and for `diagrel desugar`.
 """
 
 from __future__ import annotations
@@ -583,15 +585,7 @@ def cap_w(n):
 
 
 # ---------------------------------------------------------------------------
-# sugar constructors and desugaring
-
-
-def dagger(t):
-    return Dag(t)
-
-
-def negate(t):
-    return Neg(t)
+# desugaring
 
 
 def _dag_expansion(t, n, m):

@@ -79,12 +79,18 @@ def parse_theory(text):
     return Theory(sig, tuple(axioms))
 
 
+def _axiom_values(theory, interp):
+    """Yield (name, lhs value, rhs value) axiom by axiom, with one evaluation
+    cache shared by all of them."""
+    cache = {}
+    for name, lhs, rhs in theory.axioms:
+        yield name, evaluate(lhs, interp, _cache=cache), evaluate(rhs, interp, _cache=cache)
+
+
 def check_model(theory, interp):
     """Evaluate every axiom; failing axioms carry a counterexample pair."""
     verdicts = []
-    for name, lhs, rhs in theory.axioms:
-        lv = evaluate(lhs, interp)
-        rv = evaluate(rhs, interp)
+    for name, lv, rv in _axiom_values(theory, interp):
         if included(lv, rv):
             verdicts.append((name, True, None))
         else:
@@ -116,7 +122,8 @@ def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
             for name, b in zip(names, bits)
         }
         interp = Interpretation(theory.signature, k, assignment)
-        if check_model(theory, interp).is_model:
+        # stop at the first failing axiom
+        if all(included(lv, rv) for _, lv, rv in _axiom_values(theory, interp)):
             models.append(interp)
     return models
 

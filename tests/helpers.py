@@ -189,3 +189,9 @@ def naive_converse(a):
 
 def random_relation(rng, k, n, m):
     return F.FinRelation(k, n, m, rng.getrandbits(k ** n * k ** m))
+
+
+def desugared_evaluate(t, interp):
+    """Oracle for `finrel.evaluate`: expand the sugar nodes into the primitive
+    calculus first, then evaluate the expansion."""
+    return F.evaluate(T.desugar(t, interp.signature), interp)

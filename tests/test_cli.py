@@ -139,3 +139,33 @@ def test_doctrine_subcommands(capsys):
     # entire functional predicate on 2x2: the identity graph {0, 3}
     assert run(["doctrine", "ruc", "0", "3", "--size", "2"]) == 0
     assert run(["doctrine", "ruc", "0", "--size", "2"]) == 1  # not entire
+
+
+def test_max_bits_does_not_leak_into_later_runs(tmp_path, capsys):
+    sig = tmp_path / "q.sig"
+    sig.write_text("sig Q : 2 -> 2\n")
+    interp = tmp_path / "q.interp"
+    interp.write_text("carrier 3\nrel Q 2 2 {\n  (0 0 ; 1 2)\n}\n")
+    args = ["eval", "--sig", str(sig), "--interp", str(interp), "(gen Q)"]
+    assert run(args[:1] + ["--max-bits", "16"] + args[1:]) == 2
+    assert "exceeds 16 bits" in capsys.readouterr().err
+    assert run(args) == 0  # 3^4 = 81 bits under the default guard
+    assert "(0 0 ; 1 2)" in capsys.readouterr().out
+
+
+def test_max_bits_accepted_by_each_command(files, capsys):
+    for argv in (["typecheck", "(idw 1)"], ["desugar", "(top 1 1)"],
+                 ["spider", "(idw 1)"], ["verify-axioms", "--size", "1",
+                                         "--trials", "1", "--family", "linear"]):
+        assert run(argv[:1] + ["--max-bits", "4096"] + argv[1:]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "typecheck"])
+def test_deep_term_nesting_exits_2(files, capsys, command):
+    deep = files["dir"] / "deep.term"
+    deep.write_text("(dag " * 2000 + "(gen R)" + ")" * 2000)
+    argv = [command, "--sig", files["sig"], str(deep)]
+    if command == "eval":
+        argv[1:1] = ["--interp", files["interp"]]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.strip() == "error: term nesting too deep"

@@ -222,3 +222,44 @@ def test_interpretation_parse_print_roundtrip():
     text = F.print_interpretation(interp)
     back = F.parse_interpretation(text, sig)
     assert back.carrier == 2 and F.equal(back.assignment["R"], interp.assignment["R"])
+
+
+def test_direct_evaluation_matches_desugared():
+    # P : 0 -> 0 and U : 1 -> 0 are generators of arity 0
+    sig = T.Signature({"R": (1, 1), "S": (2, 1), "U": (1, 0), "P": (0, 0)})
+    rng = random.Random(31)
+    seen = set()
+    for k in (0, 1, 2, 3):
+        for _ in range(240):
+            interp = F.Interpretation(sig, k, {
+                name: helpers.random_relation(rng, k, dn, dm)
+                for name, (dn, dm) in sig.generators.items()})
+            t = helpers.random_term(rng, sig, rng.randint(0, 2), rng.randint(0, 2), 3)
+            for pos in T.positions(t):
+                node = T.subterm_at(t, pos)
+                seen.add((type(node), getattr(node, "name", None)))
+            assert F.equal(F.evaluate(t, interp),
+                           helpers.desugared_evaluate(t, interp)), T.print_term(t)
+    kinds = {cls for cls, _ in seen}
+    assert kinds >= {T.SeqW, T.SeqB, T.TensW, T.TensB, T.Meet, T.Join,
+                     T.Dag, T.Neg, T.Top, T.Bot, T.IdW, T.IdB, T.Gen, T.GenOp}
+    assert {(T.Gen, "P"), (T.GenOp, "P"), (T.Gen, "U"), (T.GenOp, "U")} <= seen
+
+
+def test_dag_evaluates_without_desugared_intermediates():
+    # the desugared dagger of Q : 2 -> 2 passes through 6^12-bit relations
+    sig = T.Signature({"Q": (2, 2)})
+    q = helpers.random_relation(random.Random(8), 6, 2, 2)
+    interp = F.Interpretation(sig, 6, {"Q": q})
+    out = F.evaluate(T.Dag(T.Gen("Q")), interp)
+    assert (out.dom_arity, out.cod_arity) == (2, 2) and out.rows * out.cols == 1296
+    assert F.equal(out, helpers.naive_converse(q))
+
+
+def test_evaluate_cache_is_structural():
+    sig = T.Signature({"R": (1, 1)})
+    interp = F.Interpretation(sig, 2, {"R": F.identity_white(2, 1)})
+    cache = {}
+    a = F.evaluate(T.Dag(T.Gen("R")), interp, _cache=cache)
+    b = F.evaluate(T.Dag(T.Gen("R")), interp, _cache=cache)  # a distinct object
+    assert a is b and len(cache) == 2

@@ -246,3 +246,32 @@ def test_spider_equality_matches_semantics():
         assert same_form == same_sem
         agree += same_form
     assert agree  # at least some coincidences so the test has teeth
+
+
+def test_spider_relation_at_carrier_zero_counts_closed_components():
+    interp = F.Interpretation(SIG, 0, {
+        name: F.FinRelation.empty(0, n, m)
+        for name, (n, m) in SIG.generators.items()})
+    white = T.SeqW(T.Const("codw"), T.Const("dscw"))
+    black = T.SeqB(T.Const("codb"), T.Const("dscb"))
+    for t, bits in ((white, 0), (black, 1)):
+        assert F.evaluate(t, interp).bits == bits
+        assert R.spider_relation(R.spider_normalize(t, SIG), 0).bits == bits
+    # without closed components the carrier-0 relation is unchanged
+    assert R.spider_relation(R.spider_normalize(T.IdW(0), SIG), 0).bits == 1
+
+
+def test_spider_relation_matches_evaluation_small_carriers():
+    rng = random.Random(12)
+    for k in (0, 1, 2):
+        interp = F.Interpretation(SIG, k, {
+            name: helpers.random_relation(rng, k, n, m)
+            for name, (n, m) in SIG.generators.items()})
+        for _ in range(60):
+            n, m = rng.randint(0, 2), rng.randint(0, 2)
+            t = helpers.random_white_fragment(rng, n, m, 3)
+            form = R.spider_normalize(t, SIG)
+            assert F.equal(F.evaluate(t, interp), R.spider_relation(form, k))
+            neg = T.desugar(T.Neg(t), SIG)
+            assert F.equal(F.evaluate(neg, interp),
+                           R.spider_relation(R.spider_normalize(neg, SIG), k))

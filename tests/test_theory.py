@@ -94,3 +94,15 @@ def test_search_space_bound_refusal():
     with pytest.raises(T.DiagrelError) as e:
         TH.enumerate_models(th, 3, bound=2 ** 10)
     assert "2" in str(e.value)  # the refusal reports the computed size
+
+
+def test_check_model_reports_every_axiom_after_a_failure():
+    th = TH.order_theory()
+    interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation.empty(2, 1, 1)})
+    report = TH.check_model(th, interp)
+    assert [name for name, _, _ in report.verdicts] == [a[0] for a in th.axioms]
+    holds = {name: ok for name, ok, _ in report.verdicts}
+    # reflexive, the first axiom, fails; the later ones are still decided
+    assert holds == {"reflexive": False, "transitive": True,
+                     "antisymmetric": True, "total": False}
+    assert all((w is None) == ok for _, ok, w in report.verdicts)
