@@ -7,6 +7,7 @@ rejected proof, axiom failure); 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -176,7 +177,10 @@ def _cmd_doctrine(args):
     raise DiagrelError(f"unknown doctrine action {args.action!r}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every `run`:
+    parsing leaves no state in it, and no caller may modify it."""
     top = argparse.ArgumentParser(
         prog="diagrel",
         description="Two-coloured diagram calculus: typechecking, relation "

@@ -183,29 +183,9 @@ def exists_along(f, alpha):
     return Predicate(f.cod, bits)
 
 
-def exists_along_formula(f, alpha):
-    """Direct image computed through substitution and a projection,
-    used as an independent cross-check of exists_along."""
-    X, Y = f.dom, f.cod
-    pX, pY = proj1(X, Y), proj2(X, Y)
-    graph = subst(product_mor(f, identity(Y)), equality_pred(Y))
-    return exists_along(pY, meet(graph, subst(pX, alpha)))
-
-
 def forall_along(f, alpha):
     """Right adjoint to subst: the De Morgan dual of the direct image."""
     return neg(exists_along(f, neg(alpha)))
-
-
-def forall_along_fiber(f, alpha):
-    """Direct fiber check: y is in the result iff every preimage is in alpha."""
-    if alpha.over != f.dom:
-        raise DiagrelError("forall_along: predicate not over the domain")
-    bits = (1 << f.cod.size) - 1
-    for x in range(f.dom.size):
-        if x not in alpha:
-            bits &= ~(1 << f.table[x])
-    return Predicate(f.cod, bits)
 
 
 def equality_pred(X):
@@ -382,10 +362,6 @@ def _log(size, k):
     if v != size:
         raise DiagrelError(f"{size} is not a power of {k}")
     return n
-
-
-def print_predicate(phi):
-    return "{" + ", ".join(str(x) for x in phi.members()) + "}"
 
 
 def print_morphism(f):

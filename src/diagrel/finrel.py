@@ -4,9 +4,11 @@ A relation X^n -> X^m is stored as an integer bitmask over the k^n * k^m
 pairs of tuples.  Tuples are encoded base-k with the *first* coordinate most
 significant, and the pair (row, col) indexes bit row * k^m + col.
 
-White composition is the usual relational composition; black composition is
-its De Morgan dual (a universally-quantified disjunction).  The white tensor
-is conjunctive, the black tensor disjunctive.
+Only the white (cartesian) half has kernels of its own: composition is the
+usual relational composition and the tensor is conjunctive.  The black half
+is computed as their De Morgan dual: R ;b S = ~(~R ; ~S) (a universally
+quantified disjunction), the black tensor likewise (disjunctive), and each
+black constant is the complement of its white mirror.
 """
 
 from __future__ import annotations
@@ -205,25 +207,9 @@ def compose_white(a, b):
 
 
 def compose_black(a, b):
-    """{(x,z) | forall y. a(x,y) or b(y,z)}."""
-    if a.carrier != b.carrier or a.cod_arity != b.dom_arity:
-        raise DiagrelError("composition type mismatch")
-    _space(a.carrier, a.dom_arity, b.cod_arity)
-    # (x,z) fails iff some y has neither a(x,y) nor b(y,z)
-    b_rows = _row_masks(b)
-    full_out = (1 << b.cols) - 1
-    mid_full = (1 << b.rows) - 1
-    out_rows = []
-    for row in _row_masks(a):
-        bad = 0
-        y = ~row & mid_full
-        while y:
-            low = y & -y
-            bad |= ~b_rows[low.bit_length() - 1] & full_out
-            y ^= low
-        out_rows.append(~bad & full_out)
-    return FinRelation(a.carrier, a.dom_arity, b.cod_arity,
-                       _join_rows(out_rows, b.cols))
+    """{(x,z) | forall y. a(x,y) or b(y,z)}: the De Morgan dual of the
+    white composition."""
+    return complement(compose_white(complement(a), complement(b)))
 
 
 def tensor_white(a, b):
@@ -266,22 +252,12 @@ def identity_white(k, n=1):
 
 
 @functools.lru_cache(maxsize=None)
-def identity_black(k, n=1):
-    return complement(identity_white(k, n))
-
-
-@functools.lru_cache(maxsize=None)
 def symmetry_white(k, m=1, n=1):
     def gen():
         for x in itertools.product(range(k), repeat=m):
             for y in itertools.product(range(k), repeat=n):
                 yield (x + y, y + x)
     return FinRelation.from_pairs(k, m + n, n + m, gen())
-
-
-@functools.lru_cache(maxsize=None)
-def symmetry_black(k, m=1, n=1):
-    return complement(symmetry_white(k, m, n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,31 +282,23 @@ def codiscard_white(k, n=1):
     return converse(discard_white(k, n))
 
 
-@functools.lru_cache(maxsize=None)
-def copy_black(k, n=1):
-    return complement(copy_white(k, n))
+def _black(white):
+    """The black constant mirroring `white`: its complement, cached."""
+    @functools.lru_cache(maxsize=None)
+    def black(k, *arities):
+        return complement(white(k, *arities))
+    return black
 
 
-@functools.lru_cache(maxsize=None)
-def cocopy_black(k, n=1):
-    return complement(cocopy_white(k, n))
-
-
-@functools.lru_cache(maxsize=None)
-def discard_black(k, n=1):
-    return FinRelation.empty(k, n, 0)
-
-
-@functools.lru_cache(maxsize=None)
-def codiscard_black(k, n=1):
-    return FinRelation.empty(k, 0, n)
+identity_black = _black(identity_white)
+symmetry_black = _black(symmetry_white)
+copy_black = _black(copy_white)
+cocopy_black = _black(cocopy_white)
+discard_black = _black(discard_white)
+codiscard_black = _black(codiscard_white)
 
 
 _CONSTANTS = {
-    "idw": identity_white,
-    "idb": identity_black,
-    "symw": symmetry_white,
-    "symb": symmetry_black,
     "copyw": copy_white,
     "cocw": cocopy_white,
     "dscw": discard_white,
@@ -375,12 +343,6 @@ def is_map(a):
         compose_white(a, discard_white(k, a.cod_arity)),
     )
     return lax_copy and lax_discard and colax_copy and colax_discard
-
-
-def is_function(a):
-    """Direct check that every input row holds exactly one output."""
-    rows = _row_masks(a)
-    return all(row and row & (row - 1) == 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ associativity; the structural axioms are explicit proof steps.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from .finrel import FinRelation, Interpretation, evaluate, included, inclusion_w
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
     SeqW, Signature, SymB, SymW, TensB, TensW, Term, desugar, format_position,
-    parse_term, print_term, replace_at, subterm_at, typecheck,
+    parse_inequality, parse_term, print_term, replace_at, subterm_at, typecheck,
 )
 
 
@@ -452,32 +453,32 @@ def _generator_axioms():
     return ax
 
 
-_AXIOMS = None
+@functools.cache
+def _axioms():
+    """The axiom tuple and the same axioms keyed by name, built once."""
+    ax = []
+    ax += _structural_axioms(_W, "")
+    ax += _structural_axioms(_B, "-b")
+    ax += _comonoid_axioms(_W, "", flip=False)
+    ax += _comonoid_axioms(_B, "-b", flip=True)
+    ax += _linear_axioms()
+    ax += _fo_axioms()
+    ax += _generator_axioms()
+    by_name = {x.name: x for x in ax}
+    assert len(by_name) == len(ax), "duplicate axiom name"
+    return tuple(ax), by_name
 
 
 def axiom_db():
     """The full, immutable axiom database, keyed by stable names."""
-    global _AXIOMS
-    if _AXIOMS is None:
-        ax = []
-        ax += _structural_axioms(_W, "")
-        ax += _structural_axioms(_B, "-b")
-        ax += _comonoid_axioms(_W, "", flip=False)
-        ax += _comonoid_axioms(_B, "-b", flip=True)
-        ax += _linear_axioms()
-        ax += _fo_axioms()
-        ax += _generator_axioms()
-        names = [x.name for x in ax]
-        assert len(names) == len(set(names))
-        _AXIOMS = tuple(ax)
-    return list(_AXIOMS)
+    return list(_axioms()[0])
 
 
 def axiom_by_name(name):
-    for ax in axiom_db():
-        if ax.name == name:
-            return ax
-    raise RewriteError(f"unknown axiom {name!r}")
+    try:
+        return _axioms()[1][name]
+    except KeyError:
+        raise RewriteError(f"unknown axiom {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +494,18 @@ class Step:
 
 
 def _infer_arrow_types(axiom, binding, sig):
-    """Bind remaining object metavariables from the types of matched arrows."""
-    changed = True
-    while changed:
-        changed = False
-        for name, de, ce in axiom.arrows:
-            v = binding.get(name)
-            if not isinstance(v, Term):
-                continue
-            n, m = typecheck(v, sig)
-            for expr, val in ((de, n), (ce, m)):
-                before = len(binding)
-                if not _solve_expr(expr, val, binding, sig):
-                    raise RewriteError(
-                        f"arrow {name!r} bound to a term of type {(n, m)} "
-                        f"incompatible with its declared type")
-                if len(binding) > before:
-                    changed = True
+    """Bind remaining object metavariables from the types of matched arrows,
+    in one pass: a solve that fails raises, so a second pass binds nothing."""
+    for name, de, ce in axiom.arrows:
+        v = binding.get(name)
+        if not isinstance(v, Term):
+            continue
+        n, m = typecheck(v, sig)
+        for expr, val in ((de, n), (ce, m)):
+            if not _solve_expr(expr, val, binding, sig):
+                raise RewriteError(
+                    f"arrow {name!r} bound to a term of type {(n, m)} "
+                    f"incompatible with its declared type")
 
 
 def apply_step(t, step, sig=EMPTY_SIGNATURE):
@@ -557,17 +553,6 @@ class Verdict:
             return "accepted"
         where = "claim" if self.step_index < 0 else f"step {self.step_index + 1}"
         return f"rejected at {where}: {self.reason}"
-
-
-def _parse_two_terms(text, sig, sep="<="):
-    toks = list(T._tokenize(text))
-    sx1, pos = T._read_sexpr(toks, 0)
-    if pos >= len(toks) or toks[pos][0] != sep:
-        raise ParseError(f"expected {sep!r} between terms")
-    sx2, pos = T._read_sexpr(toks, pos + 1)
-    if pos != len(toks):
-        raise ParseError(f"trailing input after second term")
-    return T._build(sx1, sig), T._build(sx2, sig)
 
 
 def _parse_position(text):
@@ -647,7 +632,7 @@ def parse_proof(text, sig):
         if line.startswith("prove"):
             if lhs is not None:
                 raise ParseError("duplicate prove line", lineno, 1)
-            lhs, rhs = _parse_two_terms(line[len("prove"):], sig)
+            lhs, rhs = parse_inequality(line[len("prove"):], sig)
         elif line.startswith("step"):
             if lhs is None:
                 raise ParseError("step before prove", lineno, 1)
@@ -832,7 +817,6 @@ class SpiderForm:
 _WHITE_FRAGMENT = (IdW, SymW, SeqW, TensW)
 _BLACK_FRAGMENT = (IdB, SymB, SeqB, TensB)
 _WHITE_CONSTS = {"copyw", "dscw", "cocw", "codw"}
-_BLACK_CONSTS = {"copyb", "dscb", "cocb", "codb"}
 
 
 class _DSU:

@@ -7,10 +7,14 @@ Derived constructors (dagger, negation, meet, join, top, bottom) are sugar
 nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them
 into the primitive calculus for the proof kernel (`rewrite.check_proof`,
 `rewrite.spider_normalize`) and for `diagrel desugar`.
+
+The black arity-indexed macros are computed as the De Morgan dual of the
+white ones: each is the colour switch (`_negate_prim`) of its white mirror.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -246,19 +250,13 @@ def subterm_at(t, path):
     return t
 
 
-def replace_at(t, path, u, sig=None):
-    """Replace the subterm at `path` by `u`.
-
-    When a signature is given, `u` must have the same type as the subterm it
-    replaces, so the result stays well-typed.
-    """
-    if sig is not None:
-        old = subterm_at(t, path)
-        if typecheck(old, sig) != typecheck(u, sig):
-            raise TypeMismatch(
-                f"replacement type {typecheck(u, sig)} differs from {typecheck(old, sig)}",
-                path,
-            )
+def replace_at(t, path, u, sig):
+    """Replace the subterm at `path` by `u`, which must have the same type
+    under `sig` as the subterm it replaces, so the result stays well-typed."""
+    old_ty = typecheck(subterm_at(t, path), sig)
+    new_ty = typecheck(u, sig)
+    if old_ty != new_ty:
+        raise TypeMismatch(f"replacement type {new_ty} differs from {old_ty}", path)
     return _splice(t, tuple(path), u)
 
 
@@ -500,35 +498,45 @@ def parse_term(text, sig=None):
     return _build(sx, sig)
 
 
+def parse_inequality(text, sig=None):
+    """Parse `TERM <= TERM` into its two terms; generator names are checked
+    against `sig`."""
+    tokens = list(_tokenize(text))
+    sx1, pos = _read_sexpr(tokens, 0)
+    if pos >= len(tokens) or tokens[pos][0] != "<=":
+        raise ParseError("expected '<=' between terms")
+    sx2, pos = _read_sexpr(tokens, pos + 1)
+    if pos != len(tokens):
+        raise ParseError("trailing input after second term")
+    return _build(sx1, sig), _build(sx2, sig)
+
+
 # ---------------------------------------------------------------------------
-# arity-indexed macros (left-nested combs built from the unary constants)
+# arity-indexed macros (left-nested combs built from the unary constants),
+# memoized: terms are immutable, and the proof kernel and axiom verification
+# build the same macros over and over
 
 
-def _comb(unit, mk_pair, n):
+def _comb(pair, n):
     if n == 0:
-        return unit
-    t = mk_pair
+        return IdW(0)
+    t = pair
     for _ in range(n - 1):
-        t = TensW(mk_pair, t) if isinstance(unit, IdW) else TensB(mk_pair, t)
+        t = TensW(pair, t)
     return t
 
 
+@functools.cache
 def discard_w(n):
-    return _comb(IdW(0), DiscardW, n)
+    return _comb(DiscardW, n)
 
 
+@functools.cache
 def codiscard_w(n):
-    return _comb(IdW(0), CodiscardW, n)
+    return _comb(CodiscardW, n)
 
 
-def discard_b(n):
-    return _comb(IdB(0), DiscardB, n)
-
-
-def codiscard_b(n):
-    return _comb(IdB(0), CodiscardB, n)
-
-
+@functools.cache
 def copy_w(n):
     """n-ary white copy X^n -> X^2n, first copy then second copy."""
     if n == 0:
@@ -541,6 +549,7 @@ def copy_w(n):
     return SeqW(spread, shuffle)
 
 
+@functools.cache
 def cocopy_w(n):
     if n == 0:
         return IdW(0)
@@ -552,26 +561,18 @@ def cocopy_w(n):
     return SeqW(shuffle, merge)
 
 
-def copy_b(n):
-    if n == 0:
-        return IdB(0)
-    if n == 1:
-        return CopyB
-    rest = copy_b(n - 1)
-    spread = TensB(CopyB, rest)
-    shuffle = TensB(IdB(1), TensB(SymB(1, n - 1), IdB(n - 1)))
-    return SeqB(spread, shuffle)
+def _black(white):
+    """The black macro mirroring `white`: its colour switch, memoized."""
+    @functools.cache
+    def black(n):
+        return _negate_prim(white(n), EMPTY_SIGNATURE)
+    return black
 
 
-def cocopy_b(n):
-    if n == 0:
-        return IdB(0)
-    if n == 1:
-        return CocopyB
-    rest = cocopy_b(n - 1)
-    shuffle = TensB(IdB(1), TensB(SymB(n - 1, 1), IdB(n - 1)))
-    merge = TensB(CocopyB, rest)
-    return SeqB(shuffle, merge)
+discard_b = _black(discard_w)
+codiscard_b = _black(codiscard_w)
+copy_b = _black(copy_w)
+cocopy_b = _black(cocopy_w)
 
 
 def cup_w(n):

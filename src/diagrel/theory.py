@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .finrel import (
     FinRelation, Interpretation, evaluate, included, inclusion_witness,
 )
-from .terms import DiagrelError, ParseError, Signature, Term, typecheck
+from .terms import DiagrelError, ParseError, Signature, parse_inequality, typecheck
 
 DEFAULT_SEARCH_BOUND = 2 ** 24
 
@@ -52,8 +52,6 @@ class ModelReport:
 def parse_theory(text):
     """Parse a theory file: `sig` lines followed by
     `axiom NAME : TERM <= TERM` lines."""
-    from .rewrite import _parse_two_terms
-
     sig_lines = []
     axiom_lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -74,7 +72,7 @@ def parse_theory(text):
         if len(parts) != 2 or not _:
             raise ParseError(f"bad axiom line {line!r}", lineno, 1)
         name = parts[1]
-        lhs, rhs = _parse_two_terms(body, sig)
+        lhs, rhs = parse_inequality(body, sig)
         axioms.append((name, lhs, rhs))
     return Theory(sig, tuple(axioms))
 

@@ -2,8 +2,9 @@
 
 import random
 
-from diagrel import terms as T
+from diagrel import doctrine as D
 from diagrel import finrel as F
+from diagrel import terms as T
 
 
 def random_signature(rng, n_gens=3, max_obj=2):
@@ -187,6 +188,13 @@ def naive_converse(a):
         [(ys, xs) for xs, ys in a.pairs()])
 
 
+def is_function(a):
+    """Direct check that every input row holds exactly one output."""
+    row_mask = (1 << a.cols) - 1
+    return all((a.bits >> (r * a.cols) & row_mask).bit_count() == 1
+               for r in range(a.rows))
+
+
 def random_relation(rng, k, n, m):
     return F.FinRelation(k, n, m, rng.getrandbits(k ** n * k ** m))
 
@@ -195,3 +203,25 @@ def desugared_evaluate(t, interp):
     """Oracle for `finrel.evaluate`: expand the sugar nodes into the primitive
     calculus first, then evaluate the expansion."""
     return F.evaluate(T.desugar(t, interp.signature), interp)
+
+
+# --- naive doctrine oracles -----------------------------------------------
+
+def exists_along_formula(f, alpha):
+    """Direct image computed through substitution and a projection, as an
+    independent cross-check of `doctrine.exists_along`."""
+    X, Y = f.dom, f.cod
+    pX, pY = D.proj1(X, Y), D.proj2(X, Y)
+    graph = D.subst(D.product_mor(f, D.identity(Y)), D.equality_pred(Y))
+    return D.exists_along(pY, D.meet(graph, D.subst(pX, alpha)))
+
+
+def forall_along_fiber(f, alpha):
+    """Direct fiber check: y is in the result iff every preimage is in alpha."""
+    if alpha.over != f.dom:
+        raise T.DiagrelError("forall_along: predicate not over the domain")
+    bits = (1 << f.cod.size) - 1
+    for x in range(f.dom.size):
+        if x not in alpha:
+            bits &= ~(1 << f.table[x])
+    return D.Predicate(f.cod, bits)

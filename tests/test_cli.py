@@ -113,6 +113,16 @@ def test_check_proof(files, capsys):
     assert "rejected" in capsys.readouterr().out
 
 
+def test_options_do_not_carry_over_between_runs(files, capsys):
+    # the parser is built once per process; each run parses afresh
+    prf = files["dir"] / "p.prf"
+    prf.write_text("prove (idw 1) <= (top 1 1)\nstep eta-discard at e dir l2r\nqed\n")
+    assert run(["check-proof", "--sig", files["sig"], str(prf), "--spotcheck"]) == 0
+    assert "spotcheck passed" in capsys.readouterr().out
+    assert run(["check-proof", "--sig", files["sig"], str(prf)]) == 0
+    assert "spotcheck" not in capsys.readouterr().out
+
+
 def test_verify_axioms_and_determinism(files, capsys):
     assert run(["verify-axioms", "--size", "1", "--trials", "3", "--seed", "9",
                 "--family", "linear", "--machine"]) == 0

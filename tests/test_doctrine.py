@@ -5,6 +5,8 @@ import pytest
 from diagrel import finrel as F
 from diagrel import doctrine as D
 
+import helpers
+
 
 def objs(lo, hi):
     return [D.FinSetObj(s) for s in range(lo, hi + 1)]
@@ -74,7 +76,7 @@ def test_exists_matches_formula_oracle():
         for Y in objs(0, 2):
             for f in D.all_morphisms(X, Y):
                 for a in D.all_predicates(X):
-                    assert D.exists_along(f, a) == D.exists_along_formula(f, a)
+                    assert D.exists_along(f, a) == helpers.exists_along_formula(f, a)
 
 
 def test_forall_matches_fiber_oracle():
@@ -82,7 +84,7 @@ def test_forall_matches_fiber_oracle():
         for Y in objs(0, 2):
             for f in D.all_morphisms(X, Y):
                 for a in D.all_predicates(X):
-                    assert D.forall_along(f, a) == D.forall_along_fiber(f, a)
+                    assert D.forall_along(f, a) == helpers.forall_along_fiber(f, a)
 
 
 def test_adjunctions_exhaustive():

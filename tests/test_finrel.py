@@ -84,6 +84,19 @@ def test_constants_pointwise():
     assert F.equal(F.codiscard_black(k, 1), F.FinRelation.empty(k, 0, 1))
 
 
+def test_black_macros_denote_complements_of_white():
+    pairs = [(T.copy_w, T.copy_b, F.copy_black), (T.cocopy_w, T.cocopy_b, F.cocopy_black),
+             (T.discard_w, T.discard_b, F.discard_black),
+             (T.codiscard_w, T.codiscard_b, F.codiscard_black)]
+    for k in range(4):
+        interp = F.Interpretation(T.EMPTY_SIGNATURE, k, {})
+        for white, black, constant in pairs:
+            for n in range(4):
+                got = F.evaluate(black(n), interp)
+                assert F.equal(got, F.complement(F.evaluate(white(n), interp))), (n, k)
+                assert F.equal(got, constant(k, n)), (n, k)
+
+
 def test_constants_arity_n_are_tensor_shuffles():
     # copy at arity n relates a tuple to its doubling
     k, n = 2, 2
@@ -117,7 +130,7 @@ def test_is_map_iff_function_exhaustive_k2():
     k = 2
     for bits in range(1 << (k * k)):
         r = F.FinRelation(k, 1, 1, bits)
-        assert F.is_map(r) == F.is_function(r)
+        assert F.is_map(r) == helpers.is_function(r)
     assert sum(F.is_map(F.FinRelation(k, 1, 1, b)) for b in range(16)) == 4
 
 

@@ -24,6 +24,14 @@ def test_axiom_db_well_formed():
             "generator-adjoint"} <= families
 
 
+def test_arrow_types_are_single_object_variables():
+    # `_infer_arrow_types` binds each arrow's type in one pass
+    for ax in R.axiom_db():
+        for name, dom, cod in ax.arrows:
+            for expr in (dom, cod):
+                assert len(expr) == 1 and isinstance(expr[0], str), (ax.name, name, expr)
+
+
 def test_every_axiom_holds_semantically_small():
     for ax in R.axiom_db():
         rep = R.verify_axiom(ax, k=2, trials=25, seed=3)

@@ -103,6 +103,39 @@ def test_macros_have_expected_types():
         assert T.typecheck(T.cap_w(n), SIG) == (2 * n, 0)
 
 
+def test_black_macro_syntax():
+    # proof-script positions index into these exact trees
+    want = {
+        (T.copy_b, 0): "(idb 0)",
+        (T.copy_b, 1): "copyb",
+        (T.copy_b, 2): "(seqb (tensb copyb copyb) (tensb (idb 1) (tensb (symb 1 1) (idb 1))))",
+        (T.copy_b, 3): "(seqb (tensb copyb (seqb (tensb copyb copyb) (tensb (idb 1) "
+                       "(tensb (symb 1 1) (idb 1))))) (tensb (idb 1) (tensb (symb 1 2) (idb 2))))",
+        (T.cocopy_b, 2): "(seqb (tensb (idb 1) (tensb (symb 1 1) (idb 1))) (tensb cocb cocb))",
+        (T.cocopy_b, 3): "(seqb (tensb (idb 1) (tensb (symb 2 1) (idb 2))) (tensb cocb "
+                         "(seqb (tensb (idb 1) (tensb (symb 1 1) (idb 1))) (tensb cocb cocb))))",
+        (T.discard_b, 0): "(idb 0)",
+        (T.discard_b, 2): "(tensb dscb dscb)",
+        (T.discard_b, 3): "(tensb dscb (tensb dscb dscb))",
+        (T.codiscard_b, 1): "codb",
+        (T.codiscard_b, 3): "(tensb codb (tensb codb codb))",
+    }
+    for (macro, n), text in want.items():
+        assert T.print_term(macro(n)) == text, text
+
+
+def test_parse_inequality():
+    assert T.parse_inequality("(idw 1) <= (gen R)", SIG) == (T.IdW(1), T.Gen("R"))
+    assert T.parse_inequality(" copyw\n<= (seqw copyw (symw 1 1)) ") == (
+        T.CopyW, T.SeqW(T.CopyW, T.SymW(1, 1)))
+    with pytest.raises(T.ParseError, match="expected '<=' between terms"):
+        T.parse_inequality("(idw 1) (gen R)", SIG)
+    with pytest.raises(T.ParseError, match="trailing input after second term"):
+        T.parse_inequality("(idw 1) <= (gen R) (gen R)", SIG)
+    with pytest.raises(T.ParseError, match="unknown generator"):
+        T.parse_inequality("(idw 1) <= (gen Q)", SIG)
+
+
 def test_desugar_removes_sugar():
     rng = random.Random(23)
     sugar = (T.Dag, T.Neg, T.Meet, T.Join, T.Top, T.Bot)
