@@ -269,7 +269,7 @@ def run(argv=None):
         finrel.MAX_BITS = args.max_bits
     try:
         return args.fn(args)
-    except (DiagrelError, OSError) as e:
+    except (DiagrelError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

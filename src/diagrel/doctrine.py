@@ -266,7 +266,10 @@ def graph_of(f):
 
 def comprehension(alpha, max_test_size=3):
     """The subobject classified by alpha: its carrier, the inclusion, and a
-    report verifying the universal property and fullness by brute force."""
+    report verifying the universal property and fullness by brute force.
+    Composites are enumerated as tables, not morphisms: `product(incl.table,
+    repeat=|Y|)` yields the table of h ; incl once for each h : Y -> X_alpha,
+    in the order of `all_morphisms(Y, X_alpha)`."""
     X = alpha.over
     members = alpha.members()
     X_alpha = FinSetObj(len(members))
@@ -281,17 +284,12 @@ def comprehension(alpha, max_test_size=3):
         for f in all_morphisms(Y, X):
             if subst(f, alpha) != top(Y):
                 continue
-            factorizations = [h for h in all_morphisms(Y, X_alpha)
-                              if compose(h, incl) == f]
-            if len(factorizations) != 1:
+            composites = itertools.product(incl.table, repeat=ysize)
+            if sum(c == f.table for c in composites) != 1:
                 report["universal"] = False
     for beta in all_predicates(X):
-        other_members = beta.members()
-        X_beta = FinSetObj(len(other_members))
-        incl_beta = FinSetMor(X_beta, X, tuple(other_members))
-        factors = any(compose(h, incl_beta) == incl
-                      for h in all_morphisms(X_alpha, X_beta))
-        if factors != leq(alpha, beta):
+        composites = itertools.product(beta.members(), repeat=X_alpha.size)
+        if any(c == incl.table for c in composites) != leq(alpha, beta):
             report["fullness"] = False
     return X_alpha, incl, report
 

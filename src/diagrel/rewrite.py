@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from dataclasses import dataclass, field
 
 from . import terms as T
@@ -19,7 +20,7 @@ from .finrel import FinRelation, Interpretation, evaluate, included, inclusion_w
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
     SeqW, Signature, SymB, SymW, TensB, TensW, Term, desugar, format_position,
-    parse_inequality, parse_term, print_term, replace_at, subterm_at, typecheck,
+    parse_inequality, parse_term, print_term, replace_at, spine_at, typecheck,
 )
 
 
@@ -152,15 +153,15 @@ def _solve_expr(expr, value, binding, sig):
     return False  # underdetermined — needs explicit `with` bindings
 
 
-def match_pattern(p, t, sig=EMPTY_SIGNATURE, binding=None):
+def match_pattern(p, t, sig=EMPTY_SIGNATURE, binding=None, types=None):
     """Syntactic matching: bindings σ with instantiate(p, σ) = t, or None."""
     b = dict(binding) if binding else {}
-    if _match(p, t, sig, b):
+    if _match(p, t, sig, b, types):
         return b
     return None
 
 
-def _match(p, t, sig, b):
+def _match(p, t, sig, b, types):
     if isinstance(p, PVar):
         if p.name in b:
             return b[p.name] == t
@@ -177,7 +178,7 @@ def _match(p, t, sig, b):
     if isinstance(p, PBin):
         if type(t) is not _PBIN_NODE[p.op]:
             return False
-        return _match(p.l, t.t, sig, b) and _match(p.r, t.u, sig, b)
+        return _match(p.l, t.t, sig, b, types) and _match(p.r, t.u, sig, b, types)
     if isinstance(p, PConstM):
         # Determine the macro arities from the candidate's shape/type, then
         # require the expansion to be syntactically equal to the candidate.
@@ -188,7 +189,7 @@ def _match(p, t, sig, b):
             targets = (t.m, t.n)
         else:
             try:
-                n, m = typecheck(t, sig)
+                n, m = typecheck(t, sig, types=types)
             except DiagrelError:
                 return False
             targets = {
@@ -493,14 +494,14 @@ class Step:
     bindings: tuple = ()  # ((name, value), ...)
 
 
-def _infer_arrow_types(axiom, binding, sig):
+def _infer_arrow_types(axiom, binding, sig, types=None):
     """Bind remaining object metavariables from the types of matched arrows,
     in one pass: a solve that fails raises, so a second pass binds nothing."""
     for name, de, ce in axiom.arrows:
         v = binding.get(name)
         if not isinstance(v, Term):
             continue
-        n, m = typecheck(v, sig)
+        n, m = typecheck(v, sig, types=types)
         for expr, val in ((de, n), (ce, m)):
             if not _solve_expr(expr, val, binding, sig):
                 raise RewriteError(
@@ -508,27 +509,34 @@ def _infer_arrow_types(axiom, binding, sig):
                     f"incompatible with its declared type")
 
 
-def apply_step(t, step, sig=EMPTY_SIGNATURE):
-    """Apply one rewrite step to t; raises RewriteError when it is invalid."""
+def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
+    """Apply one rewrite step to t; raises RewriteError when it is invalid.
+    One walk to the position serves the match and the rebuild; `types` is a
+    `typecheck` memo for the match, the arrow types and the replacement."""
     axiom = axiom_by_name(step.axiom)
     if step.direction not in ("l2r", "r2l"):
         raise RewriteError(f"bad direction {step.direction!r}")
     if step.direction == "r2l" and axiom.kind == "le":
         raise RewriteError(
             f"axiom {axiom.name} is an inequality; r2l would rewrite downward")
+    if step.bindings:
+        objs = axiom.variables()[0]
+        for name, value in step.bindings:
+            if name in objs and type(value) is not int:
+                raise RewriteError(f"object metavariable {name!r} must be bound to a number")
     src, dst = (axiom.lhs, axiom.rhs) if step.direction == "l2r" else (axiom.rhs, axiom.lhs)
-    sub = subterm_at(t, step.position)
-    binding = match_pattern(src, sub, sig, dict(step.bindings))
+    spine = spine_at(t, step.position)
+    binding = match_pattern(src, spine[-1], sig, dict(step.bindings), types)
     if binding is None:
         raise RewriteError(
             f"axiom {axiom.name} ({step.direction}) does not match at "
             f"{format_position(step.position)}")
-    _infer_arrow_types(axiom, binding, sig)
+    _infer_arrow_types(axiom, binding, sig, types)
     try:
         repl = instantiate(dst, binding, sig)
     except UnboundMetavariable as e:
         raise RewriteError(f"{e}; supply it with an explicit `with` binding") from None
-    return replace_at(t, step.position, repl, sig)
+    return replace_at(t, step.position, repl, sig, types, spine)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +568,7 @@ def _parse_position(text):
     if text in ("ε", "e", ""):
         return ()
     try:
-        return tuple(int(p) for p in text.split("."))
+        return tuple(map(int, text.split(".")))
     except ValueError:
         raise ParseError(f"bad position {text!r}") from None
 
@@ -576,32 +584,22 @@ def _parse_bindings(text, sig):
         if eq < 0:
             raise ParseError(f"bad binding clause {text[i:]!r}")
         name = text[i:eq].strip()
-        j = eq + 1
-        if j < len(text) and text[j] == "(":
+        i = eq + 1
+        if text.startswith("(", i):  # a term: up to the matching parenthesis
             depth = 0
-            k = j
-            while k < len(text):
-                if text[k] == "(":
-                    depth += 1
-                elif text[k] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        k += 1
-                        break
-                k += 1
-            if depth != 0:
+            for k in range(i, len(text)):
+                depth += (text[k] == "(") - (text[k] == ")")
+                if not depth:
+                    break
+            else:
                 raise ParseError(f"unbalanced parentheses in binding {name!r}")
-            raw = text[j:k]
-            i = k
+            raw = text[i:k + 1]
         else:
-            k = j
-            while k < len(text) and not text[k].isspace():
-                k += 1
-            raw = text[j:k]
-            i = k
+            raw = re.match(r"\S*", text[i:])[0]
+        i += len(raw)
         if not raw:
             raise ParseError(f"empty binding for {name!r}")
-        if raw.lstrip("-").isdigit():
+        if raw.lstrip("-").isdecimal():
             value = int(raw)
             if value < 0:
                 raise ParseError(f"negative object binding for {name!r}")
@@ -611,6 +609,14 @@ def _parse_bindings(text, sig):
             value = raw  # generator-name binding
         out.append((name, value))
     return tuple(out)
+
+
+# Every part is optional, so any line starting with `step` matches and the
+# first missing group names the error.  The position runs up to the first
+# ` dir `, the direction up to the first ` with`, without backtracking.
+_STEP_LINE = re.compile(
+    r"step\s*(?:(\S+)\s+)?(at)?\s*([^ ]*(?: (?!dir )[^ ]*)*)"
+    r"(?: dir \s*([^ ]*(?: (?!with(?: |$))[^ ]*)*)(?: with(?: (.*))?)?)?")
 
 
 def parse_proof(text, sig):
@@ -636,29 +642,18 @@ def parse_proof(text, sig):
         elif line.startswith("step"):
             if lhs is None:
                 raise ParseError("step before prove", lineno, 1)
-            rest = line[len("step"):].strip()
-            try:
-                name, rest = rest.split(None, 1)
-            except ValueError:
-                raise ParseError("step needs an axiom name", lineno, 1) from None
-            if not rest.startswith("at"):
+            name, at, pos, direction, bindings = _STEP_LINE.fullmatch(line).groups()
+            if not name:
+                raise ParseError("step needs an axiom name", lineno, 1)
+            if not at:
                 raise ParseError("expected `at POSITION`", lineno, 1)
-            rest = rest[2:].strip()
-            postext, _, rest = rest.partition(" dir ")
-            if not _:
+            if direction is None:
                 raise ParseError("expected `dir l2r|r2l`", lineno, 1)
-            rest = rest.strip()
-            if " with " in rest:
-                direction, withtext = rest.split(" with ", 1)
-            elif rest.endswith(" with"):
-                direction, withtext = rest[:-5], ""
-            else:
-                direction, withtext = rest, ""
             direction = direction.strip()
             if direction not in ("l2r", "r2l"):
                 raise ParseError(f"bad direction {direction!r}", lineno, 1)
-            steps.append(Step(name, _parse_position(postext), direction,
-                              _parse_bindings(withtext, sig)))
+            steps.append(Step(name, _parse_position(pos), direction,
+                              _parse_bindings(bindings or "", sig)))
         elif line == "qed":
             if lhs is None:
                 raise ParseError("qed before prove", lineno, 1)
@@ -673,7 +668,9 @@ def parse_proof(text, sig):
 
 
 def check_proof(script, sig=EMPTY_SIGNATURE):
-    """Validate an increasing rewrite chain from claim lhs to claim rhs."""
+    """Validate an increasing rewrite chain from claim lhs to claim rhs.
+    The steps share one `typecheck` memo, which lives for this call and this
+    `sig`: a subtree that steps leave untouched is typed once."""
     try:
         ty1 = typecheck(script.lhs, sig)
         ty2 = typecheck(script.rhs, sig)
@@ -683,9 +680,10 @@ def check_proof(script, sig=EMPTY_SIGNATURE):
         return Verdict(False, -1, f"claim types differ: {ty1} vs {ty2}")
     cur = desugar(script.lhs, sig)
     goal = desugar(script.rhs, sig)
+    types = {}
     for idx, step in enumerate(script.steps):
         try:
-            cur = apply_step(cur, step, sig)
+            cur = apply_step(cur, step, sig, types)
         except DiagrelError as e:
             return Verdict(False, idx, str(e))
     if cur != goal:

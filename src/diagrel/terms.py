@@ -239,7 +239,9 @@ def with_children(t, kids):
     return t
 
 
-def subterm_at(t, path):
+def spine_at(t, path):
+    """The nodes from the root of t down to its subterm at `path`."""
+    spine = [t]
     for i, step in enumerate(path):
         kids = children(t)
         if step < 0 or step >= len(kids):
@@ -247,27 +249,29 @@ def subterm_at(t, path):
                 f"no child {step} at {format_position(path[:i])} in {print_term(t)}"
             )
         t = kids[step]
-    return t
+        spine.append(t)
+    return spine
 
 
-def replace_at(t, path, u, sig):
+def subterm_at(t, path):
+    return spine_at(t, path)[-1]
+
+
+def replace_at(t, path, u, sig, types=None, spine=None):
     """Replace the subterm at `path` by `u`, which must have the same type
-    under `sig` as the subterm it replaces, so the result stays well-typed."""
-    old_ty = typecheck(subterm_at(t, path), sig)
-    new_ty = typecheck(u, sig)
+    under `sig` as the subterm it replaces, so the result stays well-typed.
+    `types` is a `typecheck` memo; `spine` is `spine_at(t, path)` if the
+    caller has it.  The result shares every subtree off the spine with t."""
+    spine = spine or spine_at(t, path)
+    old_ty = typecheck(spine[-1], sig, types=types)
+    new_ty = typecheck(u, sig, types=types)
     if old_ty != new_ty:
         raise TypeMismatch(f"replacement type {new_ty} differs from {old_ty}", path)
-    return _splice(t, tuple(path), u)
-
-
-def _splice(t, path, u):
-    if not path:
-        return u
-    kids = list(children(t))
-    if path[0] < 0 or path[0] >= len(kids):
-        raise InvalidPosition(f"no child {path[0]} in {print_term(t)}")
-    kids[path[0]] = _splice(kids[path[0]], path[1:], u)
-    return with_children(t, kids)
+    for node, step in zip(reversed(spine[:-1]), reversed(path)):
+        kids = list(children(node))
+        kids[step] = u
+        u = with_children(node, kids)
+    return u
 
 
 def positions(t):
@@ -282,50 +286,60 @@ def positions(t):
 # typing
 
 
-def typecheck(t, sig, _path=()):
-    """Return (dom, cod) or raise TypeMismatch / unknown generator."""
+def typecheck(t, sig, _path=(), types=None):
+    """Return (dom, cod) or raise TypeMismatch / unknown generator.
+
+    `types` is an optional memo for one `sig`, from `id(node)` to `(type,
+    node)`: each entry keeps its node alive, so no id is reused while the
+    memo lives.  Recursion goes through this module-level name."""
+    hit = types and types.get(id(t))
+    if hit:
+        return hit[0]
     if isinstance(t, IdW) or isinstance(t, IdB):
         if t.n < 0:
             raise TypeMismatch("negative identity arity", _path)
-        return (t.n, t.n)
-    if isinstance(t, (SymW, SymB)):
+        ty = (t.n, t.n)
+    elif isinstance(t, (SymW, SymB)):
         if t.m < 0 or t.n < 0:
             raise TypeMismatch("negative symmetry arity", _path)
-        return (t.m + t.n, t.n + t.m)
-    if isinstance(t, Gen):
+        ty = (t.m + t.n, t.n + t.m)
+    elif isinstance(t, Gen):
         n, m = sig.type_of(t.name)
-        return (n, m)
-    if isinstance(t, GenOp):
+        ty = (n, m)
+    elif isinstance(t, GenOp):
         n, m = sig.type_of(t.name)
-        return (m, n)
-    if isinstance(t, Const):
-        return CONSTANT_TYPES[t.kind]
-    if isinstance(t, (SeqW, SeqB)):
-        n1, m1 = typecheck(t.t, sig, _path + (0,))
-        n2, m2 = typecheck(t.u, sig, _path + (1,))
+        ty = (m, n)
+    elif isinstance(t, Const):
+        ty = CONSTANT_TYPES[t.kind]
+    elif isinstance(t, (SeqW, SeqB)):
+        n1, m1 = typecheck(t.t, sig, _path + (0,), types)
+        n2, m2 = typecheck(t.u, sig, _path + (1,), types)
         if m1 != n2:
             raise TypeMismatch(f"cod {m1} ≠ dom {n2}", _path)
-        return (n1, m2)
-    if isinstance(t, (TensW, TensB)):
-        n1, m1 = typecheck(t.t, sig, _path + (0,))
-        n2, m2 = typecheck(t.u, sig, _path + (1,))
-        return (n1 + n2, m1 + m2)
-    if isinstance(t, Dag):
-        n, m = typecheck(t.t, sig, _path + (0,))
-        return (m, n)
-    if isinstance(t, Neg):
-        return typecheck(t.t, sig, _path + (0,))
-    if isinstance(t, (Meet, Join)):
-        ty1 = typecheck(t.t, sig, _path + (0,))
-        ty2 = typecheck(t.u, sig, _path + (1,))
-        if ty1 != ty2:
-            raise TypeMismatch(f"branch types {ty1} ≠ {ty2}", _path)
-        return ty1
-    if isinstance(t, (Top, Bot)):
+        ty = (n1, m2)
+    elif isinstance(t, (TensW, TensB)):
+        n1, m1 = typecheck(t.t, sig, _path + (0,), types)
+        n2, m2 = typecheck(t.u, sig, _path + (1,), types)
+        ty = (n1 + n2, m1 + m2)
+    elif isinstance(t, Dag):
+        n, m = typecheck(t.t, sig, _path + (0,), types)
+        ty = (m, n)
+    elif isinstance(t, Neg):
+        ty = typecheck(t.t, sig, _path + (0,), types)
+    elif isinstance(t, (Meet, Join)):
+        ty = typecheck(t.t, sig, _path + (0,), types)
+        ty2 = typecheck(t.u, sig, _path + (1,), types)
+        if ty != ty2:
+            raise TypeMismatch(f"branch types {ty} ≠ {ty2}", _path)
+    elif isinstance(t, (Top, Bot)):
         if t.n < 0 or t.m < 0:
             raise TypeMismatch("negative arity", _path)
-        return (t.n, t.m)
-    raise DiagrelError(f"not a term: {t!r}")
+        ty = (t.n, t.m)
+    else:
+        raise DiagrelError(f"not a term: {t!r}")
+    if types is not None:
+        types[id(t)] = (ty, t)
+    return ty
 
 
 # ---------------------------------------------------------------------------

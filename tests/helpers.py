@@ -2,8 +2,11 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from diagrel import doctrine as D
 from diagrel import finrel as F
+from diagrel import rewrite as R
 from diagrel import terms as T
 
 
@@ -225,3 +228,229 @@ def forall_along_fiber(f, alpha):
         if x not in alpha:
             bits &= ~(1 << f.table[x])
     return D.Predicate(f.cod, bits)
+
+
+def naive_comprehension(alpha, max_test_size=3):
+    """Oracle for `doctrine.comprehension`: every candidate factorization is
+    built and composed as a `FinSetMor`."""
+    X = alpha.over
+    members = alpha.members()
+    X_alpha = D.FinSetObj(len(members))
+    incl = D.FinSetMor(X_alpha, X, tuple(members))
+    report = {
+        "subst_top": D.subst(incl, alpha) == D.top(X_alpha),
+        "universal": True,
+        "fullness": True,
+    }
+    for ysize in range(max_test_size + 1):
+        Y = D.FinSetObj(ysize)
+        for f in D.all_morphisms(Y, X):
+            if D.subst(f, alpha) != D.top(Y):
+                continue
+            factorizations = [h for h in D.all_morphisms(Y, X_alpha)
+                              if D.compose(h, incl) == f]
+            if len(factorizations) != 1:
+                report["universal"] = False
+    for beta in D.all_predicates(X):
+        other_members = beta.members()
+        X_beta = D.FinSetObj(len(other_members))
+        incl_beta = D.FinSetMor(X_beta, X, tuple(other_members))
+        factors = any(D.compose(h, incl_beta) == incl
+                      for h in D.all_morphisms(X_alpha, X_beta))
+        if factors != D.leq(alpha, beta):
+            report["fullness"] = False
+    return X_alpha, incl, report
+
+
+# --- rewrite chains and the naive proof replay -----------------------------
+
+def random_primitive(rng, sig, n, m, depth):
+    """A random primitive term of type n -> m (n, m <= 2) in both colours,
+    built from identities, symmetries, the (co)monoid constants and the
+    generators of `sig` and their opposed boxes."""
+    white = rng.random() < 0.5
+    seq, tens, ident = (T.SeqW, T.TensW, T.IdW) if white else (T.SeqB, T.TensB, T.IdB)
+    atoms = [T.Const(kind if white else kind[:-1] + "b")
+             for kind, ty in WHITE_CONSTS.items() if ty == (n, m)]
+    for name, (dn, dm) in sorted(sig.generators.items()):
+        if (dn, dm) == (n, m):
+            atoms.append(T.Gen(name))
+        if (dm, dn) == (n, m):
+            atoms.append(T.GenOp(name))
+    if n == m:
+        atoms.append(ident(n))
+    if (n, m) == (2, 2):
+        atoms.append((T.SymW if white else T.SymB)(1, 1))
+    if depth <= 0 and atoms:
+        return rng.choice(atoms)
+    if depth <= 0 or (rng.random() < 0.5 and n >= 1 and m >= 1):
+        if depth <= 0:  # (0, 2) or (2, 0): two one-wire halves
+            half = (n // 2, m // 2)
+            return tens(random_primitive(rng, sig, *half, 0),
+                        random_primitive(rng, sig, *half, 0))
+        n1, m1 = rng.randint(0, n), rng.randint(0, m)
+        return tens(random_primitive(rng, sig, n1, m1, depth - 1),
+                    random_primitive(rng, sig, n - n1, m - m1, depth - 1))
+    j = rng.randint(0, 2)
+    return seq(random_primitive(rng, sig, n, j, depth - 1),
+               random_primitive(rng, sig, j, m, depth - 1))
+
+
+def term_size(t):
+    return 1 + sum(term_size(kid) for kid in T.children(t))
+
+
+def unit_assoc_rewrites(t, sig, grow):
+    """(axiom, direction, result) for every unit or associativity step of
+    either colour that applies at the root of t; with `grow`, also the unit
+    laws right to left, which insert identities."""
+    out = []
+    for seq, tens, ident, sfx in ((T.SeqW, T.TensW, T.IdW, ""),
+                                  (T.SeqB, T.TensB, T.IdB, "-b")):
+        for op, name in ((seq, "seq"), (tens, "tens")):
+            if type(t) is op and type(t.t) is op:
+                out.append((f"{name}-assoc{sfx}", "l2r", op(t.t.t, op(t.t.u, t.u))))
+            if type(t) is op and type(t.u) is op:
+                out.append((f"{name}-assoc{sfx}", "r2l", op(op(t.t, t.u.t), t.u.u)))
+        if type(t) is seq and type(t.t) is ident:
+            out.append((f"seq-unit-l{sfx}", "l2r", t.u))
+        if type(t) is seq and type(t.u) is ident:
+            out.append((f"seq-unit-r{sfx}", "l2r", t.t))
+        if type(t) is tens and t.t == ident(0):
+            out.append((f"tens-unit-l{sfx}", "l2r", t.u))
+        if type(t) is tens and t.u == ident(0):
+            out.append((f"tens-unit-r{sfx}", "l2r", t.t))
+        if grow:
+            n, m = T.typecheck(t, sig)
+            out.append((f"seq-unit-l{sfx}", "r2l", seq(ident(n), t)))
+            out.append((f"seq-unit-r{sfx}", "r2l", seq(t, ident(m))))
+            out.append((f"tens-unit-l{sfx}", "r2l", tens(ident(0), t)))
+            out.append((f"tens-unit-r{sfx}", "r2l", tens(t, ident(0))))
+    return out
+
+
+def random_chain(rng, sig, steps, node_cap=40):
+    """A random primitive start term, `steps` valid unit and associativity
+    steps from it, and the term they lead to, computed without the kernel."""
+    start = term = random_primitive(rng, sig, 1, 1, 3)
+    chain = []
+    while len(chain) < steps:
+        path = rng.choice(T.positions(term))
+        options = unit_assoc_rewrites(naive_subterm_at(term, path), sig,
+                                      term_size(term) < node_cap)
+        if options:
+            axiom, direction, new = rng.choice(options)
+            term = naive_splice(term, path, new)
+            chain.append(R.Step(axiom, path, direction))
+    return start, term, tuple(chain)
+
+
+def naive_subterm_at(t, path):
+    for i, step in enumerate(path):
+        kids = T.children(t)
+        if step < 0 or step >= len(kids):
+            raise T.InvalidPosition(
+                f"no child {step} at {T.format_position(path[:i])} in {T.print_term(t)}")
+        t = kids[step]
+    return t
+
+
+def naive_splice(t, path, u):
+    if not path:
+        return u
+    kids = list(T.children(t))
+    kids[path[0]] = naive_splice(kids[path[0]], path[1:], u)
+    return T.with_children(t, kids)
+
+
+def naive_apply_step(t, step, sig):
+    """Oracle for `rewrite.apply_step`: one walk to find the subterm, a full
+    typecheck of the old subterm and of the replacement, a second walk to
+    splice it in."""
+    axiom = R.axiom_by_name(step.axiom)
+    if step.direction not in ("l2r", "r2l"):
+        raise R.RewriteError(f"bad direction {step.direction!r}")
+    if step.direction == "r2l" and axiom.kind == "le":
+        raise R.RewriteError(
+            f"axiom {axiom.name} is an inequality; r2l would rewrite downward")
+    objs = axiom.variables()[0]
+    for name, value in step.bindings:
+        if name in objs and type(value) is not int:
+            raise R.RewriteError(f"object metavariable {name!r} must be bound to a number")
+    src, dst = (axiom.lhs, axiom.rhs) if step.direction == "l2r" else (axiom.rhs, axiom.lhs)
+    sub = naive_subterm_at(t, step.position)
+    binding = R.match_pattern(src, sub, sig, dict(step.bindings))
+    if binding is None:
+        raise R.RewriteError(
+            f"axiom {axiom.name} ({step.direction}) does not match at "
+            f"{T.format_position(step.position)}")
+    R._infer_arrow_types(axiom, binding, sig)
+    try:
+        repl = R.instantiate(dst, binding, sig)
+    except R.UnboundMetavariable as e:
+        raise R.RewriteError(f"{e}; supply it with an explicit `with` binding") from None
+    old_ty = T.typecheck(sub, sig)
+    new_ty = T.typecheck(repl, sig)
+    if old_ty != new_ty:
+        raise T.TypeMismatch(f"replacement type {new_ty} differs from {old_ty}",
+                             step.position)
+    return naive_splice(t, tuple(step.position), repl)
+
+
+def naive_check_proof(script, sig):
+    """Oracle for `rewrite.check_proof`, replaying with `naive_apply_step`."""
+    try:
+        ty1 = T.typecheck(script.lhs, sig)
+        ty2 = T.typecheck(script.rhs, sig)
+    except T.DiagrelError as e:
+        return R.Verdict(False, -1, f"claim does not typecheck: {e}")
+    if ty1 != ty2:
+        return R.Verdict(False, -1, f"claim types differ: {ty1} vs {ty2}")
+    cur = T.desugar(script.lhs, sig)
+    goal = T.desugar(script.rhs, sig)
+    for idx, step in enumerate(script.steps):
+        try:
+            cur = naive_apply_step(cur, step, sig)
+        except T.DiagrelError as e:
+            return R.Verdict(False, idx, str(e))
+    if cur != goal:
+        return R.Verdict(
+            False, len(script.steps),
+            f"final term {T.print_term(cur)} differs from goal {T.print_term(goal)}")
+    return R.Verdict(True)
+
+
+# --- proof-script text for fuzzing -----------------------------------------
+
+PROOF_PIECES = (
+    "prove", "step", "qed", "at", "dir", "with", "l2r", "r2l", "e", "ε", "0",
+    "1.0", "0.1.1", "-1", "x", "<=", "#", "(", ")", "(idw 1)", "(idb 1)",
+    "(gen R)", "(genop S)", "copyw", "(seqw (idw 1) (gen R))", "(top 1 1)",
+    "X=1", "X=0", "X=-1", "X=²", "X=(gen R)", "X=R", "Y=2", "a=(gen R)",
+    "a=(seqw (gen S) (gen S))", "a=3", "a=", "r=R", "r=Q", "r=1",
+    "seq-unit-l", "seq-unit-r-b", "tens-assoc", "copy-as", "eta-copy",
+    "gen-tau", "discard-nat", "no-such-axiom",
+)
+
+
+def proof_text():
+    """Arbitrary text, and scripts assembled from proof-script pieces with
+    mostly well-shaped step lines, so that generated input also reaches the
+    bindings and the replay, not only the first checks of the parser."""
+    piece = st.sampled_from(PROOF_PIECES) | st.text(max_size=3)
+    words = st.lists(piece, max_size=4).map(" ".join)
+    step = st.builds(
+        "step {} at {} dir {} with {}".format,
+        st.sampled_from(["seq-unit-l", "seq-unit-r", "tens-unit-l", "copy-as",
+                         "gen-tau", "discard-nat"]) | words,
+        st.sampled_from(["e", "0", "1", "0.0", "-1", "9"]) | words,
+        st.sampled_from(["l2r", "r2l"]) | words,
+        st.lists(st.sampled_from([p for p in PROOF_PIECES if "=" in p]),
+                 max_size=3).map(" ".join) | words)
+    line = step | st.lists(piece, max_size=10).map(" ".join)
+    return st.text(max_size=200) | st.tuples(
+        st.sampled_from(["", "prove (idw 1) <= (idw 1)\n",
+                         "prove (seqw (idw 1) (gen R)) <= (gen R)\n"]),
+        st.lists(line, max_size=6).map("\n".join),
+        st.sampled_from(["", "\nqed\n"]),
+    ).map("".join)

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diagrel.cli import run
+
+import helpers
 
 SIG = "sig R : 1 -> 1\nsig S : 2 -> 1\n"
 INTERP = """carrier 2
@@ -111,6 +114,9 @@ def test_check_proof(files, capsys):
     bad.write_text("prove (idw 1) <= (top 1 1)\nqed\n")
     assert run(["check-proof", "--sig", files["sig"], str(bad)]) == 1
     assert "rejected" in capsys.readouterr().out
+    bad.write_bytes(b"prove (idw 1) <= \xff\n")
+    assert run(["check-proof", "--sig", files["sig"], str(bad)]) == 2
+    assert "can't decode" in capsys.readouterr().err
 
 
 def test_options_do_not_carry_over_between_runs(files, capsys):
@@ -179,3 +185,17 @@ def test_deep_term_nesting_exits_2(files, capsys, command):
         argv[1:1] = ["--interp", files["interp"]]
     assert run(argv) == 2
     assert capsys.readouterr().err.strip() == "error: term nesting too deep"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(helpers.proof_text().map(str.encode), st.binary(max_size=200)))
+def test_check_proof_fuzz_exits_cleanly(files, capsys, data):
+    """Any script file ends in exit 0, 1 or 2 (with a message on stderr),
+    never in an exception."""
+    script = files["dir"] / "fuzz.prf"
+    script.write_bytes(data)
+    code = run(["check-proof", "--sig", files["sig"], str(script)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert (out if code < 2 else err).strip()

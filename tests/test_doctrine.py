@@ -240,6 +240,10 @@ def test_comprehension_universal():
             assert Xa.size == len(alpha.members())
             assert report["subst_top"] and report["universal"] and report["fullness"]
             assert D.subst(incl, alpha) == D.top(Xa)
+            for max_test_size in range(4):
+                Xa, incl, report = D.comprehension(alpha, max_test_size)
+                Xn, incl_n, report_n = helpers.naive_comprehension(alpha, max_test_size)
+                assert (Xa.size, incl.table, report) == (Xn.size, incl_n.table, report_n)
 
 
 def test_comprehensive_diagonals():

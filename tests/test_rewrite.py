@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from diagrel import terms as T
 from diagrel import finrel as F
@@ -283,3 +284,120 @@ def test_spider_relation_matches_evaluation_small_carriers():
             neg = T.desugar(T.Neg(t), SIG)
             assert F.equal(F.evaluate(neg, interp),
                            R.spider_relation(R.spider_normalize(neg, SIG), k))
+
+
+# --- proof scripts: parser messages, replay oracle, work count --------------
+
+
+PROVE = "prove (idw 1) <= (idw 1)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (PROVE + "step\nqed\n", "2:1: step needs an axiom name"),
+    (PROVE + "step seq-unit-l\nqed\n", "2:1: step needs an axiom name"),
+    (PROVE + "step seq-unit-l e dir l2r\nqed\n", "2:1: expected `at POSITION`"),
+    (PROVE + "step seq-unit-l at e\nqed\n", "2:1: expected `dir l2r|r2l`"),
+    (PROVE + "step seq-unit-l at dir l2r\nqed\n", "2:1: expected `dir l2r|r2l`"),
+    (PROVE + "step seq-unit-l at e\tdir l2r\nqed\n", "2:1: expected `dir l2r|r2l`"),
+    (PROVE + "step seq-unit-l at e dir up\nqed\n", "2:1: bad direction 'up'"),
+    (PROVE + "step seq-unit-l at e dir l2r withX=1\nqed\n",
+     "2:1: bad direction 'l2r withX=1'"),
+    (PROVE + "step seq-unit-l at e dir with X=1\nqed\n", "2:1: bad direction 'with X=1'"),
+    (PROVE + "step seq-unit-l at e dir  with X=1\nqed\n", "2:1: bad direction 'with X=1'"),
+    (PROVE + "step seq-unit-l at 0.x dir l2r\nqed\n", "bad position '0.x'"),
+    ("step seq-unit-l at e dir l2r\n" + PROVE + "qed\n", "1:1: step before prove"),
+    (PROVE + "qed\nstep seq-unit-l at e dir l2r\n", "3:1: content after qed"),
+    (PROVE + "frobnicate\nqed\n", "2:1: unrecognized line 'frobnicate'"),
+])
+def test_parse_proof_error_messages(text, message):
+    with pytest.raises(T.ParseError) as e:
+        R.parse_proof(text, SIG)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("line, step", [
+    ("step seq-unit-l at e dir l2r", R.Step("seq-unit-l", (), "l2r")),
+    ("step seq-unit-l at ε dir r2l", R.Step("seq-unit-l", (), "r2l")),
+    ("step  tens-assoc-b   at  0.1.0  dir  r2l", R.Step("tens-assoc-b", (0, 1, 0), "r2l")),
+    ("step seq-unit-l at 1 dir r2l with", R.Step("seq-unit-l", (1,), "r2l")),
+    ("step seq-unit-l at 1 dir r2l with X=1 a=(gen R)",
+     R.Step("seq-unit-l", (1,), "r2l", (("X", 1), ("a", T.Gen("R"))))),
+    ("step seq-unit-l at 1 dir r2l  with  r=R a=copyw # note",
+     R.Step("seq-unit-l", (1,), "r2l", (("r", "R"), ("a", T.Const("copyw"))))),
+])
+def test_parse_proof_step_lines(line, step):
+    assert R.parse_proof(PROVE + line + "\nqed\n", SIG).steps == (step,)
+
+
+@pytest.mark.parametrize("binding", ["X=(gen R)", "X=R", "X=²"])
+def test_object_binding_must_be_a_number(binding):
+    script = R.parse_proof(
+        PROVE + f"step seq-unit-l at e dir r2l with {binding}\nqed\n", SIG)
+    verdict = R.check_proof(script, SIG)
+    assert verdict == helpers.naive_check_proof(script, SIG)
+    assert (verdict.step_index, verdict.reason) == (
+        0, "object metavariable 'X' must be bound to a number")
+
+
+def _chain_mutants(rng, start, goal, steps):
+    """The chain itself, then one mutant of each kind: the last step dropped,
+    a step at a wrong position, an inequality applied right to left, and an
+    identity grown and removed again at the end with a `with` binding of the
+    right and of a wrong object size."""
+    yield R.ProofScript(start, goal, steps)
+    yield R.ProofScript(start, goal, steps[:-1])
+    i = rng.randrange(len(steps))
+    moved = R.Step(steps[i].axiom, rng.choice([(0,), (1,), (0, 1), (1, 0, 0), (2,)]),
+                   steps[i].direction)
+    yield R.ProofScript(start, goal, steps[:i] + (moved,) + steps[i + 1:])
+    downward = R.Step(rng.choice(["eta-copy", "delta-l", "gen-tau"]), (), "r2l")
+    yield R.ProofScript(start, goal, steps[:i] + (downward,) + steps[i:])
+    n, _ = T.typecheck(goal, SIG)
+    for size in (n, n + 1):  # the right size is accepted, the wrong one not
+        grow = R.Step("seq-unit-l", (), "r2l", (("X", size),))
+        yield R.ProofScript(start, goal, steps + (grow, R.Step("seq-unit-l", (), "l2r")))
+
+
+def test_check_proof_matches_naive_replay():
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        start, goal, steps = helpers.random_chain(rng, SIG, rng.randint(2, 60))
+        for script in _chain_mutants(rng, start, goal, steps):
+            verdict = R.check_proof(script, SIG)
+            assert verdict == helpers.naive_check_proof(script, SIG), (seed, script)
+            outcomes.add(verdict.reason.split(" ")[0] if verdict.reason else "ok")
+    # every kind of outcome occurs, so the comparison has teeth
+    assert {"ok", "final", "axiom", "arrow"} <= outcomes, outcomes
+
+
+def test_check_proof_types_each_node_about_once(monkeypatch):
+    rng = random.Random(2024)
+    start, goal, steps = helpers.random_chain(rng, SIG, 400)
+    calls = 0
+    typecheck = T.typecheck
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return typecheck(*args, **kwargs)
+
+    # terms.typecheck recurses through its module-level name, so every node
+    # visit is counted
+    monkeypatch.setattr(T, "typecheck", counting)
+    monkeypatch.setattr(R, "typecheck", counting)
+    assert R.check_proof(R.ProofScript(start, goal, steps), SIG).accepted
+    assert calls <= 10 * (helpers.term_size(start) + len(steps)), calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(helpers.proof_text())
+def test_parse_and_check_proof_fuzz(text):
+    """Any text parses to a script or raises a DiagrelError; any parsed
+    script gets a verdict."""
+    try:
+        script = R.parse_proof(text, SIG)
+    except T.DiagrelError:
+        return
+    assert isinstance(script, R.ProofScript)
+    assert isinstance(R.check_proof(script, SIG), R.Verdict)
