@@ -11,15 +11,19 @@ associativity; the structural axioms are explicit proof steps.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import re
 from dataclasses import dataclass, field
 
 from . import terms as T
-from .finrel import FinRelation, Interpretation, evaluate, included, inclusion_witness
+from .finrel import (
+    FinRelation, Interpretation, complement, evaluate, included, inclusion_witness,
+    space_bits,
+)
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
-    SeqW, Signature, SymB, SymW, TensB, TensW, Term, desugar, format_position,
+    SeqW, Signature, SymB, SymW, Term, desugar, format_position,
     parse_inequality, parse_term, print_term, replace_at, spine_at, typecheck,
 )
 
@@ -67,10 +71,8 @@ class PBin:
     r: object
 
 
-_PBIN_NODE = {"seqw": SeqW, "seqb": SeqB, "tensw": TensW, "tensb": TensB}
-
+# the (co)monoid families; identities and symmetries come from `terms.FORMS`
 _MACROS = {
-    "idw": T.IdW, "idb": T.IdB,
     "copyw": T.copy_w, "cocw": T.cocopy_w, "dscw": T.discard_w, "codw": T.codiscard_w,
     "copyb": T.copy_b, "cocb": T.cocopy_b, "dscb": T.discard_b, "codb": T.codiscard_b,
 }
@@ -116,11 +118,9 @@ def instantiate(p, binding, sig=EMPTY_SIGNATURE):
         return GenOp(name) if p.op else Gen(name)
     if isinstance(p, PConstM):
         vals = [_expr_value(e, binding, sig) for e in p.objs]
-        if p.kind in ("symw", "symb"):
-            return (SymW if p.kind == "symw" else SymB)(vals[0], vals[1])
-        return _MACROS[p.kind](vals[0])
+        return (_MACROS.get(p.kind) or T.FORMS[p.kind][0])(*vals)
     if isinstance(p, PBin):
-        return _PBIN_NODE[p.op](instantiate(p.l, binding, sig),
+        return T.FORMS[p.op][0](instantiate(p.l, binding, sig),
                                 instantiate(p.r, binding, sig))
     raise RewriteError(f"not a pattern: {p!r}")
 
@@ -176,15 +176,14 @@ def _match(p, t, sig, b, types):
         b[p.var] = t.name
         return True
     if isinstance(p, PBin):
-        if type(t) is not _PBIN_NODE[p.op]:
+        if type(t) is not T.FORMS[p.op][0]:
             return False
         return _match(p.l, t.t, sig, b, types) and _match(p.r, t.u, sig, b, types)
     if isinstance(p, PConstM):
         # Determine the macro arities from the candidate's shape/type, then
         # require the expansion to be syntactically equal to the candidate.
         if p.kind in ("symw", "symb"):
-            want = SymW if p.kind == "symw" else SymB
-            if type(t) is not want:
+            if type(t) is not T.FORMS[p.kind][0]:
                 return False
             targets = (t.m, t.n)
         else:
@@ -192,11 +191,8 @@ def _match(p, t, sig, b, types):
                 n, m = typecheck(t, sig, types=types)
             except DiagrelError:
                 return False
-            targets = {
-                "idw": n, "idb": n,
-                "copyw": n, "copyb": n, "cocw": m, "cocb": m,
-                "dscw": n, "dscb": n, "codw": m, "codb": m,
-            }[p.kind],
+            # the cocopy and codiscard families are indexed by their codomain
+            targets = (m if p.kind[:3] in ("coc", "cod") else n),
             if p.kind in ("idw", "idb") and n != m:
                 return False
         for expr, val in zip(p.objs, targets):
@@ -696,7 +692,7 @@ def check_proof(script, sig=EMPTY_SIGNATURE):
 def random_interpretation(sig, k, rng):
     assignment = {}
     for name, (n, m) in sorted(sig.generators.items()):
-        size = (k ** n) * (k ** m)
+        size = space_bits(k, n, m)
         assignment[name] = FinRelation(k, n, m, rng.getrandbits(size) if size else 0)
     return Interpretation(sig, k, assignment)
 
@@ -812,11 +808,6 @@ class SpiderForm:
     closed: int = field(compare=False, default=0)
 
 
-_WHITE_FRAGMENT = (IdW, SymW, SeqW, TensW)
-_BLACK_FRAGMENT = (IdB, SymB, SeqB, TensB)
-_WHITE_CONSTS = {"copyw", "dscw", "cocw", "codw"}
-
-
 class _DSU:
     def __init__(self):
         self.parent = []
@@ -844,19 +835,18 @@ def spider_normalize(t, sig=EMPTY_SIGNATURE):
     dsu = _DSU()
 
     def walk(t):
-        if isinstance(t, (IdW, IdB)):
+        cls = type(t)
+        if cls is IdW or cls is IdB:
             ports = [dsu.fresh() for _ in range(t.n)]
             return ports, list(ports)
-        if isinstance(t, (SymW, SymB)):
+        if cls is SymW or cls is SymB:
             ports = [dsu.fresh() for _ in range(t.m + t.n)]
             return list(ports), ports[t.m:] + ports[:t.m]
-        if isinstance(t, T.Const):
-            p = dsu.fresh()
-            return {
-                "copy": ([p], [p, p]), "dsc": ([p], []),
-                "coc": ([p, p], [p]), "cod": ([], [p]),
-            }[t.kind[:-1]]
-        if isinstance(t, (SeqW, SeqB)):
+        if cls is T.Const:
+            p = dsu.fresh()  # every wire of a (co)monoid constant is one port
+            n, m = T.CONSTANT_TYPES[t.kind]
+            return [p] * n, [p] * m
+        if cls is SeqW or cls is SeqB:
             i1, o1 = walk(t.t)
             i2, o2 = walk(t.u)
             for x, y in zip(o1, i2):
@@ -878,16 +868,18 @@ def spider_normalize(t, sig=EMPTY_SIGNATURE):
     return SpiderForm(len(ins), len(outs), colour, partition, closed)
 
 
+# the colour of each primitive class but Const: the last letter of its head
+_HEAD_COLOUR = {cls: head[-1] for head, (cls, _) in T.FORMS.items() if cls in T.MIRROR}
+
+
 def _fragment_colour(t):
     colours = set()
 
     def scan(t, path):
-        if isinstance(t, _WHITE_FRAGMENT):
-            colours.add("w")
-        elif isinstance(t, _BLACK_FRAGMENT):
-            colours.add("b")
-        elif isinstance(t, T.Const):
-            colours.add("w" if t.kind in _WHITE_CONSTS else "b")
+        if type(t) is T.Const:
+            colours.add(t.kind[-1])
+        elif type(t) in _HEAD_COLOUR:
+            colours.add(_HEAD_COLOUR[type(t)])
         else:
             raise SpiderError(
                 f"outside Frobenius fragment: {print_term(t)} at "
@@ -908,9 +900,6 @@ def spider_relation(form, k):
     A closed component is an existential over the carrier, so at k = 0 it
     empties the white relation.  Form equality ignores closed components:
     equal forms denote equal relations only for k >= 1."""
-    import itertools
-    from . import finrel
-
     block_of = {}
     for block in form.partition:
         for label in block:
@@ -932,4 +921,4 @@ def spider_relation(form, k):
     if k == 0 and form.closed:
         pairs = []  # a closed component has no value to take
     rel = FinRelation.from_pairs(k, form.n, form.m, pairs)
-    return rel if form.colour == "w" else finrel.complement(rel)
+    return rel if form.colour == "w" else complement(rel)

@@ -8,14 +8,18 @@ nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them
 into the primitive calculus for the proof kernel (`rewrite.check_proof`,
 `rewrite.spider_normalize`) and for `diagrel desugar`.
 
-The black arity-indexed macros are computed as the De Morgan dual of the
-white ones: each is the colour switch (`_negate_prim`) of its white mirror.
+The s-expression syntax is declared once, in `FORMS`: each head with its
+node class and argument kinds.  The eight constants are bare atoms.  The
+colour switch is declared once, in `MIRROR`; a constant's mirror flips the
+last letter of its kind.  The black arity-indexed macros are computed as
+the De Morgan dual of the white ones: each is the colour switch
+(`_negate_prim`) of its white mirror.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class DiagrelError(Exception):
@@ -126,17 +130,15 @@ class GenOp(Term):
     name: str
 
 
-#: atom name -> (dom, cod) for the eight unary (co)monoid constants
+#: atom name -> (dom, cod) for the eight unary (co)monoid constants; a
+#: black constant has the type of its white mirror
 CONSTANT_TYPES = {
     "copyw": (1, 2),
     "dscw": (1, 0),
     "cocw": (2, 1),
     "codw": (0, 1),
-    "copyb": (1, 2),
-    "dscb": (1, 0),
-    "cocb": (2, 1),
-    "codb": (0, 1),
 }
+CONSTANT_TYPES.update({kind[:-1] + "b": ty for kind, ty in CONSTANT_TYPES.items()})
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,38 @@ class Bot(Term):
     m: int
 
 
-BINARY = (SeqW, SeqB, TensW, TensB, Meet, Join)
-UNARY = (Dag, Neg)
+#: head -> (node class, argument kinds), each kind "nat", "name" (of a
+#: generator) or "term", one kind for all arguments of a form; the class's
+#: fields take the arguments in order, and subterms are in fields t and u
+FORMS = {
+    "idw": (IdW, ("nat",)),
+    "idb": (IdB, ("nat",)),
+    "symw": (SymW, ("nat", "nat")),
+    "symb": (SymB, ("nat", "nat")),
+    "gen": (Gen, ("name",)),
+    "genop": (GenOp, ("name",)),
+    "seqw": (SeqW, ("term", "term")),
+    "seqb": (SeqB, ("term", "term")),
+    "tensw": (TensW, ("term", "term")),
+    "tensb": (TensB, ("term", "term")),
+    "meet": (Meet, ("term", "term")),
+    "join": (Join, ("term", "term")),
+    "dag": (Dag, ("term",)),
+    "neg": (Neg, ("term",)),
+    "top": (Top, ("nat", "nat")),
+    "bot": (Bot, ("nat", "nat")),
+}
+
+#: the colour switch of the primitive classes; a constant's flips its last letter
+MIRROR = {IdW: IdB, SymW: SymB, SeqW: SeqB, TensW: TensB}
+MIRROR.update({black: white for white, black in MIRROR.items()})
+
+BINARY = tuple(cls for cls, kinds in FORMS.values() if kinds == ("term", "term"))
+UNARY = tuple(cls for cls, kinds in FORMS.values() if kinds == ("term",))
+
+# node class -> (head, argument kind, field names), looked up once here
+_SYNTAX = {cls: (head, kinds[0], tuple(f.name for f in fields(cls)))
+           for head, (cls, kinds) in FORMS.items()}
 
 # convenience aliases used throughout
 CopyW = Const("copyw")
@@ -224,19 +256,12 @@ CodiscardB = Const("codb")
 
 
 def children(t):
-    if isinstance(t, BINARY):
-        return (t.t, t.u)
-    if isinstance(t, UNARY):
-        return (t.t,)
-    return ()
+    cls = type(t)
+    return (t.t, t.u) if cls in BINARY else (t.t,) if cls in UNARY else ()
 
 
 def with_children(t, kids):
-    if isinstance(t, BINARY):
-        return type(t)(kids[0], kids[1])
-    if isinstance(t, UNARY):
-        return type(t)(kids[0])
-    return t
+    return type(t)(*kids) if kids else t
 
 
 def spine_at(t, path):
@@ -295,43 +320,39 @@ def typecheck(t, sig, _path=(), types=None):
     hit = types and types.get(id(t))
     if hit:
         return hit[0]
-    if isinstance(t, IdW) or isinstance(t, IdB):
-        if t.n < 0:
-            raise TypeMismatch("negative identity arity", _path)
-        ty = (t.n, t.n)
-    elif isinstance(t, (SymW, SymB)):
-        if t.m < 0 or t.n < 0:
-            raise TypeMismatch("negative symmetry arity", _path)
-        ty = (t.m + t.n, t.n + t.m)
-    elif isinstance(t, Gen):
-        n, m = sig.type_of(t.name)
-        ty = (n, m)
-    elif isinstance(t, GenOp):
-        n, m = sig.type_of(t.name)
-        ty = (m, n)
-    elif isinstance(t, Const):
-        ty = CONSTANT_TYPES[t.kind]
-    elif isinstance(t, (SeqW, SeqB)):
+    cls = type(t)
+    if cls is SeqW or cls is SeqB:
         n1, m1 = typecheck(t.t, sig, _path + (0,), types)
         n2, m2 = typecheck(t.u, sig, _path + (1,), types)
         if m1 != n2:
             raise TypeMismatch(f"cod {m1} ≠ dom {n2}", _path)
         ty = (n1, m2)
-    elif isinstance(t, (TensW, TensB)):
+    elif cls is TensW or cls is TensB:
         n1, m1 = typecheck(t.t, sig, _path + (0,), types)
         n2, m2 = typecheck(t.u, sig, _path + (1,), types)
         ty = (n1 + n2, m1 + m2)
-    elif isinstance(t, Dag):
-        n, m = typecheck(t.t, sig, _path + (0,), types)
-        ty = (m, n)
-    elif isinstance(t, Neg):
-        ty = typecheck(t.t, sig, _path + (0,), types)
-    elif isinstance(t, (Meet, Join)):
+    elif cls is Gen or cls is GenOp:
+        n, m = sig.type_of(t.name)
+        ty = (n, m) if cls is Gen else (m, n)
+    elif cls is Const:
+        ty = CONSTANT_TYPES[t.kind]
+    elif cls is IdW or cls is IdB:
+        if t.n < 0:
+            raise TypeMismatch("negative identity arity", _path)
+        ty = (t.n, t.n)
+    elif cls is SymW or cls is SymB:
+        if t.m < 0 or t.n < 0:
+            raise TypeMismatch("negative symmetry arity", _path)
+        ty = (t.m + t.n, t.n + t.m)
+    elif cls is Meet or cls is Join:
         ty = typecheck(t.t, sig, _path + (0,), types)
         ty2 = typecheck(t.u, sig, _path + (1,), types)
         if ty != ty2:
             raise TypeMismatch(f"branch types {ty} ≠ {ty2}", _path)
-    elif isinstance(t, (Top, Bot)):
+    elif cls is Dag or cls is Neg:
+        n, m = typecheck(t.t, sig, _path + (0,), types)
+        ty = (m, n) if cls is Dag else (n, m)
+    elif cls is Top or cls is Bot:
         if t.n < 0 or t.m < 0:
             raise TypeMismatch("negative arity", _path)
         ty = (t.n, t.m)
@@ -346,36 +367,16 @@ def typecheck(t, sig, _path=(), types=None):
 # printing / parsing
 
 
-_SEQ_HEADS = {SeqW: "seqw", SeqB: "seqb", TensW: "tensw", TensB: "tensb",
-              Meet: "meet", Join: "join"}
-
-
 def print_term(t):
-    if isinstance(t, IdW):
-        return f"(idw {t.n})"
-    if isinstance(t, IdB):
-        return f"(idb {t.n})"
-    if isinstance(t, SymW):
-        return f"(symw {t.m} {t.n})"
-    if isinstance(t, SymB):
-        return f"(symb {t.m} {t.n})"
-    if isinstance(t, Gen):
-        return f"(gen {t.name})"
-    if isinstance(t, GenOp):
-        return f"(genop {t.name})"
-    if isinstance(t, Const):
+    cls = type(t)
+    if cls is Const:
         return t.kind
-    if isinstance(t, BINARY):
-        return f"({_SEQ_HEADS[type(t)]} {print_term(t.t)} {print_term(t.u)})"
-    if isinstance(t, Dag):
-        return f"(dag {print_term(t.t)})"
-    if isinstance(t, Neg):
-        return f"(neg {print_term(t.t)})"
-    if isinstance(t, Top):
-        return f"(top {t.n} {t.m})"
-    if isinstance(t, Bot):
-        return f"(bot {t.n} {t.m})"
-    raise DiagrelError(f"not a term: {t!r}")
+    if cls not in _SYNTAX:
+        raise DiagrelError(f"not a term: {t!r}")
+    head, kind, names = _SYNTAX[cls]
+    args = (map(print_term, children(t)) if kind == "term"
+            else [str(getattr(t, f)) for f in names])
+    return f"({head} {' '.join(args)})"
 
 
 def _tokenize(text):
@@ -426,21 +427,17 @@ def _read_sexpr(tokens, pos):
     return (tok, line, col), pos + 1
 
 
-def _nat(atom, what="number"):
-    tok, line, col = atom if isinstance(atom, tuple) else (atom, None, None)
+def _nat(atom):
     if isinstance(atom, list):
-        raise ParseError(f"expected {what}, got a list")
+        raise ParseError("expected number, got a list")
+    tok, line, col = atom
     try:
         v = int(tok)
     except ValueError:
-        raise ParseError(f"expected {what}, got {tok!r}", line, col) from None
+        raise ParseError(f"expected number, got {tok!r}", line, col) from None
     if v < 0:
-        raise ParseError(f"{what} must be non-negative", line, col)
+        raise ParseError("number must be non-negative", line, col)
     return v
-
-
-_BIN_HEADS = {"seqw": SeqW, "seqb": SeqB, "tensw": TensW, "tensb": TensB,
-              "meet": Meet, "join": Join}
 
 
 def _build(sx, sig):
@@ -456,48 +453,25 @@ def _build(sx, sig):
         raise ParseError("list in head position")
     tok, line, col = head
     args = sx[1:]
+    if tok not in FORMS:
+        raise ParseError(f"unknown form {tok!r}", line, col)
+    cls, kinds = FORMS[tok]
+    if len(args) != len(kinds):
+        raise ParseError(f"{tok} expects {len(kinds)} argument(s), got {len(args)}",
+                         line, col)
+    if kinds[0] == "term":
+        return cls(*[_build(arg, sig) for arg in args])
+    if kinds[0] == "nat":
+        return cls(*map(_nat, args))
+    return cls(*[_name(arg, sig, line, col) for arg in args])
 
-    def arity(k):
-        if len(args) != k:
-            raise ParseError(f"{tok} expects {k} argument(s), got {len(args)}", line, col)
 
-    if tok == "idw":
-        arity(1)
-        return IdW(_nat(args[0]))
-    if tok == "idb":
-        arity(1)
-        return IdB(_nat(args[0]))
-    if tok == "symw":
-        arity(2)
-        return SymW(_nat(args[0]), _nat(args[1]))
-    if tok == "symb":
-        arity(2)
-        return SymB(_nat(args[0]), _nat(args[1]))
-    if tok in ("gen", "genop"):
-        arity(1)
-        if isinstance(args[0], list):
-            raise ParseError("generator name must be an atom", line, col)
-        name = args[0][0]
-        if sig is not None and name not in sig.generators:
-            raise ParseError(f"unknown generator {name!r}", args[0][1], args[0][2])
-        return Gen(name) if tok == "gen" else GenOp(name)
-    if tok in _BIN_HEADS:
-        arity(2)
-        cls = _BIN_HEADS[tok]
-        return cls(_build(args[0], sig), _build(args[1], sig))
-    if tok == "dag":
-        arity(1)
-        return Dag(_build(args[0], sig))
-    if tok == "neg":
-        arity(1)
-        return Neg(_build(args[0], sig))
-    if tok == "top":
-        arity(2)
-        return Top(_nat(args[0]), _nat(args[1]))
-    if tok == "bot":
-        arity(2)
-        return Bot(_nat(args[0]), _nat(args[1]))
-    raise ParseError(f"unknown form {tok!r}", line, col)
+def _name(atom, sig, line, col):
+    if isinstance(atom, list):
+        raise ParseError("generator name must be an atom", line, col)
+    if sig is not None and atom[0] not in sig.generators:
+        raise ParseError(f"unknown generator {atom[0]!r}", atom[1], atom[2])
+    return atom[0]
 
 
 def parse_term(text, sig=None):
@@ -611,58 +585,43 @@ def _dag_expansion(t, n, m):
     return SeqW(left, SeqW(mid, right))
 
 
-_COLOUR_SWITCH = {
-    "copyw": "copyb", "dscw": "dscb", "cocw": "cocb", "codw": "codb",
-    "copyb": "copyw", "dscb": "dscw", "cocb": "cocw", "codb": "codw",
-}
-
-_SWITCH_BIN = {SeqW: SeqB, SeqB: SeqW, TensW: TensB, TensB: TensW}
-
-
 def _negate_prim(t, sig):
     """Colour switch on a primitive-only term; generators turn into
     daggered opposed boxes and vice versa."""
-    if isinstance(t, IdW):
-        return IdB(t.n)
-    if isinstance(t, IdB):
-        return IdW(t.n)
-    if isinstance(t, SymW):
-        return SymB(t.m, t.n)
-    if isinstance(t, SymB):
-        return SymW(t.m, t.n)
-    if isinstance(t, Const):
-        return Const(_COLOUR_SWITCH[t.kind])
-    if isinstance(t, Gen):
+    cls = type(t)
+    if cls in MIRROR:  # mirror classes share their field names
+        kids = [_negate_prim(kid, sig) for kid in children(t)]
+        return MIRROR[cls](*kids) if kids else MIRROR[cls](**vars(t))
+    if cls is Const:
+        return Const(t.kind[:-1] + ("b" if t.kind[-1] == "w" else "w"))
+    if cls is Gen:
         n, m = sig.type_of(t.name)
         return _dag_expansion(GenOp(t.name), m, n)
-    if isinstance(t, GenOp):
+    if cls is GenOp:
         n, m = sig.type_of(t.name)
         return _dag_expansion(Gen(t.name), n, m)
-    if isinstance(t, (SeqW, SeqB, TensW, TensB)):
-        return _SWITCH_BIN[type(t)](_negate_prim(t.t, sig), _negate_prim(t.u, sig))
     raise DiagrelError(f"not primitive: {t!r}")
 
 
 def desugar(t, sig=EMPTY_SIGNATURE):
     """Expand all sugar nodes; the result uses only the primitive calculus."""
-    if isinstance(t, (SeqW, SeqB, TensW, TensB)):
-        return type(t)(desugar(t.t, sig), desugar(t.u, sig))
-    if isinstance(t, Meet):
+    cls = type(t)
+    if cls is SeqW or cls is SeqB or cls is TensW or cls is TensB:
+        return cls(desugar(t.t, sig), desugar(t.u, sig))
+    if cls is Meet or cls is Join:
         n, m = typecheck(t, sig)
         a, b = desugar(t.t, sig), desugar(t.u, sig)
-        return SeqW(copy_w(n), SeqW(TensW(a, b), cocopy_w(m)))
-    if isinstance(t, Join):
-        n, m = typecheck(t, sig)
-        a, b = desugar(t.t, sig), desugar(t.u, sig)
+        if cls is Meet:
+            return SeqW(copy_w(n), SeqW(TensW(a, b), cocopy_w(m)))
         return SeqB(copy_b(n), SeqB(TensB(a, b), cocopy_b(m)))
-    if isinstance(t, Top):
+    if cls is Top:
         return SeqW(discard_w(t.n), codiscard_w(t.m))
-    if isinstance(t, Bot):
+    if cls is Bot:
         return SeqB(discard_b(t.n), codiscard_b(t.m))
-    if isinstance(t, Dag):
+    if cls is Dag:
         inner = desugar(t.t, sig)
         n, m = typecheck(inner, sig)
         return _dag_expansion(inner, n, m)
-    if isinstance(t, Neg):
+    if cls is Neg:
         return _negate_prim(desugar(t.t, sig), sig)
     return t

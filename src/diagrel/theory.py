@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .finrel import (
-    FinRelation, Interpretation, evaluate, included, inclusion_witness,
+    FinRelation, Interpretation, evaluate, included, inclusion_witness, space_bits,
 )
 from .terms import DiagrelError, ParseError, Signature, parse_inequality, typecheck
 
@@ -97,27 +97,26 @@ def check_model(theory, interp):
 
 
 def search_space(theory, k):
-    total = 1
-    for n, m in theory.signature.generators.values():
-        total *= 2 ** (k ** n * k ** m)
-    return total
+    """The bits that pick a candidate interpretation at carrier k, of which
+    there are 2 ** search_space(theory, k); SizeLimit if one is too large."""
+    return sum(space_bits(k, n, m) for n, m in theory.signature.generators.values())
 
 
 def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
     """All interpretations over carrier k that model the theory, ordered
     lexicographically by assignment bit-vectors."""
-    space = search_space(theory, k)
-    if space > bound:
+    bits = search_space(theory, k)
+    # 2^bits is built only when its exponent is no longer than the bound's
+    if bits > bound.bit_length() or 1 << bits > bound:
         raise DiagrelError(
-            f"search space of size {space} exceeds the bound {bound}")
-    names = sorted(theory.signature.generators)
-    sizes = [k ** theory.signature.generators[n][0] * k ** theory.signature.generators[n][1]
-             for n in names]
+            f"search space of size 2^{bits} exceeds the bound {bound}")
+    gens = theory.signature.generators
+    names = sorted(gens)
     models = []
-    for bits in itertools.product(*(range(1 << s) for s in sizes)):
+    for masks in itertools.product(*(range(1 << space_bits(k, *gens[n])) for n in names)):
         assignment = {
-            name: FinRelation(k, *theory.signature.generators[name], b)
-            for name, b in zip(names, bits)
+            name: FinRelation(k, *gens[name], b)
+            for name, b in zip(names, masks)
         }
         interp = Interpretation(theory.signature, k, assignment)
         # stop at the first failing axiom

@@ -454,3 +454,79 @@ def proof_text():
         st.lists(line, max_size=6).map("\n".join),
         st.sampled_from(["", "\nqed\n"]),
     ).map("".join)
+
+
+# --- parser input for fuzzing ----------------------------------------------
+
+TERM_PIECES = (
+    "(", ")", ";", "idw", "idb", "symw", "symb", "gen", "genop", "seqw", "seqb",
+    "tensw", "tensb", "meet", "join", "dag", "neg", "top", "bot", "copyw", "cocw",
+    "dscw", "codw", "copyb", "cocb", "dscb", "codb", "R", "S", "P", "Q",
+    "(gen R)", "(idw 1)", "(symb 1 0)", "(top 2 1)",
+)
+SIG_PIECES = ("sig", ":", "->", "#", "R", "S", ":1", "->1", "sig R : 1 -> 1")
+INTERP_PIECES = (
+    "carrier", "rel", "R", "S", "Q", "{", "}", "(", ")", ";", "#", "rel R 1 1 {",
+    "(0 ; 1)", "(1 0 ; 1)",
+)
+THEORY_PIECES = TERM_PIECES + (
+    "sig", "axiom", "sig R : 1 -> 1", "axiom a :", ":", "<=", "->", "#",
+)
+
+
+def term_texts(sig):
+    """Printed random terms over `sig`, with arities at most 2."""
+    return st.builds(
+        lambda seed, n, m: T.print_term(random_term(random.Random(seed), sig, n, m, 3)),
+        st.integers(0, 10 ** 6), st.integers(0, 2), st.integers(0, 2))
+
+
+def interpretation_texts(sig):
+    """Printed random interpretations of `sig` at carriers 0..3."""
+    def text(seed, k):
+        rng = random.Random(seed)
+        return F.print_interpretation(F.Interpretation(sig, k, {
+            name: random_relation(rng, k, n, m)
+            for name, (n, m) in sig.generators.items()}))
+    return st.builds(text, st.integers(0, 10 ** 6), st.integers(0, 3))
+
+
+def theory_texts(sig):
+    """Theory files over `sig` with up to three well-typed random axioms."""
+    def text(seed, count):
+        rng = random.Random(seed)
+        lines = [f"sig {name} : {n} -> {m}" for name, (n, m) in sig.generators.items()]
+        for i in range(count):
+            n, m = rng.randint(0, 2), rng.randint(0, 2)
+            lhs, rhs = (T.print_term(random_term(rng, sig, n, m, 2)) for _ in "lr")
+            lines.append(f"axiom a{i} : {lhs} <= {rhs}")
+        return "\n".join(lines) + "\n"
+    return st.builds(text, st.integers(0, 10 ** 6), st.integers(0, 3))
+
+
+def token_text(pieces, valid):
+    """Parser input: a text drawn from the strategy `valid` with up to three
+    of its space-separated words dropped, replaced by a piece or preceded by
+    one, or else pieces alone, each followed by a space or a newline.  A
+    piece is one of `pieces`, an integer in -1..3 or a short word without
+    digits, so no number exceeds the largest in `valid` or 3."""
+    piece = (st.sampled_from(pieces) | st.integers(-1, 3).map(str)
+             | st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))
+
+    @st.composite
+    def edited(draw):
+        words = draw(valid).split(" ")
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(words) - 1))
+            edit = draw(st.sampled_from(["drop", "replace", "insert"]))
+            if edit == "drop":
+                del words[i]
+            else:
+                words[i:i + (edit == "replace")] = [draw(piece)]
+            if not words:
+                break
+        return " ".join(words)
+
+    soup = st.lists(st.tuples(piece, st.sampled_from([" ", "\n"])), max_size=30).map(
+        lambda items: "".join(p + sep for p, sep in items))
+    return edited() | soup

@@ -176,6 +176,31 @@ def test_max_bits_accepted_by_each_command(files, capsys):
         assert run(argv[:1] + ["--max-bits", "4096"] + argv[1:]) == 0
 
 
+def test_oversized_spaces_exit_2(files, capsys):
+    """Both size guards refuse from the exponent, without building the power."""
+    assert run(["eval", "--sig", files["sig"], "--interp", files["interp"],
+                "(top 99999999999 99)"]) == 2
+    assert "relation space 2^100000000098 exceeds" in capsys.readouterr().err
+    thy = files["dir"] / "one.thy"
+    thy.write_text("sig R : 1 -> 1\naxiom a : (gen R) <= (gen R)\n")
+    assert run(["find-models", str(thy), "--size", "120"]) == 2
+    assert "search space of size 2^14400 exceeds the bound" in capsys.readouterr().err
+
+
+def test_negative_carrier_exits_2(files, capsys):
+    proof = files["dir"] / "id.prf"
+    proof.write_text("prove (gen R) <= (gen R)\nqed\n")
+    thy = files["dir"] / "dsc.thy"
+    thy.write_text("sig R : 1 -> 0\naxiom a : (gen R) <= (gen R)\n")
+    for argv in (["verify-axioms", "--size", "-1", "--trials", "1"],
+                 ["check-proof", "--sig", files["sig"], str(proof), "--spotcheck",
+                  "--size", "-1"],
+                 ["find-models", str(thy), "--size", "-2"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: carrier size must be non-negative"
+
+
 @pytest.mark.parametrize("command", ["eval", "typecheck"])
 def test_deep_term_nesting_exits_2(files, capsys, command):
     deep = files["dir"] / "deep.term"

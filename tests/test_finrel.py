@@ -21,6 +21,20 @@ def test_space_guard():
         F.FinRelation.empty(2, 20, 20)
 
 
+def test_space_bits_decides_at_the_exact_bound(monkeypatch):
+    # the exponent only short-cuts: each size is refused exactly when it
+    # exceeds MAX_BITS
+    for limit in (-1, 0, 1, 1000, 2 ** 30):
+        monkeypatch.setattr(F, "MAX_BITS", limit)
+        for k in range(40):
+            for n, m in itertools.product(range(7), repeat=2):
+                if k ** (n + m) <= limit:
+                    assert F.space_bits(k, n, m) == k ** (n + m)
+                else:
+                    with pytest.raises(F.SizeLimit):
+                        F.space_bits(k, n, m)
+
+
 def test_from_pairs_and_has():
     r = F.FinRelation.from_pairs(3, 1, 2, [((0,), (1, 2)), ((2,), (0, 0))])
     assert r.has((0,), (1, 2)) and r.has((2,), (0, 0))
@@ -276,3 +290,19 @@ def test_evaluate_cache_is_structural():
     a = F.evaluate(T.Dag(T.Gen("R")), interp, _cache=cache)
     b = F.evaluate(T.Dag(T.Gen("R")), interp, _cache=cache)  # a distinct object
     assert a is b and len(cache) == 2
+
+
+FUZZ_SIG = T.Signature({"R": (1, 1), "S": (2, 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.token_text(helpers.INTERP_PIECES, helpers.interpretation_texts(FUZZ_SIG)))
+def test_parse_interpretation_fuzz(text):
+    """Any text parses to an interpretation, which prints back to itself,
+    or raises a DiagrelError."""
+    sig = FUZZ_SIG
+    try:
+        interp = F.parse_interpretation(text, sig)
+    except T.DiagrelError:
+        return
+    assert F.parse_interpretation(F.print_interpretation(interp), sig) == interp

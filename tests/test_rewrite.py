@@ -77,6 +77,18 @@ def test_match_and_instantiate_roundtrip():
     assert checked > 50
 
 
+def test_macro_patterns_match_their_instances():
+    # each arity-indexed pattern recovers its index from the term it builds
+    for kind in ("idw", "idb", "copyw", "cocw", "dscw", "codw",
+                 "copyb", "cocb", "dscb", "codb"):
+        for n in range(4):
+            t = R.instantiate(R.PConstM(kind, ((n,),)), {})
+            assert R.match_pattern(R.PConstM(kind, (("X",),)), t) == {"X": n}, (kind, n)
+    for kind in ("symw", "symb"):
+        t = R.instantiate(R.PConstM(kind, ((1,), (2,))), {})
+        assert R.match_pattern(R.PConstM(kind, (("X",), ("Y",))), t) == {"X": 1, "Y": 2}
+
+
 def test_le_axiom_rejects_r2l():
     ax = next(a for a in R.axiom_db() if a.kind == "le")
     with pytest.raises(R.RewriteError):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -55,10 +56,83 @@ def test_dagger_reverses_type_negation_preserves():
         assert T.typecheck(T.Neg(t), SIG) == (n, m)
 
 
+# one instance of each of the 16 heads and each of the 8 constants, with the
+# text `print_term` gives it
+PINNED_SYNTAX = {
+    T.IdW(2): "(idw 2)",
+    T.IdB(0): "(idb 0)",
+    T.SymW(1, 2): "(symw 1 2)",
+    T.SymB(2, 0): "(symb 2 0)",
+    T.Gen("S"): "(gen S)",
+    T.GenOp("P"): "(genop P)",
+    T.SeqW(T.Gen("R"), T.IdW(1)): "(seqw (gen R) (idw 1))",
+    T.SeqB(T.CopyB, T.CocopyW): "(seqb copyb cocw)",
+    T.TensW(T.DiscardW, T.CodiscardB): "(tensw dscw codb)",
+    T.TensB(T.Top(1, 0), T.IdB(2)): "(tensb (top 1 0) (idb 2))",
+    T.Meet(T.Gen("R"), T.Dag(T.Gen("R"))): "(meet (gen R) (dag (gen R)))",
+    T.Join(T.Neg(T.IdW(1)), T.SymB(0, 1)): "(join (neg (idw 1)) (symb 0 1))",
+    T.Dag(T.GenOp("S")): "(dag (genop S))",
+    T.Neg(T.Bot(0, 2)): "(neg (bot 0 2))",
+    T.Top(3, 1): "(top 3 1)",
+    T.Bot(0, 0): "(bot 0 0)",
+    T.CopyW: "copyw", T.CocopyW: "cocw", T.DiscardW: "dscw", T.CodiscardW: "codw",
+    T.CopyB: "copyb", T.CocopyB: "cocb", T.DiscardB: "dscb", T.CodiscardB: "codb",
+}
+
+
+def test_print_term_pinned():
+    heads = {text.split()[0][1:] for text in PINNED_SYNTAX.values() if text[0] == "("}
+    assert len(heads) == 16
+    assert {t.kind for t in PINNED_SYNTAX if isinstance(t, T.Const)} == set(T.CONSTANT_TYPES)
+    for t, text in PINNED_SYNTAX.items():
+        assert T.print_term(t) == text
+
+
+def test_every_term_class_has_one_form():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = set(subclasses(T.Term))
+    rows = [cls for cls, _ in T.FORMS.values()]
+    assert all(cls is T.Const or rows.count(cls) == 1 for cls in classes)
+    assert set(rows) <= classes
+    for cls, kinds in T.FORMS.values():
+        # one kind for all arguments of a form, and subterms in fields t, u
+        assert len(set(kinds)) == 1 and kinds[0] in ("nat", "name", "term")
+        if kinds[0] == "term":
+            assert [f.name for f in dataclasses.fields(cls)] == ["t", "u"][:len(kinds)]
+    # PINNED_SYNTAX holds an instance of every class; each is accepted by
+    # typecheck and by the evaluator
+    assert {type(t) for t in PINNED_SYNTAX} == classes
+    interp = F.Interpretation(SIG, 2, {
+        name: F.FinRelation.full(2, n, m) for name, (n, m) in SIG.generators.items()})
+    for t in PINNED_SYNTAX:
+        rel = F.evaluate(t, interp)
+        assert (rel.dom_arity, rel.cod_arity) == T.typecheck(t, SIG)
+
+
+def test_colour_switch_is_an_involution():
+    head = {cls: h for h, (cls, _) in T.FORMS.items()}
+    flip = {"w": "b", "b": "w"}
+    assert len(T.MIRROR) == 8
+    for cls, mirror in T.MIRROR.items():
+        assert mirror is not cls and T.MIRROR[mirror] is cls
+        assert head[mirror] == head[cls][:-1] + flip[head[cls][-1]]
+        assert T.FORMS[head[mirror]][1] == T.FORMS[head[cls]][1]
+    for kind in T.CONSTANT_TYPES:
+        mirror = T.desugar(T.Neg(T.Const(kind)))
+        assert mirror == T.Const(kind[:-1] + flip[kind[-1]])
+        assert T.CONSTANT_TYPES[mirror.kind] == T.CONSTANT_TYPES[kind]
+
+
 def test_print_parse_roundtrip_random():
     rng = random.Random(11)
+    terms = list(PINNED_SYNTAX)
     for _ in range(100):
-        t = helpers.random_term(rng, SIG, rng.randint(0, 2), rng.randint(0, 2), 3)
+        terms.append(helpers.random_term(rng, SIG, rng.randint(0, 2), rng.randint(0, 2), 3))
+    for t in terms:
         assert T.parse_term(T.print_term(t), SIG) == t
 
 
@@ -67,6 +141,53 @@ def test_parse_errors():
                 "(gen missing)", "(idw 1) (idw 2)", "(seqw (idw 1))"]:
         with pytest.raises(T.ParseError):
             T.parse_term(bad, SIG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.token_text(helpers.TERM_PIECES, helpers.term_texts(SIG)))
+def test_parse_term_fuzz(text):
+    """Any text parses to a term, which prints back to itself, or raises a
+    DiagrelError."""
+    try:
+        t = T.parse_term(text, SIG)
+    except T.DiagrelError:
+        return
+    assert T.parse_term(T.print_term(t), SIG) == t
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.token_text(helpers.SIG_PIECES, st.sampled_from(
+    ["sig R : 1 -> 1\nsig S : 2 -> 1\n", "# gens\nsig P:0->2\n\nsig Q : 3 -> 0 # c\n"])))
+def test_signature_parse_fuzz(text):
+    try:
+        sig = T.Signature.parse(text)
+    except T.DiagrelError:
+        return
+    assert all(n >= 0 and m >= 0 for n, m in sig.generators.values())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(idw 1 2)", "1:2: idw expects 1 argument(s), got 2"),
+    ("(seqw (idw 1))", "1:2: seqw expects 2 argument(s), got 1"),
+    ("(symb 1)", "1:2: symb expects 2 argument(s), got 1"),
+    ("(dag)", "1:2: dag expects 1 argument(s), got 0"),
+    ("(frob 1)", "1:2: unknown form 'frob'"),
+    ("(copyw)", "1:2: unknown form 'copyw'"),
+    (" frob", "1:2: unknown atom 'frob'"),
+    ("(seqw idw copyw)", "1:7: unknown atom 'idw'"),
+    ("(gen (R))", "1:2: generator name must be an atom"),
+    ("(genop ())", "1:2: generator name must be an atom"),
+    ("(gen Q)", "1:6: unknown generator 'Q'"),
+    ("((idw 1) (idw 1))", "list in head position"),
+    ("(tensw () copyw)", "empty list"),
+    ("(idw x)", "1:6: expected number, got 'x'"),
+    ("(top 1 -1)", "1:8: number must be non-negative"),
+    ("(symw (1) 1)", "expected number, got a list"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(T.ParseError) as e:
+        T.parse_term(text, SIG)
+    assert str(e.value) == message
 
 
 def test_parse_comments_and_whitespace():

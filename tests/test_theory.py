@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+
+import helpers
 
 from diagrel import terms as T
 from diagrel import finrel as F
@@ -96,6 +99,21 @@ def test_search_space_bound_refusal():
     assert "2" in str(e.value)  # the refusal reports the computed size
 
 
+def test_search_space_bound_is_exact():
+    th = TH.parse_theory("sig R : 1 -> 1\naxiom a : (gen R) <= (gen R)\n")
+    assert TH.search_space(th, 2) == 4
+    assert len(TH.enumerate_models(th, 2, bound=16)) == 16
+    for bound in (15, 0, -1):
+        with pytest.raises(T.DiagrelError, match=r"size 2\^4 exceeds"):
+            TH.enumerate_models(th, 2, bound=bound)
+    empty = TH.parse_theory("axiom a : (idw 1) <= (idw 1)\n")
+    assert TH.search_space(empty, 2) == 0
+    assert len(TH.enumerate_models(empty, 2, bound=1)) == 1
+    for bound in (0, -1):
+        with pytest.raises(T.DiagrelError, match=r"size 2\^0 exceeds"):
+            TH.enumerate_models(empty, 2, bound=bound)
+
+
 def test_check_model_reports_every_axiom_after_a_failure():
     th = TH.order_theory()
     interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation.empty(2, 1, 1)})
@@ -106,3 +124,16 @@ def test_check_model_reports_every_axiom_after_a_failure():
     assert holds == {"reflexive": False, "transitive": True,
                      "antisymmetric": True, "total": False}
     assert all((w is None) == ok for _, ok, w in report.verdicts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.token_text(helpers.THEORY_PIECES, helpers.theory_texts(
+    T.Signature({"R": (1, 1), "S": (2, 1)}))))
+def test_parse_theory_fuzz(text):
+    """Any text parses to a theory or raises a DiagrelError."""
+    try:
+        th = TH.parse_theory(text)
+    except T.DiagrelError:
+        return
+    for _, lhs, rhs in th.axioms:
+        assert T.typecheck(lhs, th.signature) == T.typecheck(rhs, th.signature)
