@@ -8,7 +8,11 @@ Only the white (cartesian) half has kernels of its own: composition is the
 usual relational composition and the tensor is conjunctive.  The black half
 is computed as their De Morgan dual: R ;b S = ~(~R ; ~S) (a universally
 quantified disjunction), the black tensor likewise (disjunctive), and each
-black constant is the complement of its white mirror.
+black constant is the complement of its white mirror.  A black kernel XORs
+the raw bitmasks with their spaces' full masks around the white loop, so it
+builds one relation, not four.  `evaluate` typechecks a term, then evaluates
+it through `evaluate_typed`, the entry for callers that already hold terms
+typechecked under a signature that types each generator as its relation.
 """
 
 from __future__ import annotations
@@ -78,6 +82,10 @@ class FinRelation:
     def cols(self):
         return self.carrier ** self.cod_arity
 
+    @property
+    def ones(self):
+        return (1 << space_bits(self.carrier, self.dom_arity, self.cod_arity)) - 1
+
     def has(self, xs, ys):
         k = self.carrier
         return bool(self.bits >> (encode(k, xs) * self.cols + encode(k, ys)) & 1)
@@ -114,12 +122,11 @@ def _check_same_space(a, b):
 
 
 def complement(a):
-    size = a.rows * a.cols
-    return FinRelation(a.carrier, a.dom_arity, a.cod_arity, ~a.bits & ((1 << size) - 1))
+    return FinRelation(a.carrier, a.dom_arity, a.cod_arity, a.bits ^ a.ones)
 
 
 def converse(a):
-    rows = _row_masks(a)
+    rows = _row_masks(a.bits, a.rows, a.cols)
     out = []
     for c in range(a.cols):
         col = 0
@@ -161,11 +168,9 @@ def inclusion_witness(a, b):
     return (decode(k, a.dom_arity, r), decode(k, a.cod_arity, c))
 
 
-def _row_masks(a):
-    """Split the bitmask into per-row masks by halving, so the cost stays
-    near-linear in the total bit count even for thousands of rows."""
-    cols = a.cols
-
+def _row_masks(bits, nrows, cols):
+    """Split `bits` into `nrows` row masks of `cols` bits by halving, so the
+    cost stays near-linear in the total bit count even for thousands of rows."""
     def split(bits, nrows):
         if nrows <= 1:
             return [bits] if nrows else []
@@ -173,7 +178,7 @@ def _row_masks(a):
         cut = half * cols
         return split(bits & ((1 << cut) - 1), half) + split(bits >> cut, nrows - half)
 
-    return split(a.bits, a.rows)
+    return split(bits, nrows)
 
 
 def _join_rows(rows, cols):
@@ -190,58 +195,72 @@ def _join_rows(rows, cols):
     return rows[0]
 
 
-def compose_white(a, b):
-    """{(x,z) | exists y. a(x,y) and b(y,z)}."""
+def _compose_bits(a, b, abits, bbits):
+    """The bits of the relational composition of `abits` in a's space with
+    `bbits` in b's space."""
     if a.carrier != b.carrier or a.cod_arity != b.dom_arity:
         raise DiagrelError("composition type mismatch")
     space_bits(a.carrier, a.dom_arity, b.cod_arity)
-    b_rows = _row_masks(b)
+    b_rows = _row_masks(bbits, b.rows, b.cols)
     out_rows = []
-    for row in _row_masks(a):
+    for row in _row_masks(abits, a.rows, a.cols):
         out = 0
-        y = row
-        while y:
-            low = y & -y
+        while row:
+            low = row & -row
             out |= b_rows[low.bit_length() - 1]
-            y ^= low
+            row ^= low
         out_rows.append(out)
+    return _join_rows(out_rows, b.cols)
+
+
+def compose_white(a, b):
+    """{(x,z) | exists y. a(x,y) and b(y,z)}."""
     return FinRelation(a.carrier, a.dom_arity, b.cod_arity,
-                       _join_rows(out_rows, b.cols))
+                       _compose_bits(a, b, a.bits, b.bits))
 
 
 def compose_black(a, b):
-    """{(x,z) | forall y. a(x,y) or b(y,z)}: the De Morgan dual of the
-    white composition."""
-    return complement(compose_white(complement(a), complement(b)))
+    """{(x,z) | forall y. a(x,y) or b(y,z)}: the De Morgan dual ~(~a ; ~b) of
+    the white composition, on complemented raw bitmasks."""
+    k, n, m = a.carrier, a.dom_arity, b.cod_arity
+    bits = _compose_bits(a, b, a.bits ^ a.ones, b.bits ^ b.ones)
+    return FinRelation(k, n, m, bits ^ (1 << space_bits(k, n, m)) - 1)
 
 
-def tensor_white(a, b):
-    """Conjunctive tensor, by bitmask arithmetic: restride b's rows to the
-    result's column width, then for each row of a multiply by the spread of
-    its column mask (shifted copies land in disjoint blocks, so no carries)."""
+def _tensor_bits(a, b, abits, bbits):
+    """The bits of the conjunctive tensor of `abits` in a's space with `bbits`
+    in b's space, by bitmask arithmetic: restride b's rows to the result's
+    column width, then for each row of a multiply by the spread of its column
+    mask (shifted copies land in disjoint blocks, so no carries)."""
     if a.carrier != b.carrier:
         raise DiagrelError("tensor carrier mismatch")
-    k = a.carrier
-    n, m = a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity
-    space_bits(k, n, m)
-    acols, bcols = a.cols, b.cols
-    brows = b.rows
-    tot = acols * bcols
-    restrided = _join_rows(_row_masks(b), tot)
+    space_bits(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity)
+    bcols, brows = b.cols, b.rows
+    tot = a.cols * bcols
+    restrided = _join_rows(_row_masks(bbits, brows, bcols), tot)
     out_blocks = []
-    for row in _row_masks(a):
+    for row in _row_masks(abits, a.rows, a.cols):
         spread = 0
         while row:
             low = row & -row
             spread |= 1 << ((low.bit_length() - 1) * bcols)
             row ^= low
         out_blocks.append(spread * restrided if spread else 0)
-    return FinRelation(k, n, m, _join_rows(out_blocks, brows * tot))
+    return _join_rows(out_blocks, brows * tot)
+
+
+def tensor_white(a, b):
+    """Conjunctive tensor."""
+    return FinRelation(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity,
+                       _tensor_bits(a, b, a.bits, b.bits))
 
 
 def tensor_black(a, b):
-    """Disjunctive tensor: the De Morgan dual of the conjunctive one."""
-    return complement(tensor_white(complement(a), complement(b)))
+    """Disjunctive tensor: the De Morgan dual ~(~a * ~b) of the conjunctive
+    one, on complemented raw bitmasks."""
+    k, n, m = a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity
+    bits = _tensor_bits(a, b, a.bits ^ a.ones, b.bits ^ b.ones)
+    return FinRelation(k, n, m, bits ^ (1 << space_bits(k, n, m)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +389,17 @@ class Interpretation:
 
 
 def evaluate(t, interp, _cache=None):
-    """Evaluate a term in the relation model given by `interp`.  The derived
-    constructors are evaluated directly, as the Boolean operations and the
-    converse they denote in relations."""
+    """Typecheck a term under `interp.signature`, then evaluate it in the
+    relation model.  The derived constructors are evaluated directly, as the
+    Boolean operations and the converse they denote in relations."""
     typecheck(t, interp.signature)
-    return _eval(t, interp, {} if _cache is None else _cache)
+    return evaluate_typed(t, interp, {} if _cache is None else _cache)
 
 
-def _eval(t, interp, cache):
+def evaluate_typed(t, interp, cache):
+    """`evaluate` without the typecheck: `t` must typecheck under a signature
+    giving each generator the type of its relation in `interp`.  `cache` maps
+    terms to their values in `interp`."""
     # keyed by the term itself (terms are frozen dataclasses): structurally
     # equal subterms evaluate once per cache, also across the sides of an axiom
     got = cache.get(t)
@@ -389,25 +411,26 @@ def _eval(t, interp, cache):
 def _eval_raw(t, interp, cache):
     # kernels are called by their module-level names, which perfbench wraps
     k = interp.carrier
+    ev = evaluate_typed
     cls = type(t)
     if cls is Gen:
         return interp.assignment[t.name]
     if cls is SeqW:
-        return compose_white(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+        return compose_white(ev(t.t, interp, cache), ev(t.u, interp, cache))
     if cls is SeqB:
-        return compose_black(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+        return compose_black(ev(t.t, interp, cache), ev(t.u, interp, cache))
     if cls is TensW:
-        return tensor_white(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+        return tensor_white(ev(t.t, interp, cache), ev(t.u, interp, cache))
     if cls is TensB:
-        return tensor_black(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+        return tensor_black(ev(t.t, interp, cache), ev(t.u, interp, cache))
     if cls is Meet:
-        return intersection(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+        return intersection(ev(t.t, interp, cache), ev(t.u, interp, cache))
     if cls is Join:
-        return union(_eval(t.t, interp, cache), _eval(t.u, interp, cache))
+        return union(ev(t.t, interp, cache), ev(t.u, interp, cache))
     if cls is Dag:
-        return converse(_eval(t.t, interp, cache))
+        return converse(ev(t.t, interp, cache))
     if cls is Neg:
-        return complement(_eval(t.t, interp, cache))
+        return complement(ev(t.t, interp, cache))
     if cls is Const:
         return constant_rel(t.kind, k)
     if cls is IdW:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from . import terms as T
 from .finrel import (
-    FinRelation, Interpretation, complement, evaluate, included, inclusion_witness,
-    space_bits,
+    FinRelation, Interpretation, complement, evaluate, evaluate_typed, included,
+    inclusion_witness, space_bits,
 )
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
@@ -700,6 +700,8 @@ def random_interpretation(sig, k, rng):
 def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
     """Evaluate the claim on random interpretations; a countermodel would
     indicate a kernel bug.  Returns (ok, countermodel-or-None)."""
+    if trials < 0:
+        raise DiagrelError(f"trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     for _ in range(trials):
         interp = random_interpretation(sig, k, rng)
@@ -727,16 +729,12 @@ class AxiomReport:
         return self.failures == 0
 
 
-def _random_instance(axiom, rng, max_obj=2):
-    binding = {}
-    objs, arrows, gens = axiom.variables()
-    for v in sorted(objs):
-        binding[v] = rng.randint(0, max_obj)
-    generators = {}
-    for g in sorted(gens):
-        name = "~" + g
-        generators[name] = (rng.randint(0, max_obj), rng.randint(0, max_obj))
-        binding[g] = name
+def _instance(axiom, objs, gens, draws):
+    """(sig, lhs, rhs, binding) of `axiom` for the values drawn in a trial: one per
+    object metavariable in `objs`, then two per generator metavariable in `gens`."""
+    binding = {**dict(zip(objs, draws)), **{g: "~" + g for g in gens}}
+    arities = iter(draws[len(objs):])
+    generators = {"~" + g: (next(arities), next(arities)) for g in gens}
     sig_partial = Signature(generators)
     for name, de, ce in axiom.arrows:
         n = _expr_value(de, binding, sig_partial)
@@ -750,35 +748,41 @@ def _random_instance(axiom, rng, max_obj=2):
 
 
 def verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
+    """Check `axiom` on `trials` random instances at carrier k.  Instances are
+    memoized on each trial's drawn values (see `_instance`): built and
+    typechecked (by `evaluate`) when first drawn, later evaluated through the
+    typed entry; each trial still draws a fresh interpretation.  An axiom with no
+    arrow or generator metavariables has none, so its verdict is memoized too."""
+    if trials < 0:
+        raise DiagrelError(f"trials must be non-negative, got {trials}")
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
     counterexample = ""
     objs, arrows, gens = axiom.variables()
+    objs, gens = sorted(objs), sorted(gens)
     constant_axiom = not arrows and not gens
-    seen = {}
+    memo = {}  # drawn values -> [sig, lhs, rhs, binding, verdict or None]
     for _ in range(trials):
-        sig, lhs, rhs, binding = _random_instance(axiom, rng, max_obj)
+        draws = tuple(rng.randint(0, max_obj) for _ in range(len(objs) + 2 * len(gens)))
+        entry = memo.get(draws)
+        if fresh := entry is None:
+            entry = memo[draws] = [*_instance(axiom, objs, gens, draws), None]
+        sig, lhs, rhs, binding, bad = entry
         interp = random_interpretation(sig, k, rng)
-        key = tuple(sorted((v, binding[v]) for v in objs))
-        if constant_axiom and key in seen:
-            # no arrow or generator metavariables: the instance value depends
-            # only on the object binding, so reuse the earlier verdict
-            bad = seen[key]
-            if bad:
-                failures += 1
-            continue
-        cache = {}
-        lv = evaluate(lhs, interp, _cache=cache)
-        rv = evaluate(rhs, interp, _cache=cache)
-        bad = not (included(lv, rv) and (axiom.kind == "le" or included(rv, lv)))
-        if constant_axiom:
-            seen[key] = bad
-        if bad:
-            failures += 1
-            if not counterexample:
+        if bad is None:
+            cache = {}
+            ev = evaluate if fresh else evaluate_typed
+            lv = ev(lhs, interp, cache)
+            rv = ev(rhs, interp, cache)
+            bad = not (included(lv, rv) and (axiom.kind == "le" or included(rv, lv)))
+            if constant_axiom:
+                # the instance value depends only on the drawn values
+                entry[4] = bad
+            if bad and not counterexample:
                 counterexample = (
                     f"binding={binding} lhs={print_term(lhs)} rhs={print_term(rhs)} "
                     f"witness={inclusion_witness(lv, rv) or inclusion_witness(rv, lv)}")
+        failures += bad
     return AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)
 
 

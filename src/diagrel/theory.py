@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass
 
 from .finrel import (
-    FinRelation, Interpretation, evaluate, included, inclusion_witness, space_bits,
+    FinRelation, Interpretation, evaluate, evaluate_typed, included, inclusion_witness,
+    space_bits,
 )
 from .terms import DiagrelError, ParseError, Signature, parse_inequality, typecheck
 
@@ -77,18 +78,19 @@ def parse_theory(text):
     return Theory(sig, tuple(axioms))
 
 
-def _axiom_values(theory, interp):
-    """Yield (name, lhs value, rhs value) axiom by axiom, with one evaluation
-    cache shared by all of them."""
+def _axiom_values(theory, interp, ev):
+    """Yield (name, lhs value, rhs value) axiom by axiom, evaluated by `ev`
+    with one evaluation cache shared by all of them."""
     cache = {}
     for name, lhs, rhs in theory.axioms:
-        yield name, evaluate(lhs, interp, _cache=cache), evaluate(rhs, interp, _cache=cache)
+        yield name, ev(lhs, interp, cache), ev(rhs, interp, cache)
 
 
 def check_model(theory, interp):
-    """Evaluate every axiom; failing axioms carry a counterexample pair."""
+    """Evaluate every axiom, typechecked under `interp.signature` (by
+    `evaluate`); failing axioms carry a counterexample pair."""
     verdicts = []
-    for name, lv, rv in _axiom_values(theory, interp):
+    for name, lv, rv in _axiom_values(theory, interp, evaluate):
         if included(lv, rv):
             verdicts.append((name, True, None))
         else:
@@ -119,8 +121,8 @@ def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
             for name, b in zip(names, masks)
         }
         interp = Interpretation(theory.signature, k, assignment)
-        # stop at the first failing axiom
-        if all(included(lv, rv) for _, lv, rv in _axiom_values(theory, interp)):
+        # typed entry: `Theory` typechecked the axioms; stop at the first failing one
+        if all(included(lv, rv) for _, lv, rv in _axiom_values(theory, interp, evaluate_typed)):
             models.append(interp)
     return models
 

@@ -1,6 +1,8 @@
 """Shared test utilities: random well-typed term generation and naive oracles."""
 
+import itertools
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -418,6 +420,98 @@ def naive_check_proof(script, sig):
             False, len(script.steps),
             f"final term {T.print_term(cur)} differs from goal {T.print_term(goal)}")
     return R.Verdict(True)
+
+
+# --- naive verification and search oracles -------------------------------
+
+def naive_instance(axiom, rng, max_obj=2):
+    """A random instance of `axiom`, built afresh: (sig, lhs, rhs, binding)."""
+    binding = {}
+    objs, arrows, gens = axiom.variables()
+    for v in sorted(objs):
+        binding[v] = rng.randint(0, max_obj)
+    generators = {}
+    for g in sorted(gens):
+        name = "~" + g
+        generators[name] = (rng.randint(0, max_obj), rng.randint(0, max_obj))
+        binding[g] = name
+    sig_partial = T.Signature(generators)
+    for name, de, ce in axiom.arrows:
+        n = R._expr_value(de, binding, sig_partial)
+        m = R._expr_value(ce, binding, sig_partial)
+        generators["~" + name] = (n, m)
+        binding[name] = T.Gen("~" + name)
+    sig = T.Signature(generators)
+    lhs = R.instantiate(axiom.lhs, binding, sig)
+    return sig, lhs, R.instantiate(axiom.rhs, binding, sig), binding
+
+
+def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
+    """Oracle for `rewrite.verify_axiom`, its loop before instances were
+    memoized: a fresh instance every trial, evaluated by the checked
+    `finrel.evaluate`.  Only the verdict of an axiom without arrow or
+    generator metavariables is reused, keyed by its object binding."""
+    rng = random.Random((axiom.name, k, seed).__repr__())
+    failures = 0
+    counterexample = ""
+    objs, arrows, gens = axiom.variables()
+    constant_axiom = not arrows and not gens
+    seen = {}
+    for _ in range(trials):
+        sig, lhs, rhs, binding = naive_instance(axiom, rng, max_obj)
+        interp = R.random_interpretation(sig, k, rng)
+        key = tuple(sorted((v, binding[v]) for v in objs))
+        if constant_axiom and key in seen:
+            failures += seen[key]
+            continue
+        lv = F.evaluate(lhs, interp)
+        rv = F.evaluate(rhs, interp)
+        bad = not (F.included(lv, rv) and (axiom.kind == "le" or F.included(rv, lv)))
+        if constant_axiom:
+            seen[key] = bad
+        if bad:
+            failures += 1
+            if not counterexample:
+                counterexample = (
+                    f"binding={binding} lhs={T.print_term(lhs)} rhs={T.print_term(rhs)} "
+                    f"witness={F.inclusion_witness(lv, rv) or F.inclusion_witness(rv, lv)}")
+    return R.AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)
+
+
+def naive_models(theory, k):
+    """Oracle for `theory.enumerate_models`: every candidate interpretation in
+    lexicographic order, each axiom evaluated by the checked `finrel.evaluate`
+    with a fresh cache per candidate.  Returns the models' assignment bits."""
+    gens = theory.signature.generators
+    names = sorted(gens)
+    sizes = [F.space_bits(k, *gens[n]) for n in names]
+    models = []
+    for masks in itertools.product(*(range(1 << size) for size in sizes)):
+        interp = F.Interpretation(theory.signature, k, {
+            name: F.FinRelation(k, *gens[name], b) for name, b in zip(names, masks)})
+        cache = {}
+        if all(F.included(F.evaluate(lhs, interp, cache), F.evaluate(rhs, interp, cache))
+               for _, lhs, rhs in theory.axioms):
+            models.append(masks)
+    return models
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace `module.name` in every diagrel module that holds it by a
+    counting wrapper; returns the one-element list holding the count."""
+    orig = getattr(module, name)
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return orig(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("diagrel"):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return count
 
 
 # --- proof-script text for fuzzing -----------------------------------------

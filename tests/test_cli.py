@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -224,3 +228,62 @@ def test_check_proof_fuzz_exits_cleanly(files, capsys, data):
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     assert (out if code < 2 else err).strip()
+
+
+def test_negative_trials_exit_2(files, capsys):
+    proof = files["dir"] / "id.prf"
+    proof.write_text("prove (idw 1) <= (top 1 1)\nstep eta-discard at e dir l2r\nqed\n")
+    for argv, trials in ((["verify-axioms", "--trials", "-3"], -3),
+                         (["check-proof", "--sig", files["sig"], str(proof), "--spotcheck",
+                           "--trials", "-2"], -2)):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.strip() == f"error: trials must be non-negative, got {trials}"
+        assert "trials=" not in out and "spotcheck passed" not in out
+    assert run(["verify-axioms", "--trials", "0", "--family", "linear", "--machine"]) == 0
+    assert "trials=0 failures=0" in capsys.readouterr().out
+    assert run(["check-proof", "--sig", files["sig"], str(proof), "--spotcheck",
+                "--trials", "0"]) == 0
+    assert "spotcheck passed (0 trials, carrier 2)" in capsys.readouterr().out
+
+
+# (theory, size, max-bits) -> (exit code, stdout, stderr) of find-models --machine;
+# a subterm's space is refused only when a candidate's evaluation reaches it
+_LAZY = ("sig R : 1 -> 1\naxiom never : (top 1 1) <= (meet (gen R) (neg (gen R)))\n"
+         "axiom big : (top 2 2) <= (top 2 2)\n")
+_EARLY = ("sig R : 1 -> 1\naxiom wide : (seqw (top 1 2) (top 2 1)) <= (gen R)\n"
+          "axiom r : (idw 1) <= (gen R)\n")
+_MAX_BITS_CASES = [
+    (_LAZY, 2, 4, 0, "models: 0\n", ""),
+    (_LAZY, 2, 2, 2, "", "error: relation space 2^2 exceeds 2 bits\n"),
+    (_LAZY, 3, 9, 0, "models: 0\n", ""),
+    (_EARLY, 2, 4, 2, "", "error: relation space 2^3 exceeds 4 bits\n"),
+    (_EARLY, 2, 8, 0, "models: 1\nmodel=0 rel=R bits=15\n", ""),
+    (ORDER, 3, 8, 2, "", "error: relation space 3^2 exceeds 8 bits\n"),
+    (ORDER, 2, 4, 0, "models: 2\nmodel=0 rel=R bits=11\nmodel=1 rel=R bits=13\n", ""),
+]
+
+
+@pytest.mark.parametrize("text,size,max_bits,code,out,err", _MAX_BITS_CASES)
+def test_find_models_low_max_bits(tmp_path, capsys, text, size, max_bits, code, out, err):
+    thy = tmp_path / "t.thy"
+    thy.write_text(text)
+    assert run(["find-models", str(thy), "--size", str(size), "--max-bits", str(max_bits),
+                "--machine"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_output_does_not_depend_on_the_hash_seed(files):
+    """Memo keys leak no iteration order into the output."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        runs = [subprocess.run([sys.executable, "-m", "diagrel", *argv], env=env,
+                               capture_output=True, check=True).stdout
+                for argv in (["verify-axioms", "--size", "2", "--trials", "5", "--seed", "3",
+                              "--machine"],
+                             ["find-models", files["thy"], "--size", "3", "--machine"])]
+        outs.append(runs)
+    assert outs[0] == outs[1] and outs[0][0].endswith(b"axioms: 106  failing: 0\n")
+    assert outs[0][1].startswith(b"models: 6\n")

@@ -306,3 +306,45 @@ def test_parse_interpretation_fuzz(text):
     except T.DiagrelError:
         return
     assert F.parse_interpretation(F.print_interpretation(interp), sig) == interp
+
+
+def test_black_kernels_match_naive_at_every_small_shape():
+    """Carrier 0 included: there k^n = 0 rows and the full mask is (1 << 0) - 1."""
+    rng = random.Random(3)
+    shapes = list(itertools.product(range(3), repeat=2))
+    for k in range(4):
+        for (n, j), (j2, m) in itertools.product(shapes, repeat=2):
+            a = helpers.random_relation(rng, k, n, j)
+            b = helpers.random_relation(rng, k, j2, m)
+            assert F.equal(F.tensor_black(a, b), helpers.naive_tensor_black(a, b)), (k, a, b)
+            if j == j2:
+                assert F.equal(F.compose_black(a, b), helpers.naive_compose_black(a, b))
+            else:
+                with pytest.raises(T.DiagrelError, match="composition type mismatch"):
+                    F.compose_black(a, b)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except F.SizeLimit as e:
+        return str(e)
+
+
+def test_black_kernels_refuse_sizes_as_their_de_morgan_definition(monkeypatch):
+    """With MAX_BITS lowered after the operands are built, SizeLimit is raised
+    for the same inputs, with the same message, as by ~(~a op ~b)."""
+    rng = random.Random(5)
+    cases = []
+    for k in range(4):
+        for n, j, m in itertools.product(range(3), repeat=3):
+            cases.append((helpers.random_relation(rng, k, n, j),
+                          helpers.random_relation(rng, k, j, m)))
+    c = F.complement
+    for limit in (0, 1, 2, 4, 8, 9, 16, 27, 64, 81, 243):
+        monkeypatch.setattr(F, "MAX_BITS", limit)
+        for a, b in cases:
+            assert _outcome(F.compose_black, a, b) == \
+                _outcome(lambda: c(F.compose_white(c(a), c(b)))), (limit, a, b)
+            assert _outcome(F.tensor_black, a, b) == \
+                _outcome(lambda: c(F.tensor_white(c(a), c(b)))), (limit, a, b)

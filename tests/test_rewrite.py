@@ -39,15 +39,72 @@ def test_every_axiom_holds_semantically_small():
         assert rep.ok, f"{ax.name}: {rep.counterexample}"
 
 
+# deliberately false: the white and black copy constants differ at k = 2
+BOGUS = R.Axiom(
+    "bogus-self-test", "structural", "eq",
+    R.PConstM("copyw", (("X",),)),
+    R.PConstM("copyb", (("X",),)),
+)
+# false too, and fails on some interpretations of its arrow only
+BOGUS_ARROW = R.Axiom(
+    "bogus-arrow", "structural", "le",
+    R.PBin("seqw", R.PVar("a"), R.PConstM("copyw", (("Y",),))),
+    R.PBin("seqw", R.PVar("a"), R.PConstM("copyb", (("Y",),))),
+    arrows=(("a", ("X",), ("Y",)),),
+)
+
+
 def test_injected_wrong_axiom_is_caught():
-    # deliberately false: the white and black copy constants differ at k = 2
-    bogus = R.Axiom(
-        "bogus-self-test", "structural", "eq",
-        R.PConstM("copyw", (("X",),)),
-        R.PConstM("copyb", (("X",),)),
-    )
-    rep = R.verify_axiom(bogus, k=2, trials=25, seed=3)
+    rep = R.verify_axiom(BOGUS, k=2, trials=25, seed=3)
     assert not rep.ok and rep.counterexample
+
+
+@pytest.mark.parametrize("k,seeds", [(0, (0, 7, 11)), (1, (0, 7, 11)), (2, (0, 7, 11)),
+                                     (3, (1,))])
+@pytest.mark.parametrize("trials", [0, 1, 37])
+def test_verify_axioms_match_naive_oracle(k, seeds, trials):
+    """Memoized instances give the reports of a fresh instance per trial,
+    counterexample strings included."""
+    axioms = R.axiom_db() + [BOGUS, BOGUS_ARROW]
+    for seed in seeds:
+        got = R.verify_axioms(k=k, trials=trials, seed=seed, axioms=axioms)
+        want = [helpers.naive_verify_axiom(ax, k=k, trials=trials, seed=seed)
+                for ax in axioms]
+        assert got == want
+        if k >= 2 and trials == 37:
+            assert not got[-1].ok and not got[-2].ok
+
+
+def test_verify_axioms_typecheck_each_distinct_instance_once(monkeypatch):
+    """`typecheck` node-calls are bounded by the nodes of the distinct
+    instances drawn, not by the number of trials."""
+    k, trials, seed = 2, 60, 5
+    distinct_nodes = per_trial_nodes = 0
+    for ax in R.axiom_db():
+        rng = random.Random((ax.name, k, seed).__repr__())
+        seen = set()
+        for _ in range(trials):
+            sig, lhs, rhs, _ = helpers.naive_instance(ax, rng)
+            R.random_interpretation(sig, k, rng)
+            nodes = helpers.term_size(lhs) + helpers.term_size(rhs)
+            per_trial_nodes += nodes
+            key = (tuple(sorted(sig.generators.items())), lhs, rhs)
+            if key not in seen:
+                seen.add(key)
+                distinct_nodes += nodes
+    calls = helpers.count_calls(monkeypatch, T, "typecheck")
+    R.verify_axioms(k=k, trials=trials, seed=seed)
+    assert 0 < calls[0] <= distinct_nodes < per_trial_nodes // 2
+
+
+def test_negative_trials_are_rejected():
+    script = R.parse_proof("prove (idw 1) <= (top 1 1)\nqed\n", SIG)
+    with pytest.raises(T.DiagrelError, match="trials must be non-negative"):
+        R.verify_axiom(BOGUS, trials=-1)
+    with pytest.raises(T.DiagrelError, match="trials must be non-negative"):
+        R.semantic_spotcheck(script, SIG, trials=-3)
+    assert R.verify_axiom(BOGUS, trials=0) == R.AxiomReport(BOGUS.name, BOGUS.family, 0, 0)
+    assert R.semantic_spotcheck(script, SIG, trials=0) == (True, None)
 
 
 def test_match_and_instantiate_roundtrip():

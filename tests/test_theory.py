@@ -137,3 +137,60 @@ def test_parse_theory_fuzz(text):
         return
     for _, lhs, rhs in th.axioms:
         assert T.typecheck(lhs, th.signature) == T.typecheck(rhs, th.signature)
+
+
+# the five order-search theories over one relation, and a theory with
+# generator-free and arity-0 subterms on both sides of its axioms
+_PROPS = {
+    "reflexive": "(idw 1) <= (gen R)",
+    "transitive": "(seqw (gen R) (gen R)) <= (gen R)",
+    "antisymmetric": "(meet (gen R) (dag (gen R))) <= (idw 1)",
+    "total": "(top 1 1) <= (join (gen R) (dag (gen R)))",
+    "symmetric": "(dag (gen R)) <= (gen R)",
+    "irreflexive": "(meet (gen R) (idw 1)) <= (bot 1 1)",
+}
+_THEORIES = {
+    "linear-order": ("reflexive", "transitive", "antisymmetric", "total"),
+    "partial-order": ("reflexive", "transitive", "antisymmetric"),
+    "preorder": ("reflexive", "transitive"),
+    "equivalence": ("reflexive", "symmetric", "transitive"),
+    "strict-order": ("irreflexive", "transitive"),
+}
+THEORY_TEXTS = {
+    name: "sig R : 1 -> 1\n" + "".join(f"axiom {p} : {_PROPS[p]}\n" for p in props)
+    for name, props in _THEORIES.items()
+}
+THEORY_TEXTS["ground"] = """sig R : 1 -> 1
+sig P : 0 -> 1
+axiom a : (idw 0) <= (top 0 0)
+axiom b : (seqb (idb 1) (gen R)) <= (join (gen R) (bot 1 1))
+axiom c : (tensw (idw 0) (gen R)) <= (seqw (top 1 0) (seqw (top 0 2) (top 2 1)))
+axiom d : (seqw (gen P) (seqb (idb 1) (gen R))) <= (seqw (idw 0) (gen P))
+axiom e : (tensb (idw 0) (top 0 0)) <= (seqw (gen P) (dag (gen P)))
+"""
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("name", sorted(THEORY_TEXTS))
+def test_enumerate_matches_naive_models(name, k):
+    th = TH.parse_theory(THEORY_TEXTS[name])
+    names = sorted(th.signature.generators)
+    found = [tuple(m.assignment[n].bits for n in names) for m in TH.enumerate_models(th, k)]
+    assert found == helpers.naive_models(th, k)
+
+
+def test_enumerate_models_typechecks_no_candidate(monkeypatch):
+    th = TH.order_theory()
+    calls = helpers.count_calls(monkeypatch, T, "typecheck")
+    TH.enumerate_models(th, 2)
+    at_2 = calls[0]
+    TH.enumerate_models(th, 3)
+    assert calls[0] - at_2 == at_2  # 16 candidates cost what 512 do
+
+
+def test_check_model_without_a_theory_generator_is_a_diagrel_error():
+    th = TH.order_theory()
+    for sig, assignment in ((T.Signature({}), {}),
+                            (T.Signature({"R": (2, 1)}), {"R": F.FinRelation.empty(2, 2, 1)})):
+        with pytest.raises(T.DiagrelError):
+            TH.check_model(th, F.Interpretation(sig, 2, assignment))
