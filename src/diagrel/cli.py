@@ -41,13 +41,6 @@ def _load_interp(args, sig):
     return parse_interpretation(_read(args.interp), sig)
 
 
-def _print_relation(rel, name="result"):
-    print(f"rel {name} {rel.dom_arity} {rel.cod_arity} {{")
-    for xs, ys in rel.pairs():
-        print("  (" + " ".join(map(str, xs)) + " ; " + " ".join(map(str, ys)) + ")")
-    print("}")
-
-
 def _cmd_typecheck(args):
     sig = _load_sig(args)
     n, m = typecheck(_term_arg(args.term, sig), sig)
@@ -64,7 +57,8 @@ def _cmd_desugar(args):
 def _cmd_eval(args):
     sig = _load_sig(args)
     interp = _load_interp(args, sig)
-    _print_relation(evaluate(_term_arg(args.term, sig), interp))
+    rel = evaluate(_term_arg(args.term, sig), interp)
+    sys.stdout.write(finrel.format_relation("result", rel))
     return 0
 
 
@@ -112,6 +106,8 @@ def _cmd_find_models(args):
 def _cmd_check_proof(args):
     sig = _load_sig(args)
     script = rewrite.parse_proof(_read(args.proof), sig)
+    if args.spotcheck:
+        rewrite.check_trials(args.trials, args.size)
     verdict = rewrite.check_proof(script, sig)
     print(verdict)
     if not verdict.accepted:

@@ -90,13 +90,6 @@ class FinRelation:
         k = self.carrier
         return bool(self.bits >> (encode(k, xs) * self.cols + encode(k, ys)) & 1)
 
-    def pairs(self):
-        k = self.carrier
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if self.bits >> (r * self.cols + c) & 1:
-                    yield (decode(k, self.dom_arity, r), decode(k, self.cod_arity, c))
-
     @staticmethod
     def from_pairs(k, n, m, pairs):
         bits = 0
@@ -459,84 +452,86 @@ def parse_interpretation(text, sig):
 
         carrier K
         rel NAME N M { (t1 .. tN ; u1 .. uM) ... }
-    """
-    toks = []
+
+    Short decimal tuple entries are read inline; `nat` reads or reports every
+    other token (`int` refuses a decimal of more than 4,300 digits)."""
+    text = text.replace("{", " { ").replace("}", " } ").replace("(", " ( ") \
+        .replace(")", " ) ").replace(";", " ; ")
+    toks, lines = [], []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        for frag in line.replace("{", " { ").replace("}", " } ") \
-                        .replace("(", " ( ").replace(")", " ) ") \
-                        .replace(";", " ; ").split():
-            toks.append((frag, lineno))
-    pos = 0
+        toks += (frags := raw.split("#", 1)[0].split())
+        lines += [lineno] * len(frags)
+    toks.append("")
 
-    def peek():
-        return toks[pos][0] if pos < len(toks) else None
-
-    def take(expect=None):
-        nonlocal pos
-        if pos >= len(toks):
+    def take(pos, expect=None):
+        tok = toks[pos]
+        if not tok:
             raise ParseError(f"unexpected end of interpretation file"
                              + (f", expected {expect!r}" if expect else ""))
-        tok, line = toks[pos]
         if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, got {tok!r}", line, 1)
-        pos += 1
-        return tok, line
+            raise ParseError(f"expected {expect!r}, got {tok!r}", lines[pos], 1)
+        return tok
 
-    def nat(what):
-        tok, line = take()
+    def nat(pos, what):
         try:
-            v = int(tok)
+            v = int(take(pos))
         except ValueError:
-            raise ParseError(f"expected {what}, got {tok!r}", line, 1) from None
+            raise ParseError(f"expected {what}, got {toks[pos]!r}", lines[pos], 1) from None
         if v < 0:
-            raise ParseError(f"{what} must be non-negative", line, 1)
+            raise ParseError(f"{what} must be non-negative", lines[pos], 1)
         return v
 
-    take("carrier")
-    k = nat("carrier size")
+    take(0, "carrier")
+    k = nat(1, "carrier size")
     assignment = {}
-    while peek() is not None:
-        take("rel")
-        name, line = take()
+    pos = 2
+    while toks[pos]:
+        take(pos, "rel")
+        name, line = take(pos + 1), lines[pos + 1]
         if name not in sig.generators:
             raise ParseError(f"unknown generator {name!r}", line, 1)
         if name in assignment:
             raise ParseError(f"duplicate relation for {name!r}", line, 1)
-        n = nat("arity")
-        m = nat("coarity")
+        n, m = nat(pos + 2, "arity"), nat(pos + 3, "coarity")
         if (n, m) != sig.generators[name]:
-            raise ParseError(
-                f"relation {name} declared {n}->{m}, signature says "
-                f"{sig.generators[name][0]}->{sig.generators[name][1]}", line, 1)
-        take("{")
+            raise ParseError(f"relation {name} declared {n}->{m}, signature says "
+                             "{}->{}".format(*sig.generators[name]), line, 1)
+        take(pos + 4, "{")
+        pos += 5
         pairs = []
-        while peek() != "}":
-            take("(")
-            xs = []
-            while peek() != ";":
-                xs.append(nat("tuple entry"))
-            take(";")
-            ys = []
-            while peek() != ")":
-                ys.append(nat("tuple entry"))
-            take(")")
-            if len(xs) != n or len(ys) != m:
+        while (tok := toks[pos]) != "}":
+            if tok != "(":
+                take(pos, "(")
+            pair = [[], []]
+            for entries, stop in zip(pair, ";)"):
+                pos += 1
+                while (tok := toks[pos]) != stop:
+                    entries.append(int(tok) if tok.isdecimal() and len(tok) < 99
+                                   else nat(pos, "tuple entry"))
+                    pos += 1
+            pos += 1
+            if len(pair[0]) != n or len(pair[1]) != m:
                 raise ParseError(f"tuple arity mismatch in relation {name}", line, 1)
-            pairs.append((tuple(xs), tuple(ys)))
-        take("}")
+            pairs.append(pair)
+        pos += 1
         assignment[name] = FinRelation.from_pairs(k, n, m, pairs)
     return Interpretation(sig, k, assignment)
 
 
+def format_relation(name, rel):
+    """The `rel NAME N M { ... }` block of a relation: one `(xs ; ys)` line per
+    pair in bit order (rows, then columns, ascending), each label built once."""
+    rows = [" ".join(map(str, decode(rel.carrier, rel.dom_arity, r))) for r in range(rel.rows)]
+    cols = [" ".join(map(str, decode(rel.carrier, rel.cod_arity, c))) for c in range(rel.cols)]
+    out = [f"rel {name} {rel.dom_arity} {rel.cod_arity} {{\n"]
+    for row, mask in zip(rows, _row_masks(rel.bits, len(rows), len(cols))):
+        while mask:
+            low = mask & -mask
+            out.append(f"  ({row} ; {cols[low.bit_length() - 1]})\n")
+            mask ^= low
+    return "".join(out) + "}\n"
+
+
 def print_interpretation(interp):
-    out = [f"carrier {interp.carrier}"]
-    for name in sorted(interp.assignment):
-        rel = interp.assignment[name]
-        out.append(f"rel {name} {rel.dom_arity} {rel.cod_arity} {{")
-        for xs, ys in rel.pairs():
-            left = " ".join(str(x) for x in xs)
-            right = " ".join(str(y) for y in ys)
-            out.append(f"  ({left} ; {right})")
-        out.append("}")
-    return "\n".join(out) + "\n"
+    return f"carrier {interp.carrier}\n" + "".join(
+        format_relation(*item) for item in sorted(interp.assignment.items()))

@@ -516,10 +516,14 @@ def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
         raise RewriteError(
             f"axiom {axiom.name} is an inequality; r2l would rewrite downward")
     if step.bindings:
-        objs = axiom.variables()[0]
+        objs, arrows, gens = axiom.variables()
         for name, value in step.bindings:
             if name in objs and type(value) is not int:
                 raise RewriteError(f"object metavariable {name!r} must be bound to a number")
+            if name in arrows and not isinstance(value, Term):
+                raise RewriteError(f"arrow metavariable {name!r} must be bound to a term")
+            if name in gens and type(value) is not str:
+                raise RewriteError(f"generator metavariable {name!r} must be bound to a generator")
     src, dst = (axiom.lhs, axiom.rhs) if step.direction == "l2r" else (axiom.rhs, axiom.lhs)
     spine = spine_at(t, step.position)
     binding = match_pattern(src, spine[-1], sig, dict(step.bindings), types)
@@ -697,11 +701,17 @@ def random_interpretation(sig, k, rng):
     return Interpretation(sig, k, assignment)
 
 
+def check_trials(trials, k):
+    """Refuse a negative trial count, or carrier size (by `space_bits`), before any work."""
+    if trials < 0:
+        raise DiagrelError(f"trials must be non-negative, got {trials}")
+    space_bits(k, 0, 0)
+
+
 def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
     """Evaluate the claim on random interpretations; a countermodel would
     indicate a kernel bug.  Returns (ok, countermodel-or-None)."""
-    if trials < 0:
-        raise DiagrelError(f"trials must be non-negative, got {trials}")
+    check_trials(trials, k)
     rng = random.Random(seed)
     for _ in range(trials):
         interp = random_interpretation(sig, k, rng)
@@ -753,8 +763,7 @@ def verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
     typechecked (by `evaluate`) when first drawn, later evaluated through the
     typed entry; each trial still draws a fresh interpretation.  An axiom with no
     arrow or generator metavariables has none, so its verdict is memoized too."""
-    if trials < 0:
-        raise DiagrelError(f"trials must be non-negative, got {trials}")
+    check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
     counterexample = ""

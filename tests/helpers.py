@@ -142,13 +142,22 @@ def random_white_fragment(rng, n, m, depth):
 
 # --- naive finrel oracles -------------------------------------------------
 
+def pairs(rel):
+    """The (xs, ys) pairs of a relation, bit by bit in bit order."""
+    k = rel.carrier
+    for r in range(rel.rows):
+        for c in range(rel.cols):
+            if rel.bits >> (r * rel.cols + c) & 1:
+                yield (F.decode(k, rel.dom_arity, r), F.decode(k, rel.cod_arity, c))
+
+
 def naive_compose_white(a, b):
-    pairs = []
-    for xs, ys in a.pairs():
-        for ys2, zs in b.pairs():
+    out = []
+    for xs, ys in pairs(a):
+        for ys2, zs in pairs(b):
             if ys == ys2:
-                pairs.append((xs, zs))
-    return F.FinRelation.from_pairs(a.carrier, a.dom_arity, b.cod_arity, pairs)
+                out.append((xs, zs))
+    return F.FinRelation.from_pairs(a.carrier, a.dom_arity, b.cod_arity, out)
 
 
 def naive_compose_black(a, b):
@@ -165,8 +174,8 @@ def naive_compose_black(a, b):
 def naive_tensor_white(a, b):
     k = a.carrier
     out = []
-    for xa, ya in a.pairs():
-        for xb, yb in b.pairs():
+    for xa, ya in pairs(a):
+        for xb, yb in pairs(b):
             out.append((xa + xb, ya + yb))
     return F.FinRelation.from_pairs(k, a.dom_arity + b.dom_arity,
                                     a.cod_arity + b.cod_arity, out)
@@ -190,7 +199,7 @@ def naive_tensor_black(a, b):
 def naive_converse(a):
     return F.FinRelation.from_pairs(
         a.carrier, a.cod_arity, a.dom_arity,
-        [(ys, xs) for xs, ys in a.pairs()])
+        [(ys, xs) for xs, ys in pairs(a)])
 
 
 def is_function(a):
@@ -208,6 +217,98 @@ def desugared_evaluate(t, interp):
     """Oracle for `finrel.evaluate`: expand the sugar nodes into the primitive
     calculus first, then evaluate the expansion."""
     return F.evaluate(T.desugar(t, interp.signature), interp)
+
+
+# --- naive readers and writers of relation text ----------------------------
+
+def naive_parse_interpretation(text, sig):
+    """Oracle for `finrel.parse_interpretation`: the token-by-token reader,
+    with a `take`/`peek`/`nat` call per token."""
+    toks = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        for frag in line.replace("{", " { ").replace("}", " } ") \
+                        .replace("(", " ( ").replace(")", " ) ") \
+                        .replace(";", " ; ").split():
+            toks.append((frag, lineno))
+    pos = 0
+
+    def peek():
+        return toks[pos][0] if pos < len(toks) else None
+
+    def take(expect=None):
+        nonlocal pos
+        if pos >= len(toks):
+            raise T.ParseError("unexpected end of interpretation file"
+                               + (f", expected {expect!r}" if expect else ""))
+        tok, line = toks[pos]
+        if expect is not None and tok != expect:
+            raise T.ParseError(f"expected {expect!r}, got {tok!r}", line, 1)
+        pos += 1
+        return tok, line
+
+    def nat(what):
+        tok, line = take()
+        try:
+            v = int(tok)
+        except ValueError:
+            raise T.ParseError(f"expected {what}, got {tok!r}", line, 1) from None
+        if v < 0:
+            raise T.ParseError(f"{what} must be non-negative", line, 1)
+        return v
+
+    take("carrier")
+    k = nat("carrier size")
+    assignment = {}
+    while peek() is not None:
+        take("rel")
+        name, line = take()
+        if name not in sig.generators:
+            raise T.ParseError(f"unknown generator {name!r}", line, 1)
+        if name in assignment:
+            raise T.ParseError(f"duplicate relation for {name!r}", line, 1)
+        n = nat("arity")
+        m = nat("coarity")
+        if (n, m) != sig.generators[name]:
+            raise T.ParseError(
+                f"relation {name} declared {n}->{m}, signature says "
+                f"{sig.generators[name][0]}->{sig.generators[name][1]}", line, 1)
+        take("{")
+        block = []
+        while peek() != "}":
+            take("(")
+            xs = []
+            while peek() != ";":
+                xs.append(nat("tuple entry"))
+            take(";")
+            ys = []
+            while peek() != ")":
+                ys.append(nat("tuple entry"))
+            take(")")
+            if len(xs) != n or len(ys) != m:
+                raise T.ParseError(f"tuple arity mismatch in relation {name}", line, 1)
+            block.append((tuple(xs), tuple(ys)))
+        take("}")
+        assignment[name] = F.FinRelation.from_pairs(k, n, m, block)
+    return F.Interpretation(sig, k, assignment)
+
+
+def naive_format_relation(name, rel):
+    """Oracle for `finrel.format_relation`: a line per pair of `pairs(rel)`."""
+    lines = [f"rel {name} {rel.dom_arity} {rel.cod_arity} {{"]
+    for xs, ys in pairs(rel):
+        lines.append("  (" + " ".join(map(str, xs)) + " ; " + " ".join(map(str, ys)) + ")")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text, sig):
+    """What a reader makes of `text`: the interpretation, or the class,
+    message and line of the error it raises."""
+    try:
+        return parse(text, sig)
+    except T.DiagrelError as e:
+        return type(e), str(e), getattr(e, "line", None)
 
 
 # --- naive doctrine oracles -----------------------------------------------
@@ -375,10 +476,14 @@ def naive_apply_step(t, step, sig):
     if step.direction == "r2l" and axiom.kind == "le":
         raise R.RewriteError(
             f"axiom {axiom.name} is an inequality; r2l would rewrite downward")
-    objs = axiom.variables()[0]
+    objs, arrows, gens = axiom.variables()
     for name, value in step.bindings:
         if name in objs and type(value) is not int:
             raise R.RewriteError(f"object metavariable {name!r} must be bound to a number")
+        if name in arrows and not isinstance(value, T.Term):
+            raise R.RewriteError(f"arrow metavariable {name!r} must be bound to a term")
+        if name in gens and type(value) is not str:
+            raise R.RewriteError(f"generator metavariable {name!r} must be bound to a generator")
     src, dst = (axiom.lhs, axiom.rhs) if step.direction == "l2r" else (axiom.rhs, axiom.lhs)
     sub = naive_subterm_at(t, step.position)
     binding = R.match_pattern(src, sub, sig, dict(step.bindings))

@@ -1,10 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from diagrel import finrel as F, terms as T
 from diagrel.cli import run
 
 import helpers
@@ -230,6 +232,51 @@ def test_check_proof_fuzz_exits_cleanly(files, capsys, data):
     assert (out if code < 2 else err).strip()
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2 ** 81 - 1))
+def test_eval_prints_relation_as_naive_writer(tmp_path, capsys, k, n, m, bits):
+    """`diagrel eval` stdout matches the naive writer byte for byte, at
+    carriers 0..3 and arities 0..2."""
+    sig = T.Signature({"R": (n, m)})
+    rel = F.FinRelation(k, n, m, bits % (1 << F.space_bits(k, n, m)))
+    (tmp_path / "r.sig").write_text(f"sig R : {n} -> {m}\n")
+    (tmp_path / "r.interp").write_text(
+        F.print_interpretation(F.Interpretation(sig, k, {"R": rel})))
+    assert run(["eval", "--sig", str(tmp_path / "r.sig"), "--interp",
+                str(tmp_path / "r.interp"), "(gen R)"]) == 0
+    assert capsys.readouterr() == (helpers.naive_format_relation("result", rel), "")
+
+
+FUZZ_SIG = T.Signature({"R": (1, 1), "S": (2, 1)})
+FUZZ_TERM = helpers.term_texts(FUZZ_SIG) | helpers.token_text(
+    helpers.TERM_PIECES, helpers.term_texts(FUZZ_SIG))
+# two valid terms of one type, so that `included` can also answer no
+SAME_TYPE_TERMS = st.builds(
+    lambda seed, n, m: [T.print_term(helpers.random_term(random.Random(seed + i), FUZZ_SIG,
+                                                          n, m, 3)) for i in (0, 1)],
+    st.integers(0, 10 ** 6), st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(helpers.interpretation_texts(FUZZ_SIG)
+       | helpers.token_text(helpers.INTERP_PIECES, helpers.interpretation_texts(FUZZ_SIG)),
+       SAME_TYPE_TERMS | st.lists(FUZZ_TERM, min_size=2, max_size=2))
+def test_eval_and_included_fuzz_exit_cleanly(files, capsys, interp_text, terms):
+    """Any interpretation file and terms, valid or edited, end `eval` and
+    `included` in exit 0, 1 or 2 with a message, never in an exception.
+    `--max-bits` keeps every relation small."""
+    interp = files["dir"] / "fuzz.interp"
+    interp.write_text(interp_text, encoding="utf-8")
+    common = ["--max-bits", "4096", "--sig", files["sig"], "--interp", str(interp)]
+    for argv in (["eval", *common, terms[0]], ["included", *common, *terms]):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert (out if code < 2 else err).strip()
+
+
 def test_negative_trials_exit_2(files, capsys):
     proof = files["dir"] / "id.prf"
     proof.write_text("prove (idw 1) <= (top 1 1)\nstep eta-discard at e dir l2r\nqed\n")
@@ -245,6 +292,22 @@ def test_negative_trials_exit_2(files, capsys):
     assert run(["check-proof", "--sig", files["sig"], str(proof), "--spotcheck",
                 "--trials", "0"]) == 0
     assert "spotcheck passed (0 trials, carrier 2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--trials", "-1", "trials must be non-negative, got -1"),
+    ("--size", "-1", "carrier size must be non-negative"),
+])
+def test_bad_spotcheck_value_prints_no_verdict(files, capsys, option, value, message):
+    """A usage error is found before the replay, so no verdict is printed."""
+    proof = files["dir"] / "id.prf"
+    proof.write_text("prove (idw 1) <= (top 1 1)\nstep eta-discard at e dir l2r\nqed\n")
+    assert run(["check-proof", "--sig", files["sig"], str(proof), "--spotcheck",
+                option, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # without --spotcheck the values are not used, and the proof is replayed
+    assert run(["check-proof", "--sig", files["sig"], str(proof), option, value]) == 0
+    assert capsys.readouterr().out == "accepted\n"
 
 
 # (theory, size, max-bits) -> (exit code, stdout, stderr) of find-models --machine;

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ def test_from_pairs_and_has():
     r = F.FinRelation.from_pairs(3, 1, 2, [((0,), (1, 2)), ((2,), (0, 0))])
     assert r.has((0,), (1, 2)) and r.has((2,), (0, 0))
     assert not r.has((0,), (0, 0))
-    assert sorted(r.pairs()) == [((0,), (1, 2)), ((2,), (0, 0))]
+    assert sorted(helpers.pairs(r)) == [((0,), (1, 2)), ((2,), (0, 0))]
 
 
 def _rand(rng):
@@ -76,7 +77,7 @@ def test_de_morgan_duality():
 def test_identity_and_symmetry():
     for k in (1, 2, 3):
         idw = F.identity_white(k, 1)
-        assert sorted(idw.pairs()) == [((x,), (x,)) for x in range(k)]
+        assert sorted(helpers.pairs(idw)) == [((x,), (x,)) for x in range(k)]
         idb = F.identity_black(k, 1)
         assert F.equal(idb, F.complement(idw))
         sym = F.symmetry_white(k, 1, 1)
@@ -87,9 +88,9 @@ def test_identity_and_symmetry():
 def test_constants_pointwise():
     k = 3
     cw = F.copy_white(k, 1)
-    assert sorted(cw.pairs()) == [((x,), (x, x)) for x in range(k)]
+    assert sorted(helpers.pairs(cw)) == [((x,), (x, x)) for x in range(k)]
     dw = F.discard_white(k, 1)
-    assert sorted(dw.pairs()) == [((x,), ()) for x in range(k)]
+    assert sorted(helpers.pairs(dw)) == [((x,), ()) for x in range(k)]
     assert F.equal(F.cocopy_white(k, 1), F.converse(cw))
     assert F.equal(F.codiscard_white(k, 1), F.converse(dw))
     # black (co)monoids are the complements of the white ones
@@ -306,6 +307,110 @@ def test_parse_interpretation_fuzz(text):
     except T.DiagrelError:
         return
     assert F.parse_interpretation(F.print_interpretation(interp), sig) == interp
+
+
+# numerals `int` reads differently from `str.isdecimal`, or not at all
+ODD_NUMERALS = ("²", "+1", "-0", "1_0", "٣", "00", "9" * 120, "7" * 4301)
+
+
+@settings(max_examples=400, deadline=None)
+@given(helpers.token_text(helpers.INTERP_PIECES + ODD_NUMERALS,
+                          helpers.interpretation_texts(FUZZ_SIG)))
+def test_parse_interpretation_matches_naive_reader(text):
+    """The same interpretation, or the same error class, message and line."""
+    assert helpers.parse_outcome(F.parse_interpretation, text, FUZZ_SIG) == \
+        helpers.parse_outcome(helpers.naive_parse_interpretation, text, FUZZ_SIG)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a parse error later in a block wins over an out-of-carrier value before it
+    ("carrier 2\nrel R 1 1 { (0 ; 5) (1 ; x) }", "2:1: expected tuple entry, got 'x'"),
+    # `str.isdigit` accepts a superscript two, `int` does not
+    ("carrier ²", "1:1: expected carrier size, got '²'"),
+    ("carrier 2\nrel R 1 1 {\n (² ; 0) }", "3:1: expected tuple entry, got '²'"),
+    ("carrier 2\nrel R 1 1 { (0 ; 1 -1) }", "2:1: tuple entry must be non-negative"),
+    ("carrier 2\nrel R 1 1 { (0 ; " + "7" * 4301 + ") }",
+     "2:1: expected tuple entry, got '" + "7" * 4301 + "'"),
+    ("carrier 2\nrel R 1 1 { (0 ; 1 }", "2:1: expected tuple entry, got '}'"),
+    ("carrier 2\nrel R 1 1 { (0 ; 1) ; }", "2:1: expected '(', got ';'"),
+    ("carrier 2\nrel R 1 1 { (0 ) ; 1) }", "2:1: expected tuple entry, got ')'"),
+    ("carrier 2\nrel R 1 1 { (0 1 ; 1) }", "2:1: tuple arity mismatch in relation R"),
+    ("carrier 2\nrel R 2 1 {", "2:1: relation R declared 2->1, signature says 1->1"),
+])
+def test_parse_interpretation_error_messages(text, message):
+    for parse in (F.parse_interpretation, helpers.naive_parse_interpretation):
+        assert helpers.parse_outcome(parse, text, FUZZ_SIG)[:2] == (T.ParseError, message)
+
+
+def test_out_of_carrier_value_is_reported_at_the_end_of_its_block():
+    for parse in (F.parse_interpretation, helpers.naive_parse_interpretation):
+        assert helpers.parse_outcome(parse, "carrier 2\nrel R 1 1 { (0 ; 5) } rel", FUZZ_SIG) \
+            == (T.DiagrelError, "value 5 outside carrier 0..1", None)
+
+
+def test_every_unexpected_end_is_reported_as_before():
+    """Every prefix of a valid file, cut between two tokens."""
+    toks = "carrier 2 rel R 1 1 { ( 0 ; 1 ) } rel S 2 1 { ( 1 0 ; 1 ) }".split()
+    messages = set()
+    for cut in range(len(toks)):
+        text = " ".join(toks[:cut])
+        outcome = helpers.parse_outcome(F.parse_interpretation, text, FUZZ_SIG)
+        assert outcome == helpers.parse_outcome(helpers.naive_parse_interpretation,
+                                                text, FUZZ_SIG), text
+        messages.add(outcome[1])
+    assert {m for m in messages if "unexpected end" in m} == {
+        "unexpected end of interpretation file",
+        "unexpected end of interpretation file, expected 'carrier'",
+        "unexpected end of interpretation file, expected '{'",
+        "unexpected end of interpretation file, expected '('",
+    }
+
+
+SHAPES = [(k, n, m) for k in range(4) for n in range(3) for m in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHAPES), st.integers(0, 2 ** 81 - 1))
+def test_format_relation_matches_naive_writer(shape, bits):
+    """Byte for byte at carriers 0..3 and arities 0..2, including the one-row
+    and one-column spaces at carrier 0 and at arity 0."""
+    k, n, m = shape
+    rel = F.FinRelation(k, n, m, bits % (1 << F.space_bits(k, n, m)))
+    assert F.format_relation("R", rel) == helpers.naive_format_relation("R", rel)
+
+
+def test_format_relation_of_empty_and_full_relations():
+    for k, n, m in SHAPES:
+        for rel in (F.FinRelation.empty(k, n, m), F.FinRelation.full(k, n, m)):
+            assert F.format_relation("R", rel) == helpers.naive_format_relation("R", rel)
+    assert F.format_relation("R", F.FinRelation.full(0, 0, 0)) == "rel R 0 0 {\n  ( ; )\n}\n"
+    assert F.format_relation("R", F.FinRelation.full(0, 0, 1)) == "rel R 0 1 {\n}\n"
+    assert F.format_relation("R", F.FinRelation.full(2, 0, 1)) == \
+        "rel R 0 1 {\n  ( ; 0)\n  ( ; 1)\n}\n"
+
+
+def test_format_relation_builds_nothing_per_coordinate_at_carrier_zero():
+    """At carrier 0 a space of positive arity has no tuple, so writing one
+    costs nothing per coordinate, here 10^6 of them."""
+    tracemalloc.start()
+    try:
+        text = F.format_relation("R", F.FinRelation.full(0, 10 ** 6, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "rel R 1000000 3 {\n}\n" and peak < 100_000, peak
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_print_interpretation_matches_naive_writer(k, seed):
+    sig = T.Signature({"R": (1, 1), "S": (2, 1), "U": (1, 0), "P": (0, 0), "V": (0, 2)})
+    rng = random.Random(seed)
+    interp = F.Interpretation(sig, k, {name: helpers.random_relation(rng, k, n, m)
+                                       for name, (n, m) in sig.generators.items()})
+    assert F.print_interpretation(interp) == f"carrier {k}\n" + "".join(
+        helpers.naive_format_relation(name, interp.assignment[name])
+        for name in sorted(sig.generators))
 
 
 def test_black_kernels_match_naive_at_every_small_shape():

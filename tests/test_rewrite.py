@@ -408,6 +408,30 @@ def test_object_binding_must_be_a_number(binding):
         0, "object metavariable 'X' must be bound to a number")
 
 
+@pytest.mark.parametrize("claim, binding, reason", [
+    ("(idw 1) <= (seqb (gen R) (genop R))", "r=(gen R)",
+     "generator metavariable 'r' must be bound to a generator"),
+    ("(idw 1) <= (seqb (gen R) (genop R))", "r=1",
+     "generator metavariable 'r' must be bound to a generator"),
+    ("(idw 1) <= (idw 1)", "a=R", "arrow metavariable 'a' must be bound to a term"),
+    ("(idw 1) <= (idw 1)", "a=3", "arrow metavariable 'a' must be bound to a term"),
+])
+def test_binding_of_the_wrong_kind_is_named(claim, binding, reason):
+    axiom = "gen-tau at e dir l2r" if binding[0] == "r" else "seq-unit-l at e dir r2l"
+    script = R.parse_proof(f"prove {claim}\nstep {axiom} with {binding}\nqed\n", SIG)
+    verdict = R.check_proof(script, SIG)
+    assert verdict == helpers.naive_check_proof(script, SIG)
+    assert (verdict.step_index, verdict.reason) == (0, reason)
+
+
+def test_bindings_of_the_right_kind_still_apply():
+    for claim, step in (("(idw 1) <= (seqb (gen R) (genop R))", "gen-tau at e dir l2r with r=R"),
+                        ("(gen R) <= (seqw (idw 1) (gen R))",
+                         "seq-unit-l at e dir r2l with a=(gen R)")):
+        script = R.parse_proof(f"prove {claim}\nstep {step}\nqed\n", SIG)
+        assert R.check_proof(script, SIG).accepted, step
+
+
 def _chain_mutants(rng, start, goal, steps):
     """The chain itself, then one mutant of each kind: the last step dropped,
     a step at a wrong position, an inequality applied right to left, and an
