@@ -11,6 +11,7 @@ and unique-choice witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -80,7 +81,6 @@ def pairing(f, g):
 
 def product_mor(f, g):
     """f × g on the left-nested product."""
-    X = prod(f.dom, g.dom)
     return pairing(compose(proj1(f.dom, g.dom), f), compose(proj2(f.dom, g.dom), g))
 
 
@@ -167,8 +167,8 @@ def subst(f, alpha):
     if alpha.over != f.cod:
         raise DiagrelError("subst: predicate not over the codomain")
     bits = 0
-    for x in range(f.dom.size):
-        if f.table[x] in alpha:
+    for x, v in enumerate(f.table):
+        if alpha.bits >> v & 1:
             bits |= 1 << x
     return Predicate(f.dom, bits)
 
@@ -195,18 +195,23 @@ def equality_pred(X):
     return Predicate(prod(X, X), bits)
 
 
-def is_functional(phi, X, Y):
-    """Single-valuedness stated doctrine-internally over X×Y×Y."""
-    if phi.over != prod(X, Y):
-        raise DiagrelError("predicate not over X×Y")
+@functools.lru_cache
+def _functional_maps(X, Y):
+    """The pairings p12, p13, p23 of X×Y×Y's projections, and Y's equality."""
     XY = prod(X, Y)
     pXY = proj1(XY, Y)
     p1 = compose(pXY, proj1(X, Y))
     p2 = compose(pXY, proj2(X, Y))
     p3 = proj2(XY, Y)
-    lhs = meet(subst(pairing(p1, p2), phi), subst(pairing(p1, p3), phi))
-    rhs = subst(pairing(p2, p3), equality_pred(Y))
-    return leq(lhs, rhs)
+    return pairing(p1, p2), pairing(p1, p3), pairing(p2, p3), equality_pred(Y)
+
+
+def is_functional(phi, X, Y):
+    """Single-valuedness stated doctrine-internally over X×Y×Y."""
+    if phi.over != prod(X, Y):
+        raise DiagrelError("predicate not over X×Y")
+    p12, p13, p23, eq_Y = _functional_maps(X, Y)
+    return leq(meet(subst(p12, phi), subst(p13, phi)), subst(p23, eq_Y))
 
 
 def is_entire(phi, X, Y):

@@ -100,31 +100,6 @@ def _expr_value(expr, binding, sig):
     return total
 
 
-def instantiate(p, binding, sig=EMPTY_SIGNATURE):
-    """Build the term denoted by pattern p under the given bindings."""
-    if isinstance(p, PVar):
-        if p.name not in binding:
-            raise UnboundMetavariable(f"arrow metavariable {p.name!r} unbound")
-        v = binding[p.name]
-        if not isinstance(v, Term):
-            raise RewriteError(f"binding for {p.name!r} is not a term")
-        return v
-    if isinstance(p, PGenVar):
-        if p.var not in binding:
-            raise UnboundMetavariable(f"generator metavariable {p.var!r} unbound")
-        name = binding[p.var]
-        if name not in sig.generators:
-            raise RewriteError(f"unknown generator {name!r} for metavariable {p.var!r}")
-        return GenOp(name) if p.op else Gen(name)
-    if isinstance(p, PConstM):
-        vals = [_expr_value(e, binding, sig) for e in p.objs]
-        return (_MACROS.get(p.kind) or T.FORMS[p.kind][0])(*vals)
-    if isinstance(p, PBin):
-        return T.FORMS[p.op][0](instantiate(p.l, binding, sig),
-                                instantiate(p.r, binding, sig))
-    raise RewriteError(f"not a pattern: {p!r}")
-
-
 def _solve_expr(expr, value, binding, sig):
     """Unify sum-expression with a concrete value; may bind one variable."""
     known = 0
@@ -153,56 +128,110 @@ def _solve_expr(expr, value, binding, sig):
     return False  # underdetermined — needs explicit `with` bindings
 
 
+def _solver(expr):
+    """`_solve_expr` for expr; a lone object variable or a literal sum inline."""
+    if len(expr) == 1 and type(expr[0]) is str:
+        name = expr[0]
+
+        def solve(value, b, sig):
+            if name in b:
+                return b[name] == value
+            b[name] = value  # a failed solve fails the whole step or match
+            return value >= 0
+    elif all(type(item) is int for item in expr):
+        total = sum(expr)
+
+        def solve(value, b, sig):
+            return value == total
+    else:
+        def solve(value, b, sig):
+            return _solve_expr(expr, value, b, sig)
+    return solve
+
+
+@functools.cache
+def _compiled(p):
+    """p compiled into a matcher `match(t, sig, b, types)`, which extends the
+    binding b and says whether t is an instance of p, and a builder `build(b, sig)`."""
+    cls = type(p)
+    if cls is PVar:
+        name = p.name
+
+        def match(t, sig, b, types):
+            bound = b.setdefault(name, t)
+            return bound is t or bound == t
+
+        def build(b, sig):
+            if name not in b:
+                raise UnboundMetavariable(f"arrow metavariable {name!r} unbound")
+            if not isinstance(b[name], Term):
+                raise RewriteError(f"binding for {name!r} is not a term")
+            return b[name]
+    elif cls is PGenVar:
+        var, node = p.var, GenOp if p.op else Gen
+
+        def match(t, sig, b, types):
+            return type(t) is node and b.setdefault(var, t.name) == t.name
+
+        def build(b, sig):
+            if var not in b:
+                raise UnboundMetavariable(f"generator metavariable {var!r} unbound")
+            if b[var] not in sig.generators:
+                raise RewriteError(f"unknown generator {b[var]!r} for metavariable {var!r}")
+            return node(b[var])
+    elif cls is PBin:
+        node = T.FORMS[p.op][0]
+        (match_l, build_l), (match_r, build_r) = _compiled(p.l), _compiled(p.r)
+
+        def match(t, sig, b, types):
+            return type(t) is node and match_l(t.t, sig, b, types) and match_r(t.u, sig, b, types)
+
+        def build(b, sig):
+            return node(build_l(b, sig), build_r(b, sig))
+    elif cls is PConstM:
+        ctor = _MACROS.get(p.kind) or T.FORMS[p.kind][0]
+        objs, solve = p.objs, _solver(p.objs[0])
+
+        def build(b, sig):
+            return ctor(*[_expr_value(e, b, sig) for e in objs])
+
+        if p.kind in ("symw", "symb"):
+            solve_n = _solver(objs[1])
+
+            def match(t, sig, b, types):
+                return type(t) is ctor and solve(t.m, b, sig) and solve_n(t.n, b, sig)
+        elif p.kind in ("idw", "idb") and not any(type(i) is tuple for i in objs[0]):
+            def match(t, sig, b, types):
+                return type(t) is ctor and t.n >= 0 and solve(t.n, b, sig)
+        else:
+            # a (co)monoid family, or an identity at a generator's arity (whose
+            # solve may raise first): the arity is read off the type, and the
+            # expansion is built only if the root has its class at that arity
+            roots = [type(ctor(arity)) for arity in range(3)]
+            by_cod, square = p.kind[:3] in ("coc", "cod"), p.kind in ("idw", "idb")
+
+            def match(t, sig, b, types):
+                try:
+                    n, m = typecheck(t, sig, types=types)
+                except DiagrelError:
+                    return False
+                arity = m if by_cod else n
+                return ((n == m or not square) and solve(arity, b, sig)
+                        and type(t) is roots[min(arity, 2)] and instantiate(p, b, sig) == t)
+    else:
+        raise RewriteError(f"not a pattern: {p!r}")
+    return match, build
+
+
+def instantiate(p, binding, sig=EMPTY_SIGNATURE):
+    """Build the term denoted by pattern p under the given bindings."""
+    return _compiled(p)[1](binding, sig)
+
+
 def match_pattern(p, t, sig=EMPTY_SIGNATURE, binding=None, types=None):
     """Syntactic matching: bindings σ with instantiate(p, σ) = t, or None."""
     b = dict(binding) if binding else {}
-    if _match(p, t, sig, b, types):
-        return b
-    return None
-
-
-def _match(p, t, sig, b, types):
-    if isinstance(p, PVar):
-        if p.name in b:
-            return b[p.name] == t
-        b[p.name] = t
-        return True
-    if isinstance(p, PGenVar):
-        want = GenOp if p.op else Gen
-        if type(t) is not want:
-            return False
-        if p.var in b:
-            return b[p.var] == t.name
-        b[p.var] = t.name
-        return True
-    if isinstance(p, PBin):
-        if type(t) is not T.FORMS[p.op][0]:
-            return False
-        return _match(p.l, t.t, sig, b, types) and _match(p.r, t.u, sig, b, types)
-    if isinstance(p, PConstM):
-        # Determine the macro arities from the candidate's shape/type, then
-        # require the expansion to be syntactically equal to the candidate.
-        if p.kind in ("symw", "symb"):
-            if type(t) is not T.FORMS[p.kind][0]:
-                return False
-            targets = (t.m, t.n)
-        else:
-            try:
-                n, m = typecheck(t, sig, types=types)
-            except DiagrelError:
-                return False
-            # the cocopy and codiscard families are indexed by their codomain
-            targets = (m if p.kind[:3] in ("coc", "cod") else n),
-            if p.kind in ("idw", "idb") and n != m:
-                return False
-        for expr, val in zip(p.objs, targets):
-            if not _solve_expr(expr, val, b, sig):
-                return False
-        try:
-            return instantiate(p, b, sig) == t
-        except UnboundMetavariable:
-            return False
-    raise RewriteError(f"not a pattern: {p!r}")
+    return b if _compiled(p)[0](t, sig, b, types) else None
 
 
 def pattern_variables(p, objs, arrows, gens):
@@ -490,50 +519,51 @@ class Step:
     bindings: tuple = ()  # ((name, value), ...)
 
 
-def _infer_arrow_types(axiom, binding, sig, types=None):
-    """Bind remaining object metavariables from the types of matched arrows,
-    in one pass: a solve that fails raises, so a second pass binds nothing."""
-    for name, de, ce in axiom.arrows:
-        v = binding.get(name)
-        if not isinstance(v, Term):
-            continue
-        n, m = typecheck(v, sig, types=types)
-        for expr, val in ((de, n), (ce, m)):
-            if not _solve_expr(expr, val, binding, sig):
-                raise RewriteError(
-                    f"arrow {name!r} bound to a term of type {(n, m)} "
-                    f"incompatible with its declared type")
+@functools.cache
+def _rule(name, direction):
+    """The rewrite rule of axiom `name` in a direction it may be applied in,
+    compiled on first use: the axiom, the source's matcher, the target's
+    builder and a (name, dom solver, cod solver) per arrow metavariable."""
+    axiom = axiom_by_name(name)
+    if direction not in ("l2r", "r2l"):
+        raise RewriteError(f"bad direction {direction!r}")
+    if direction == "r2l" and axiom.kind == "le":
+        raise RewriteError(f"axiom {axiom.name} is an inequality; r2l would rewrite downward")
+    src, dst = (axiom.lhs, axiom.rhs) if direction == "l2r" else (axiom.rhs, axiom.lhs)
+    arrows = tuple((v, _solver(de), _solver(ce)) for v, de, ce in axiom.arrows)
+    return axiom, _compiled(src)[0], _compiled(dst)[1], arrows
 
 
 def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
     """Apply one rewrite step to t; raises RewriteError when it is invalid.
     One walk to the position serves the match and the rebuild; `types` is a
-    `typecheck` memo for the match, the arrow types and the replacement."""
-    axiom = axiom_by_name(step.axiom)
-    if step.direction not in ("l2r", "r2l"):
-        raise RewriteError(f"bad direction {step.direction!r}")
-    if step.direction == "r2l" and axiom.kind == "le":
-        raise RewriteError(
-            f"axiom {axiom.name} is an inequality; r2l would rewrite downward")
+    `typecheck` memo for the match, the arrow types and the replacement,
+    which bind the object metavariables the match left unbound, in one pass."""
+    axiom, match, build, arrows = _rule(step.axiom, step.direction)
     if step.bindings:
-        objs, arrows, gens = axiom.variables()
+        objs, arrow_vars, gens = axiom.variables()
         for name, value in step.bindings:
             if name in objs and type(value) is not int:
                 raise RewriteError(f"object metavariable {name!r} must be bound to a number")
-            if name in arrows and not isinstance(value, Term):
+            if name in arrow_vars and not isinstance(value, Term):
                 raise RewriteError(f"arrow metavariable {name!r} must be bound to a term")
             if name in gens and type(value) is not str:
                 raise RewriteError(f"generator metavariable {name!r} must be bound to a generator")
-    src, dst = (axiom.lhs, axiom.rhs) if step.direction == "l2r" else (axiom.rhs, axiom.lhs)
     spine = spine_at(t, step.position)
-    binding = match_pattern(src, spine[-1], sig, dict(step.bindings), types)
-    if binding is None:
+    binding = dict(step.bindings)
+    if not match(spine[-1], sig, binding, types):
         raise RewriteError(
             f"axiom {axiom.name} ({step.direction}) does not match at "
             f"{format_position(step.position)}")
-    _infer_arrow_types(axiom, binding, sig, types)
+    for name, solve_dom, solve_cod in arrows:
+        if isinstance(binding.get(name), Term):
+            n, m = typecheck(binding[name], sig, types=types)
+            if not (solve_dom(n, binding, sig) and solve_cod(m, binding, sig)):
+                raise RewriteError(
+                    f"arrow {name!r} bound to a term of type {(n, m)} "
+                    f"incompatible with its declared type")
     try:
-        repl = instantiate(dst, binding, sig)
+        repl = build(binding, sig)
     except UnboundMetavariable as e:
         raise RewriteError(f"{e}; supply it with an explicit `with` binding") from None
     return replace_at(t, step.position, repl, sig, types, spine)

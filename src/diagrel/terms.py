@@ -260,10 +260,6 @@ def children(t):
     return (t.t, t.u) if cls in BINARY else (t.t,) if cls in UNARY else ()
 
 
-def with_children(t, kids):
-    return type(t)(*kids) if kids else t
-
-
 def spine_at(t, path):
     """The nodes from the root of t down to its subterm at `path`."""
     spine = [t]
@@ -293,9 +289,8 @@ def replace_at(t, path, u, sig, types=None, spine=None):
     if old_ty != new_ty:
         raise TypeMismatch(f"replacement type {new_ty} differs from {old_ty}", path)
     for node, step in zip(reversed(spine[:-1]), reversed(path)):
-        kids = list(children(node))
-        kids[step] = u
-        u = with_children(node, kids)
+        cls = type(node)
+        u = cls(node.t, u) if step else cls(u, node.u) if cls in BINARY else cls(u)
     return u
 
 

@@ -463,7 +463,84 @@ def naive_splice(t, path, u):
         return u
     kids = list(T.children(t))
     kids[path[0]] = naive_splice(kids[path[0]], path[1:], u)
-    return T.with_children(t, kids)
+    return type(t)(*kids)
+
+
+def naive_instantiate(p, binding, sig=T.EMPTY_SIGNATURE):
+    """Oracle for `rewrite.instantiate`: the pattern walked afresh on every call."""
+    if isinstance(p, R.PVar):
+        if p.name not in binding:
+            raise R.UnboundMetavariable(f"arrow metavariable {p.name!r} unbound")
+        v = binding[p.name]
+        if not isinstance(v, T.Term):
+            raise R.RewriteError(f"binding for {p.name!r} is not a term")
+        return v
+    if isinstance(p, R.PGenVar):
+        if p.var not in binding:
+            raise R.UnboundMetavariable(f"generator metavariable {p.var!r} unbound")
+        name = binding[p.var]
+        if name not in sig.generators:
+            raise R.RewriteError(f"unknown generator {name!r} for metavariable {p.var!r}")
+        return T.GenOp(name) if p.op else T.Gen(name)
+    if isinstance(p, R.PConstM):
+        vals = [R._expr_value(e, binding, sig) for e in p.objs]
+        return (R._MACROS.get(p.kind) or T.FORMS[p.kind][0])(*vals)
+    if isinstance(p, R.PBin):
+        return T.FORMS[p.op][0](naive_instantiate(p.l, binding, sig),
+                                naive_instantiate(p.r, binding, sig))
+    raise R.RewriteError(f"not a pattern: {p!r}")
+
+
+def naive_match_pattern(p, t, sig=T.EMPTY_SIGNATURE, binding=None):
+    """Oracle for `rewrite.match_pattern`: the pattern walked afresh on every
+    call, and every constant macro (identities and symmetries too) matched by
+    building its instance and comparing it with the candidate."""
+    b = dict(binding) if binding else {}
+    return b if _naive_match(p, t, sig, b) else None
+
+
+def _naive_match(p, t, sig, b):
+    if isinstance(p, R.PVar):
+        if p.name in b:
+            return b[p.name] == t
+        b[p.name] = t
+        return True
+    if isinstance(p, R.PGenVar):
+        want = T.GenOp if p.op else T.Gen
+        if type(t) is not want:
+            return False
+        if p.var in b:
+            return b[p.var] == t.name
+        b[p.var] = t.name
+        return True
+    if isinstance(p, R.PBin):
+        if type(t) is not T.FORMS[p.op][0]:
+            return False
+        return _naive_match(p.l, t.t, sig, b) and _naive_match(p.r, t.u, sig, b)
+    if isinstance(p, R.PConstM):
+        # Determine the macro arities from the candidate's shape/type, then
+        # require the expansion to be syntactically equal to the candidate.
+        if p.kind in ("symw", "symb"):
+            if type(t) is not T.FORMS[p.kind][0]:
+                return False
+            targets = (t.m, t.n)
+        else:
+            try:
+                n, m = T.typecheck(t, sig)
+            except T.DiagrelError:
+                return False
+            # the cocopy and codiscard families are indexed by their codomain
+            targets = (m if p.kind[:3] in ("coc", "cod") else n),
+            if p.kind in ("idw", "idb") and n != m:
+                return False
+        for expr, val in zip(p.objs, targets):
+            if not R._solve_expr(expr, val, b, sig):
+                return False
+        try:
+            return naive_instantiate(p, b, sig) == t
+        except R.UnboundMetavariable:
+            return False
+    raise R.RewriteError(f"not a pattern: {p!r}")
 
 
 def naive_apply_step(t, step, sig):
@@ -486,14 +563,23 @@ def naive_apply_step(t, step, sig):
             raise R.RewriteError(f"generator metavariable {name!r} must be bound to a generator")
     src, dst = (axiom.lhs, axiom.rhs) if step.direction == "l2r" else (axiom.rhs, axiom.lhs)
     sub = naive_subterm_at(t, step.position)
-    binding = R.match_pattern(src, sub, sig, dict(step.bindings))
+    binding = naive_match_pattern(src, sub, sig, dict(step.bindings))
     if binding is None:
         raise R.RewriteError(
             f"axiom {axiom.name} ({step.direction}) does not match at "
             f"{T.format_position(step.position)}")
-    R._infer_arrow_types(axiom, binding, sig)
+    for name, de, ce in axiom.arrows:  # arrow types, in one pass
+        v = binding.get(name)
+        if not isinstance(v, T.Term):
+            continue
+        n, m = T.typecheck(v, sig)
+        for expr, val in ((de, n), (ce, m)):
+            if not R._solve_expr(expr, val, binding, sig):
+                raise R.RewriteError(
+                    f"arrow {name!r} bound to a term of type {(n, m)} "
+                    f"incompatible with its declared type")
     try:
-        repl = R.instantiate(dst, binding, sig)
+        repl = naive_instantiate(dst, binding, sig)
     except R.UnboundMetavariable as e:
         raise R.RewriteError(f"{e}; supply it with an explicit `with` binding") from None
     old_ty = T.typecheck(sub, sig)
@@ -547,8 +633,8 @@ def naive_instance(axiom, rng, max_obj=2):
         generators["~" + name] = (n, m)
         binding[name] = T.Gen("~" + name)
     sig = T.Signature(generators)
-    lhs = R.instantiate(axiom.lhs, binding, sig)
-    return sig, lhs, R.instantiate(axiom.rhs, binding, sig), binding
+    lhs = naive_instantiate(axiom.lhs, binding, sig)
+    return sig, lhs, naive_instantiate(axiom.rhs, binding, sig), binding
 
 
 def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):

@@ -218,6 +218,24 @@ def test_deep_term_nesting_exits_2(files, capsys, command):
     assert capsys.readouterr().err.strip() == "error: term nesting too deep"
 
 
+@pytest.mark.parametrize("arity, axiom", [
+    ("3000 -> 6000", "copy-split"),
+    ("6000 -> 3000", "cocopy-split-b"),
+    ("3000 -> 0", "discard-split-b"),
+    ("0 -> 3000", "codiscard-split"),
+])
+def test_macro_step_at_a_wide_generator_is_rejected(tmp_path, capsys, arity, axiom):
+    """The expansion's root cannot be a generator, so the step is rejected
+    without building a macro nested thousands deep."""
+    sig = tmp_path / "wide.sig"
+    sig.write_text(f"sig G : {arity}\n")
+    proof = tmp_path / "wide.prf"
+    proof.write_text(f"prove (gen G) <= (gen G)\nstep {axiom} at e dir l2r with X=3000\nqed\n")
+    assert run(["check-proof", "--sig", str(sig), str(proof)]) == 1
+    assert capsys.readouterr() == (
+        f"rejected at step 1: axiom {axiom} (l2r) does not match at ε\n", "")
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(helpers.proof_text().map(str.encode), st.binary(max_size=200)))

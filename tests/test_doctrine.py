@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -154,6 +155,21 @@ def test_functional_entire_on_graphs():
     assert D.is_entire(full, X, Y) and not D.is_functional(full, X, Y)
     empty = D.bottom(D.prod(X, Y))
     assert D.is_functional(empty, X, Y) and not D.is_entire(empty, X, Y)
+
+
+def test_is_functional_is_pointwise_single_valuedness():
+    """Every predicate over X×Y, |X|, |Y| <= 3.  The sizes are visited
+    twice, in a shuffled order, so that each (X, Y) follows other sizes and
+    a structural map cached for one size would be caught serving another."""
+    sizes = list(itertools.product(range(4), repeat=2))
+    random.Random(8).shuffle(sizes)
+    for sx, sy in sizes + sizes[::-1]:
+        X, Y = D.FinSetObj(sx), D.FinSetObj(sy)
+        for phi in D.all_predicates(D.prod(X, Y)):
+            single_valued = all(
+                sum(phi.bits >> (x * sy + y) & 1 for y in range(sy)) <= 1
+                for x in range(sx))
+            assert D.is_functional(phi, X, Y) == single_valued, (sx, sy, phi.bits)
 
 
 def test_relp_category_laws():

@@ -26,7 +26,7 @@ def test_axiom_db_well_formed():
 
 
 def test_arrow_types_are_single_object_variables():
-    # `_infer_arrow_types` binds each arrow's type in one pass
+    # `apply_step` binds each arrow's type in one pass
     for ax in R.axiom_db():
         for name, dom, cod in ax.arrows:
             for expr in (dom, cod):
@@ -481,6 +481,124 @@ def test_check_proof_types_each_node_about_once(monkeypatch):
     monkeypatch.setattr(R, "typecheck", counting)
     assert R.check_proof(R.ProofScript(start, goal, steps), SIG).accepted
     assert calls <= 10 * (helpers.term_size(start) + len(steps)), calls
+
+
+SYMMETRY_PROOFS = ("""
+prove (seqw (symw 1 1) (tensw (idw 1) (gen R))) <= (seqw (symw 1 1) (tensw (idw 1) (gen R)))
+step sym-nat at e dir r2l
+step sym-nat at e dir l2r
+qed
+""", """
+prove (seqw (symw 1 1) (symw 1 1)) <= (idw 2)
+step sym-inv at e dir l2r
+step sym-unit-l at e dir r2l
+step sym-unit-l at e dir l2r
+step sym-unit-r at e dir r2l
+step sym-unit-r at e dir l2r
+qed
+""")
+
+
+def test_check_proof_matches_units_without_building_them(monkeypatch):
+    """Unit, identity, symmetry and associativity steps match on the nodes'
+    own arities: the replay builds no pattern instance to compare with and
+    solves no object expression through the generic solver."""
+    rng = random.Random(2024)
+    start, goal, steps = helpers.random_chain(rng, SIG, 400)
+    symmetry = [R.parse_proof(text, SIG) for text in SYMMETRY_PROOFS]
+    calls = [helpers.count_calls(monkeypatch, R, name)
+             for name in ("instantiate", "_solve_expr")]
+    assert R.check_proof(R.ProofScript(start, goal, steps), SIG).accepted
+    assert all(R.check_proof(script, SIG).accepted for script in symmetry)
+    assert calls == [[0], [0]]
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the class and message of the error it raises."""
+    try:
+        return fn(*args)
+    except T.DiagrelError as e:
+        return type(e), str(e)
+
+
+def _in_context(rng, sig, t):
+    """t wrapped in up to three random binary nodes, each beside a desugared
+    `helpers.random_term`; returns the term and the position of t in it."""
+    n, m = T.typecheck(t, sig)
+    pos = ()
+    for _ in range(rng.randint(0, 3)):
+        cls = rng.choice([T.SeqW, T.SeqB, T.TensW, T.TensB])
+        j, k = rng.randint(0, 2), rng.randint(0, 2)
+        left = rng.random() < 0.5
+        if cls in (T.SeqW, T.SeqB):
+            ty = (j, n) if left else (m, j)
+            n, m = (j, m) if left else (n, j)
+        else:
+            ty = (j, k)
+            n, m = n + j, m + k
+        other = T.desugar(helpers.random_term(rng, sig, *ty, 1), sig)
+        t, pos = (cls(other, t), (1,) + pos) if left else (cls(t, other), (0,) + pos)
+    return t, pos
+
+
+def _binding_variants(rng, axiom, binding):
+    """No `with` bindings, the instance's own, a random part of them, and
+    bindings of a wrong kind, an unknown generator or a shifted arity."""
+    objs, arrows, gens = axiom.variables()
+    own = tuple(sorted(binding.items()))
+    yield ()
+    yield own
+    yield tuple(kv for kv in own if rng.random() < 0.5)
+    for name in sorted(objs):
+        yield ((name, binding[name] + 1),)
+        yield ((name, rng.choice([T.IdW(1), "R"])),)
+    for name in sorted(arrows):
+        yield ((name, rng.choice([2, "R"])),)
+    for name in sorted(gens):
+        yield ((name, "Q"),)
+        yield ((name, rng.choice([T.Gen("R"), 1])),)
+
+
+@pytest.mark.parametrize("axiom", R.axiom_db(), ids=lambda ax: ax.name)
+def test_apply_step_matches_naive_on_every_axiom(axiom):
+    """Instances of each axiom side, built as `verify_axiom` builds them at
+    arities 0..3, placed in random contexts: `apply_step` agrees with the
+    interpretive replay at the instance and at other positions, for each
+    direction and binding variant, and `match_pattern`/`instantiate` agree
+    with their interpretive oracles on both sides."""
+    rng = random.Random(axiom.name)
+    objs, _, gens = axiom.variables()
+    objs, gens = sorted(objs), sorted(gens)
+    applied = 0
+    for _ in range(4):
+        draws = tuple(rng.randint(0, 3) for _ in range(len(objs) + 2 * len(gens)))
+        inst_sig, lhs, rhs, binding = R._instance(axiom, objs, gens, draws)
+        sig = T.Signature({**SIG.generators, **inst_sig.generators})
+        for side, inst in ((axiom.lhs, lhs), (axiom.rhs, rhs)):
+            assert inst == helpers.naive_instantiate(side, binding, sig)
+            part = {v: x for v, x in binding.items() if rng.random() < 0.5}
+            assert _outcome(R.instantiate, side, part, sig) \
+                == _outcome(helpers.naive_instantiate, side, part, sig)
+        for direction, (src, dst) in (("l2r", (lhs, rhs)), ("r2l", (rhs, lhs))):
+            t, pos = _in_context(rng, sig, src)
+            elsewhere = rng.sample(T.positions(t), min(3, len(T.positions(t))))
+            side = axiom.lhs if direction == "l2r" else axiom.rhs
+            part = {v: x for v, x in binding.items() if rng.random() < 0.5}
+            for at in [pos] + elsewhere:
+                sub = T.subterm_at(t, at)
+                for b in ({}, part):
+                    assert _outcome(R.match_pattern, side, sub, sig, b, {}) \
+                        == _outcome(helpers.naive_match_pattern, side, sub, sig, b)
+            for bindings in _binding_variants(rng, axiom, binding):
+                for at in [pos] + elsewhere:
+                    step = R.Step(axiom.name, at, direction, bindings)
+                    got = _outcome(R.apply_step, t, step, sig, {})
+                    assert got == _outcome(helpers.naive_apply_step, t, step, sig), step
+                    applied += isinstance(got, T.Term)
+            if direction == "l2r" or axiom.kind == "eq":
+                step = R.Step(axiom.name, pos, direction, tuple(binding.items()))
+                assert R.apply_step(t, step, sig) == helpers.naive_splice(t, pos, dst)
+    assert applied
 
 
 @settings(max_examples=400, deadline=None)

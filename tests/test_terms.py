@@ -207,6 +207,13 @@ def test_positions_and_replace():
     # replacement producing an ill-typed term is rejected when sig given
     with pytest.raises(T.TypeMismatch):
         T.replace_at(t, (0,), T.Gen("S"), SIG)
+    # every position of sugar terms, under unary and binary nodes alike
+    rng = random.Random(17)
+    for _ in range(50):
+        t = helpers.random_term(rng, SIG, rng.randint(0, 2), rng.randint(0, 2), 3)
+        for path in T.positions(t):
+            u = T.Top(*T.typecheck(T.subterm_at(t, path), SIG))
+            assert T.replace_at(t, path, u, SIG) == helpers.naive_splice(t, path, u)
 
 
 def test_format_position():
