@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .terms import (
     Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
-    ParseError, SeqB, SeqW, Signature, SymB, SymW, TensB, TensW, Top, typecheck,
+    ParseError, SeqB, SeqW, Signature, SymB, SymW, TensB, TensW, Top, read_lines, read_nat,
+    typecheck,
 )
 
 MAX_BITS = 2 ** 30
@@ -92,6 +93,7 @@ class FinRelation:
 
     @staticmethod
     def from_pairs(k, n, m, pairs):
+        space_bits(k, n, m)  # before k ** m is built or a pair is read
         bits = 0
         cols = k ** m
         for xs, ys in pairs:
@@ -260,25 +262,26 @@ def tensor_black(a, b):
 # constants
 
 
+def _graph(k, n, m, f):
+    """The relation X^n -> X^m relating each n-tuple t to f(t)."""
+    space_bits(k, n, m)  # before the tuples are enumerated
+    return FinRelation.from_pairs(
+        k, n, m, ((t, f(t)) for t in itertools.product(range(k), repeat=n)))
+
+
 @functools.lru_cache(maxsize=None)
 def identity_white(k, n=1):
-    return FinRelation.from_pairs(
-        k, n, n, ((t, t) for t in itertools.product(range(k), repeat=n)))
+    return _graph(k, n, n, lambda t: t)
 
 
 @functools.lru_cache(maxsize=None)
 def symmetry_white(k, m=1, n=1):
-    def gen():
-        for x in itertools.product(range(k), repeat=m):
-            for y in itertools.product(range(k), repeat=n):
-                yield (x + y, y + x)
-    return FinRelation.from_pairs(k, m + n, n + m, gen())
+    return _graph(k, m + n, n + m, lambda t: t[m:] + t[:m])
 
 
 @functools.lru_cache(maxsize=None)
 def copy_white(k, n=1):
-    return FinRelation.from_pairs(
-        k, n, 2 * n, ((t, t + t) for t in itertools.product(range(k), repeat=n)))
+    return _graph(k, n, 2 * n, lambda t: t + t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,8 +291,7 @@ def cocopy_white(k, n=1):
 
 @functools.lru_cache(maxsize=None)
 def discard_white(k, n=1):
-    return FinRelation.from_pairs(
-        k, n, 0, ((t, ()) for t in itertools.product(range(k), repeat=n)))
+    return _graph(k, n, 0, lambda t: ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -448,18 +450,12 @@ def _eval_raw(t, interp, cache):
 
 
 def parse_interpretation(text, sig):
-    """Parse an interpretation file:
-
-        carrier K
-        rel NAME N M { (t1 .. tN ; u1 .. uM) ... }
-
-    Short decimal tuple entries are read inline; `nat` reads or reports every
-    other token (`int` refuses a decimal of more than 4,300 digits)."""
+    """Parse an interpretation file (see `terms` for the format)."""
     text = text.replace("{", " { ").replace("}", " } ").replace("(", " ( ") \
         .replace(")", " ) ").replace(";", " ; ")
     toks, lines = [], []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        toks += (frags := raw.split("#", 1)[0].split())
+    for lineno, _, line in read_lines(text):
+        toks += (frags := line.split())
         lines += [lineno] * len(frags)
     toks.append("")
 
@@ -473,17 +469,12 @@ def parse_interpretation(text, sig):
         return tok
 
     def nat(pos, what):
-        try:
-            v = int(take(pos))
-        except ValueError:
-            raise ParseError(f"expected {what}, got {toks[pos]!r}", lines[pos], 1) from None
-        if v < 0:
-            raise ParseError(f"{what} must be non-negative", lines[pos], 1)
-        return v
+        return read_nat(take(pos), what, lines[pos], 1)
 
     take(0, "carrier")
     k = nat(1, "carrier size")
     assignment = {}
+    entry_values = {}  # each distinct tuple entry is read once
     pos = 2
     while toks[pos]:
         take(pos, "rel")
@@ -506,8 +497,9 @@ def parse_interpretation(text, sig):
             for entries, stop in zip(pair, ";)"):
                 pos += 1
                 while (tok := toks[pos]) != stop:
-                    entries.append(int(tok) if tok.isdecimal() and len(tok) < 99
-                                   else nat(pos, "tuple entry"))
+                    if tok not in entry_values:
+                        entry_values[tok] = nat(pos, "tuple entry")
+                    entries.append(entry_values[tok])
                     pos += 1
             pos += 1
             if len(pair[0]) != n or len(pair[1]) != m:

@@ -11,20 +11,19 @@ associativity; the structural axioms are explicit proof steps.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import re
 from dataclasses import dataclass, field
 
 from . import terms as T
 from .finrel import (
-    FinRelation, Interpretation, complement, evaluate, evaluate_typed, included,
-    inclusion_witness, space_bits,
+    FinRelation, Interpretation, evaluate, evaluate_typed, included, inclusion_witness,
+    space_bits,
 )
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
     SeqW, Signature, SymB, SymW, Term, desugar, format_position,
-    parse_inequality, parse_term, print_term, replace_at, spine_at, typecheck,
+    parse_inequality, print_term, read_lines, replace_at, spine_at, typecheck,
 )
 
 
@@ -593,50 +592,44 @@ class Verdict:
         return f"rejected at {where}: {self.reason}"
 
 
+@functools.lru_cache(maxsize=4096)  # a long proof has few distinct positions
 def _parse_position(text):
     text = text.strip()
     if text in ("ε", "e", ""):
         return ()
-    try:
-        return tuple(map(int, text.split(".")))
+    try:  # natural numbers joined by dots; `int` refuses an empty one
+        if text.isascii() and text.replace(".", "").isdigit():
+            return tuple(map(int, text.split(".")))
     except ValueError:
-        raise ParseError(f"bad position {text!r}") from None
+        pass
+    raise ParseError(f"bad position {text!r}")
 
 
-def _parse_bindings(text, sig):
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        eq = text.find("=", i)
-        if eq < 0:
-            raise ParseError(f"bad binding clause {text[i:]!r}")
-        name = text[i:eq].strip()
-        i = eq + 1
-        if text.startswith("(", i):  # a term: up to the matching parenthesis
-            depth = 0
-            for k in range(i, len(text)):
-                depth += (text[k] == "(") - (text[k] == ")")
-                if not depth:
-                    break
-            else:
-                raise ParseError(f"unbalanced parentheses in binding {name!r}")
-            raw = text[i:k + 1]
-        else:
-            raw = re.match(r"\S*", text[i:])[0]
-        i += len(raw)
-        if not raw:
-            raise ParseError(f"empty binding for {name!r}")
-        if raw.lstrip("-").isdecimal():
-            value = int(raw)
-            if value < 0:
+def _parse_bindings(text, sig, line, col):
+    """Read `NAME=ATOM` and `NAME=(...)` bindings, which start at (line, col); an
+    atom is a natural number, a constant or a generator name."""
+    tokens = list(T.tokenize(text, line, col))
+    out, pos = [], 0
+    while pos < len(tokens):
+        tok, _, at = tokens[pos]
+        pos += 1
+        name, eq, atom = tok.partition("=")
+        if not eq:
+            raise ParseError(f"bad binding clause {text[at - col:]!r}")
+        if atom:
+            value = T.natural(atom)
+            if value is None:
+                value = T.Const(atom) if atom in T.CONSTANT_TYPES else atom
+            elif value < 0:
                 raise ParseError(f"negative object binding for {name!r}")
-        elif raw.startswith("(") or raw in T.CONSTANT_TYPES:
-            value = parse_term(raw, sig)
+        elif pos < len(tokens) and tokens[pos][0] == "(":
+            try:
+                sx, pos = T.read_sexpr(tokens, pos)
+            except ParseError:
+                raise ParseError(f"unbalanced parentheses in binding {name!r}") from None
+            value = T.build_term(sx, sig)
         else:
-            value = raw  # generator-name binding
+            raise ParseError(f"empty binding for {name!r}")
         out.append((name, value))
     return tuple(out)
 
@@ -650,29 +643,22 @@ _STEP_LINE = re.compile(
 
 
 def parse_proof(text, sig):
-    """Parse a proof file:
-
-        prove TERM <= TERM
-        step AXIOM at POS dir l2r|r2l [with X=3 a=(gen R)]
-        qed
-    """
+    """Parse a proof file (see `terms` for the format)."""
     lhs = rhs = None
     steps = []
     seen_qed = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, col, line in read_lines(text):
         if seen_qed:
             raise ParseError("content after qed", lineno, 1)
         if line.startswith("prove"):
             if lhs is not None:
                 raise ParseError("duplicate prove line", lineno, 1)
-            lhs, rhs = parse_inequality(line[len("prove"):], sig)
+            lhs, rhs = parse_inequality(line[5:], sig, lineno, col + 5)  # after "prove"
         elif line.startswith("step"):
             if lhs is None:
                 raise ParseError("step before prove", lineno, 1)
-            name, at, pos, direction, bindings = _STEP_LINE.fullmatch(line).groups()
+            match = _STEP_LINE.fullmatch(line)
+            name, at, pos, direction, bindings = match.groups()
             if not name:
                 raise ParseError("step needs an axiom name", lineno, 1)
             if not at:
@@ -682,8 +668,8 @@ def parse_proof(text, sig):
             direction = direction.strip()
             if direction not in ("l2r", "r2l"):
                 raise ParseError(f"bad direction {direction!r}", lineno, 1)
-            steps.append(Step(name, _parse_position(pos), direction,
-                              _parse_bindings(bindings or "", sig)))
+            steps.append(Step(name, _parse_position(pos), direction, _parse_bindings(
+                bindings, sig, lineno, col + match.start(5)) if bindings else ()))
         elif line == "qed":
             if lhs is None:
                 raise ParseError("qed before prove", lineno, 1)
@@ -934,34 +920,3 @@ def _fragment_colour(t):
     if len(colours) > 1:
         raise SpiderError("mixed colours: term outside either Frobenius fragment")
     return colours.pop() if colours else "w"
-
-
-def spider_relation(form, k):
-    """The relation a spider form denotes at carrier k: coordinates equal
-    within each partition block (white) or its complement (black).
-
-    A closed component is an existential over the carrier, so at k = 0 it
-    empties the white relation.  Form equality ignores closed components:
-    equal forms denote equal relations only for k >= 1."""
-    block_of = {}
-    for block in form.partition:
-        for label in block:
-            block_of[label] = block
-    pairs = []
-    for xs in itertools.product(range(k), repeat=form.n):
-        for ys in itertools.product(range(k), repeat=form.m):
-            vals = {}
-            ok = True
-            for label, v in [(f"in{i}", x) for i, x in enumerate(xs)] + \
-                            [(f"out{j}", y) for j, y in enumerate(ys)]:
-                blk = block_of[label]
-                if blk in vals and vals[blk] != v:
-                    ok = False
-                    break
-                vals[blk] = v
-            if ok:
-                pairs.append((xs, ys))
-    if k == 0 and form.closed:
-        pairs = []  # a closed component has no value to take
-    rel = FinRelation.from_pairs(k, form.n, form.m, pairs)
-    return rel if form.colour == "w" else complement(rel)

@@ -14,11 +14,27 @@ colour switch is declared once, in `MIRROR`; a constant's mirror flips the
 last letter of its kind.  The black arity-indexed macros are computed as
 the De Morgan dual of the white ones: each is the colour switch
 (`_negate_prim`) of its white mirror.
+
+Every file format is read through `read_lines`: each line is cut at its
+first `#`, stripped, and skipped when blank.
+
+    signature       sig NAME : N -> M                   (one per line)
+    theory          sig lines and  axiom NAME : TERM <= TERM
+    proof           prove TERM <= TERM, step lines, qed; a step line is
+                    step AXIOM at POS dir l2r|r2l [with NAME=ATOM NAME=(...) ...]
+    interpretation  carrier K  rel NAME N M { (t1 .. tN ; u1 .. uM) ... } ...
+
+A term is an s-expression, a `with` clause is read by the same tokenizer
+(in both, `;` starts a comment), and a position is `e`, `ε` or naturals
+joined by dots.  One numeral rule serves every site (`natural`): a natural
+number is a token of ASCII decimal digits; behind leading `-` signs it is
+negative, and refused.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, fields
 
 
@@ -70,21 +86,22 @@ class Signature:
     def parse(text):
         """Parse `sig NAME : N -> M` lines; blank lines and # comments allowed."""
         gens = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(":", " : ").replace("->", " -> ").split()
-            if len(parts) != 6 or parts[0] != "sig" or parts[2] != ":" or parts[4] != "->":
-                raise ParseError(f"bad signature line: {raw.strip()!r}", lineno, 1)
-            name = parts[1]
-            if name in gens:
-                raise ParseError(f"duplicate generator {name!r}", lineno, 1)
-            try:
-                gens[name] = (int(parts[3]), int(parts[5]))
-            except ValueError:
-                raise ParseError(f"bad arity in: {raw.strip()!r}", lineno, 1) from None
+        for lineno, _, line in read_lines(text):
+            read_sig_line(line, lineno, gens)
         return Signature(gens)
+
+
+def read_sig_line(line, lineno, gens):
+    """Add the generator of the `sig NAME : N -> M` line `line` to `gens`."""
+    parts = line.replace(":", " : ").replace("->", " -> ").split()
+    if len(parts) != 6 or parts[0] != "sig" or parts[2] != ":" or parts[4] != "->":
+        raise ParseError(f"bad signature line: {line!r}", lineno, 1)
+    if parts[1] in gens:
+        raise ParseError(f"duplicate generator {parts[1]!r}", lineno, 1)
+    n, m = natural(parts[3]), natural(parts[5])
+    if n is None or m is None:
+        raise ParseError(f"bad arity in: {line!r}", lineno, 1)
+    gens[parts[1]] = (n, m)
 
 
 EMPTY_SIGNATURE = Signature({})
@@ -374,36 +391,57 @@ def print_term(t):
     return f"({head} {' '.join(args)})"
 
 
-def _tokenize(text):
-    """Yield (token, line, col); tokens are '(', ')' and atoms."""
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            startcol = col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, startcol)
+def read_lines(text):
+    """Yield (lineno, col, line) for each non-blank line of `text`, cut at its
+    `#` comment and stripped; `line` starts at column `col`."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        code = raw.split("#", 1)[0]
+        if line := code.strip():
+            yield lineno, code.index(line) + 1, line
 
 
-def _read_sexpr(tokens, pos):
+def natural(tok):
+    """The value of `tok` by the numeral rule, -1 if it is a natural number
+    behind leading `-` signs, else None."""
+    digits = tok.lstrip("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if digits != tok:
+        return -1
+    try:
+        return int(tok)
+    except ValueError:  # more digits than `int` converts
+        return None
+
+
+def read_nat(tok, what, line, col):
+    """The natural number `tok`, or a ParseError at (line, col) naming `what`."""
+    v = natural(tok)
+    if v is None:
+        raise ParseError(f"expected {what}, got {tok!r}", line, col)
+    if v < 0:
+        raise ParseError(f"{what} must be non-negative", line, col)
+    return v
+
+
+# a line break, a `;` comment, a parenthesis or an atom; blanks match nothing
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+
+
+def tokenize(text, line=1, col=1):
+    """Yield (token, line, col) for the '(', ')' and atoms of `text`, which
+    starts at (line, col)."""
+    base = 1 - col  # the index of column 1 on the current line
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "\n":
+            line, base = line + 1, m.end()
+        elif tok[0] != ";":
+            yield tok, line, m.start() - base + 1
+
+
+def read_sexpr(tokens, pos):
+    """The s-expression at tokens[pos], and the position after it."""
     if pos >= len(tokens):
         raise ParseError("unexpected end of input (unbalanced parenthesis?)")
     tok, line, col = tokens[pos]
@@ -415,7 +453,7 @@ def _read_sexpr(tokens, pos):
                 raise ParseError("unbalanced parenthesis", line, col)
             if tokens[pos][0] == ")":
                 return items, pos + 1
-            item, pos = _read_sexpr(tokens, pos)
+            item, pos = read_sexpr(tokens, pos)
             items.append(item)
     if tok == ")":
         raise ParseError("unexpected ')'", line, col)
@@ -425,17 +463,11 @@ def _read_sexpr(tokens, pos):
 def _nat(atom):
     if isinstance(atom, list):
         raise ParseError("expected number, got a list")
-    tok, line, col = atom
-    try:
-        v = int(tok)
-    except ValueError:
-        raise ParseError(f"expected number, got {tok!r}", line, col) from None
-    if v < 0:
-        raise ParseError("number must be non-negative", line, col)
-    return v
+    return read_nat(atom[0], "number", atom[1], atom[2])
 
 
-def _build(sx, sig):
+def build_term(sx, sig):
+    """The term of an s-expression; generator names are checked against `sig`."""
     if isinstance(sx, tuple):
         tok, line, col = sx
         if tok in CONSTANT_TYPES:
@@ -455,43 +487,40 @@ def _build(sx, sig):
         raise ParseError(f"{tok} expects {len(kinds)} argument(s), got {len(args)}",
                          line, col)
     if kinds[0] == "term":
-        return cls(*[_build(arg, sig) for arg in args])
+        return cls(*[build_term(arg, sig) for arg in args])
     if kinds[0] == "nat":
         return cls(*map(_nat, args))
-    return cls(*[_name(arg, sig, line, col) for arg in args])
-
-
-def _name(atom, sig, line, col):
-    if isinstance(atom, list):
+    name = args[0]  # gen and genop take one generator name
+    if isinstance(name, list):
         raise ParseError("generator name must be an atom", line, col)
-    if sig is not None and atom[0] not in sig.generators:
-        raise ParseError(f"unknown generator {atom[0]!r}", atom[1], atom[2])
-    return atom[0]
+    if sig is not None and name[0] not in sig.generators:
+        raise ParseError(f"unknown generator {name[0]!r}", name[1], name[2])
+    return cls(name[0])
 
 
 def parse_term(text, sig=None):
     """Parse one term from `text`; generator names are checked against `sig`."""
-    tokens = list(_tokenize(text))
+    tokens = list(tokenize(text))
     if not tokens:
         raise ParseError("empty input")
-    sx, pos = _read_sexpr(tokens, 0)
+    sx, pos = read_sexpr(tokens, 0)
     if pos != len(tokens):
         tok, line, col = tokens[pos]
         raise ParseError(f"trailing input {tok!r}", line, col)
-    return _build(sx, sig)
+    return build_term(sx, sig)
 
 
-def parse_inequality(text, sig=None):
-    """Parse `TERM <= TERM` into its two terms; generator names are checked
-    against `sig`."""
-    tokens = list(_tokenize(text))
-    sx1, pos = _read_sexpr(tokens, 0)
+def parse_inequality(text, sig=None, line=1, col=1):
+    """Parse `TERM <= TERM`, which starts at (line, col), into its two terms;
+    generator names are checked against `sig`."""
+    tokens = list(tokenize(text, line, col))
+    sx1, pos = read_sexpr(tokens, 0)
     if pos >= len(tokens) or tokens[pos][0] != "<=":
         raise ParseError("expected '<=' between terms")
-    sx2, pos = _read_sexpr(tokens, pos + 1)
+    sx2, pos = read_sexpr(tokens, pos + 1)
     if pos != len(tokens):
         raise ParseError("trailing input after second term")
-    return _build(sx1, sig), _build(sx2, sig)
+    return build_term(sx1, sig), build_term(sx2, sig)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from .finrel import (
     FinRelation, Interpretation, evaluate, evaluate_typed, included, inclusion_witness,
     space_bits,
 )
-from .terms import DiagrelError, ParseError, Signature, parse_inequality, typecheck
+from .terms import (
+    DiagrelError, ParseError, Signature, parse_inequality, read_lines, read_sig_line, typecheck,
+)
 
 DEFAULT_SEARCH_BOUND = 2 ** 24
 
@@ -51,30 +53,24 @@ class ModelReport:
 
 
 def parse_theory(text):
-    """Parse a theory file: `sig` lines followed by
-    `axiom NAME : TERM <= TERM` lines."""
-    sig_lines = []
-    axiom_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    """Parse a theory file (see `terms`); an axiom may use a generator declared below it."""
+    gens, axiom_lines = {}, []
+    for lineno, col, line in read_lines(text):
         if line.startswith("sig"):
-            sig_lines.append(line)
+            read_sig_line(line, lineno, gens)
         elif line.startswith("axiom"):
-            axiom_lines.append((lineno, line))
+            axiom_lines.append((lineno, col, line))
         else:
             raise ParseError(f"unrecognized theory line {line!r}", lineno, 1)
-    sig = Signature.parse("\n".join(sig_lines))
+    sig = Signature(gens)
     axioms = []
-    for lineno, line in axiom_lines:
+    for lineno, col, line in axiom_lines:
         head, _, body = line.partition(":")
         parts = head.split()
         if len(parts) != 2 or not _:
             raise ParseError(f"bad axiom line {line!r}", lineno, 1)
-        name = parts[1]
-        lhs, rhs = parse_inequality(body, sig)
-        axioms.append((name, lhs, rhs))
+        lhs, rhs = parse_inequality(body, sig, lineno, col + len(head) + 1)
+        axioms.append((parts[1], lhs, rhs))
     return Theory(sig, tuple(axioms))
 
 

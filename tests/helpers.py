@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 
 from hypothesis import strategies as st
@@ -248,14 +249,15 @@ def naive_parse_interpretation(text, sig):
         return tok, line
 
     def nat(what):
+        # a natural number is ASCII digits, as many as `int` reads; a leading
+        # `-` makes it a negative one
         tok, line = take()
-        try:
-            v = int(tok)
-        except ValueError:
-            raise T.ParseError(f"expected {what}, got {tok!r}", line, 1) from None
-        if v < 0:
+        numeral = re.fullmatch(r"-*([0-9]+)", tok)
+        if numeral and tok[0] == "-":
             raise T.ParseError(f"{what} must be non-negative", line, 1)
-        return v
+        if not numeral or len(tok) > sys.get_int_max_str_digits():
+            raise T.ParseError(f"expected {what}, got {tok!r}", line, 1)
+        return int(tok)
 
     take("carrier")
     k = nat("carrier size")
@@ -309,6 +311,37 @@ def parse_outcome(parse, text, sig):
         return parse(text, sig)
     except T.DiagrelError as e:
         return type(e), str(e), getattr(e, "line", None)
+
+
+def spider_relation(form, k):
+    """The relation a spider form denotes at carrier k: coordinates equal
+    within each partition block (white) or its complement (black).
+
+    A closed component is an existential over the carrier, so at k = 0 it
+    empties the white relation.  Form equality ignores closed components:
+    equal forms denote equal relations only for k >= 1."""
+    block_of = {}
+    for block in form.partition:
+        for label in block:
+            block_of[label] = block
+    pairs = []
+    for xs in itertools.product(range(k), repeat=form.n):
+        for ys in itertools.product(range(k), repeat=form.m):
+            vals = {}
+            ok = True
+            for label, v in [(f"in{i}", x) for i, x in enumerate(xs)] + \
+                            [(f"out{j}", y) for j, y in enumerate(ys)]:
+                blk = block_of[label]
+                if blk in vals and vals[blk] != v:
+                    ok = False
+                    break
+                vals[blk] = v
+            if ok:
+                pairs.append((xs, ys))
+    if k == 0 and form.closed:
+        pairs = []  # a closed component has no value to take
+    rel = F.FinRelation.from_pairs(k, form.n, form.m, pairs)
+    return rel if form.colour == "w" else F.complement(rel)
 
 
 # --- naive doctrine oracles -----------------------------------------------
@@ -711,7 +744,8 @@ PROOF_PIECES = (
     "prove", "step", "qed", "at", "dir", "with", "l2r", "r2l", "e", "ε", "0",
     "1.0", "0.1.1", "-1", "x", "<=", "#", "(", ")", "(idw 1)", "(idb 1)",
     "(gen R)", "(genop S)", "copyw", "(seqw (idw 1) (gen R))", "(top 1 1)",
-    "X=1", "X=0", "X=-1", "X=²", "X=(gen R)", "X=R", "Y=2", "a=(gen R)",
+    "X=1", "X=0", "X=-1", "X=²", "X=--3", "X=+3", "X=٣", "X=(gen R)", "X=R", "Y=2",
+    "a=(gen R)",
     "a=(seqw (gen S) (gen S))", "a=3", "a=", "r=R", "r=Q", "r=1",
     "seq-unit-l", "seq-unit-r-b", "tens-assoc", "copy-as", "eta-copy",
     "gen-tau", "discard-nat", "no-such-axiom",
@@ -754,6 +788,10 @@ INTERP_PIECES = (
     "carrier", "rel", "R", "S", "Q", "{", "}", "(", ")", ";", "#", "rel R 1 1 {",
     "(0 ; 1)", "(1 0 ; 1)",
 )
+#: tokens that are no natural number by the numeral rule, though `int` or
+#: `str.isdecimal` would read some of them, and one too large for any arity
+ODD_NUMERALS = ("--3", "+3", "1_0", "٣")
+HUGE_NUMERAL = "99999999999999999999"
 THEORY_PIECES = TERM_PIECES + (
     "sig", "axiom", "sig R : 1 -> 1", "axiom a :", ":", "<=", "->", "#",
 )

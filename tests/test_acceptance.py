@@ -83,7 +83,7 @@ def test_criterion_4_spider_theorem():
     for _ in range(500):
         t, _, _ = helpers.random_connected_white(rng, max_consts=6)
         form = R.spider_normalize(t, SIG)
-        if not F.equal(F.evaluate(t, interp), R.spider_relation(form, k)):
+        if not F.equal(F.evaluate(t, interp), helpers.spider_relation(form, k)):
             bad_eval += 1
     bad_eq = 0
     for _ in range(200):

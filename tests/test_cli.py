@@ -193,6 +193,20 @@ def test_oversized_spaces_exit_2(files, capsys):
     assert "search space of size 2^14400 exceeds the bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "(idw 99999999999999999999)"],
+     "relation space 2^199999999999999999998 exceeds 1073741824 bits"),
+    (["verify-axioms", "--size", "99999999999999999999", "--trials", "1", "--family", "fo"],
+     "relation space 99999999999999999999^3 exceeds 1073741824 bits"),
+])
+def test_constants_too_large_exit_2(files, capsys, argv, message):
+    """The size guard runs before a constant's tuples are enumerated."""
+    if argv[0] == "eval":
+        argv = ["eval", "--sig", files["sig"], "--interp", files["interp"], *argv[1:]]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_negative_carrier_exits_2(files, capsys):
     proof = files["dir"] / "id.prf"
     proof.write_text("prove (gen R) <= (gen R)\nqed\n")
@@ -286,13 +300,91 @@ def test_eval_and_included_fuzz_exit_cleanly(files, capsys, interp_text, terms):
     `included` in exit 0, 1 or 2 with a message, never in an exception.
     `--max-bits` keeps every relation small."""
     interp = files["dir"] / "fuzz.interp"
-    interp.write_text(interp_text, encoding="utf-8")
+    # a lone surrogate is written as bytes no UTF-8 reader accepts
+    interp.write_bytes(interp_text.encode("utf-8", "surrogatepass"))
     common = ["--max-bits", "4096", "--sig", files["sig"], "--interp", str(interp)]
     for argv in (["eval", *common, terms[0]], ["included", *common, *terms]):
         code = run(argv)
         out, err = capsys.readouterr()
         assert code in (0, 1, 2)
         assert (out if code < 2 else err).strip()
+
+
+CLI_SIG = T.Signature({"R": (1, 1)})
+
+
+def _fuzz_cli(tmp_path, capsys, k, max_bits, interp, terms, theory):
+    """Run eval, included, typecheck, check-model and find-models on the given
+    files and terms: each ends in exit 0, 1 or 2 with a message, never in an
+    exception."""
+    (tmp_path / "r.sig").write_text("sig R : 1 -> 1\n")
+    (tmp_path / "fuzz.interp").write_bytes(interp.encode("utf-8", "surrogatepass"))
+    (tmp_path / "fuzz.thy").write_bytes(theory.encode("utf-8", "surrogatepass"))
+    common = ["--max-bits", str(max_bits), "--sig", str(tmp_path / "r.sig")]
+    with_interp = [*common, "--interp", str(tmp_path / "fuzz.interp")]
+    for argv in (["eval", *with_interp, terms[0]], ["included", *with_interp, *terms],
+                 ["typecheck", *common, terms[0]],
+                 ["check-model", "--max-bits", str(max_bits), "--interp",
+                  str(tmp_path / "fuzz.interp"), str(tmp_path / "fuzz.thy")],
+                 ["find-models", "--max-bits", str(max_bits), "--size", str(k),
+                  str(tmp_path / "fuzz.thy")]):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert (out if code < 2 else err).strip(), argv
+
+
+def _numeral_pieces(numerals):
+    """The numerals alone and at each numeral site of the term, interpretation
+    and theory syntax."""
+    return numerals + tuple(piece for n in numerals for piece in (
+        f"(idw {n})", f"(top {n} 1)", f"carrier {n}", f"rel R {n} 1 {{",
+        f"(0 ; {n})", f"sig R : {n} -> 1\n", f"axiom a : (idw {n}) <= (top {n} {n})\n"))
+
+
+ODD_PIECES = _numeral_pieces(helpers.ODD_NUMERALS)
+HUGE_PIECES = _numeral_pieces((helpers.HUGE_NUMERAL,))
+
+
+def _cli_terms(pieces):
+    terms = helpers.term_texts(CLI_SIG) | st.sampled_from(pieces)
+    return st.lists(terms | helpers.token_text(helpers.TERM_PIECES + pieces, terms),
+                    min_size=2, max_size=2)
+
+
+def _cli_theories(pieces):
+    theories = helpers.theory_texts(CLI_SIG)
+    return theories | st.sampled_from(pieces) | helpers.token_text(
+        helpers.THEORY_PIECES + pieces, theories)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 3), st.integers(0, 4096),
+       helpers.token_text(helpers.INTERP_PIECES + ODD_PIECES,
+                          helpers.interpretation_texts(CLI_SIG)),
+       _cli_terms(ODD_PIECES),
+       _cli_theories(ODD_PIECES))
+def test_cli_fuzz_with_odd_numerals_exits_cleanly(tmp_path, capsys, k, max_bits, interp,
+                                                  terms, theory):
+    """Signs, digit separators and non-ASCII digits, at carriers 0..3."""
+    _fuzz_cli(tmp_path, capsys, k, max_bits, interp, terms, theory)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 3), st.integers(0, 4096), st.integers(0, 10 ** 6),
+       _cli_terms(HUGE_PIECES),
+       _cli_theories(HUGE_PIECES))
+def test_cli_fuzz_with_a_huge_numeral_exits_cleanly(tmp_path, capsys, k, max_bits, seed,
+                                                    terms, theory):
+    """A numeral past any arity, at carriers 2 and 3, where the size guard
+    refuses it; the carrier of the interpretation is not edited.  At carriers
+    0 and 1 no guard bounds an arity yet, and a relation of that arity can
+    take more memory than the machine has."""
+    rel = helpers.random_relation(random.Random(seed), k, 1, 1)
+    interp = F.print_interpretation(F.Interpretation(CLI_SIG, k, {"R": rel}))
+    _fuzz_cli(tmp_path, capsys, k, max_bits, interp, terms, theory)
 
 
 def test_negative_trials_exit_2(files, capsys):

@@ -22,6 +22,29 @@ def test_space_guard():
         F.FinRelation.empty(2, 20, 20)
 
 
+@pytest.mark.parametrize("build, arities", [
+    (F.identity_white, (6,)), (F.symmetry_white, (3, 3)), (F.copy_white, (4,)),
+    (F.discard_white, (7,)), (F.identity_black, (6,)), (F.cocopy_white, (4,)),
+])
+def test_constants_check_the_size_guard_before_enumerating(monkeypatch, build, arities):
+    """A constant over 64 bits is refused before any of its tuples is encoded."""
+    monkeypatch.setattr(F, "MAX_BITS", 64)
+    encoded = helpers.count_calls(monkeypatch, F, "encode")
+    with pytest.raises(F.SizeLimit):
+        build.__wrapped__(2, *arities)  # past the cache
+    assert encoded == [0]
+
+
+def test_from_pairs_checks_the_size_guard_before_reading_pairs(monkeypatch):
+    def untouched():
+        raise AssertionError("a pair was read")
+        yield
+
+    monkeypatch.setattr(F, "MAX_BITS", 64)
+    with pytest.raises(F.SizeLimit):
+        F.FinRelation.from_pairs(2, 1, 7, untouched())
+
+
 def test_space_bits_decides_at_the_exact_bound(monkeypatch):
     # the exponent only short-cuts: each size is refused exactly when it
     # exceeds MAX_BITS
@@ -309,8 +332,9 @@ def test_parse_interpretation_fuzz(text):
     assert F.parse_interpretation(F.print_interpretation(interp), sig) == interp
 
 
-# numerals `int` reads differently from `str.isdecimal`, or not at all
-ODD_NUMERALS = ("²", "+1", "-0", "1_0", "٣", "00", "9" * 120, "7" * 4301)
+# tokens `int` or `str.isdecimal` read as numbers that are not natural numbers
+# by the one numeral rule, and long ones
+ODD_NUMERALS = ("²", "+1", "-0", "--3", "1_0", "٣", "00", "9" * 120, "7" * 4301)
 
 
 @settings(max_examples=400, deadline=None)

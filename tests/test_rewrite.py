@@ -292,8 +292,8 @@ def test_spider_relation_black_is_complement_of_white():
     wf = R.spider_normalize(T.Const("copyw"), SIG)
     bf = R.spider_normalize(T.Const("copyb"), SIG)
     for k in (1, 2, 3):
-        assert F.equal(R.spider_relation(bf, k),
-                       F.complement(R.spider_relation(wf, k)))
+        assert F.equal(helpers.spider_relation(bf, k),
+                       F.complement(helpers.spider_relation(wf, k)))
 
 
 def test_connected_spiders_eval_to_all_equal_relation():
@@ -306,7 +306,7 @@ def test_connected_spiders_eval_to_all_equal_relation():
         form = R.spider_normalize(t, SIG)
         assert (form.n, form.m) == (n, m)
         assert len(form.partition) == 1 or n + m == 0
-        assert F.equal(F.evaluate(t, interp), R.spider_relation(form, 3))
+        assert F.equal(F.evaluate(t, interp), helpers.spider_relation(form, 3))
 
 
 def test_spider_equality_matches_semantics():
@@ -334,9 +334,9 @@ def test_spider_relation_at_carrier_zero_counts_closed_components():
     black = T.SeqB(T.Const("codb"), T.Const("dscb"))
     for t, bits in ((white, 0), (black, 1)):
         assert F.evaluate(t, interp).bits == bits
-        assert R.spider_relation(R.spider_normalize(t, SIG), 0).bits == bits
+        assert helpers.spider_relation(R.spider_normalize(t, SIG), 0).bits == bits
     # without closed components the carrier-0 relation is unchanged
-    assert R.spider_relation(R.spider_normalize(T.IdW(0), SIG), 0).bits == 1
+    assert helpers.spider_relation(R.spider_normalize(T.IdW(0), SIG), 0).bits == 1
 
 
 def test_spider_relation_matches_evaluation_small_carriers():
@@ -349,10 +349,10 @@ def test_spider_relation_matches_evaluation_small_carriers():
             n, m = rng.randint(0, 2), rng.randint(0, 2)
             t = helpers.random_white_fragment(rng, n, m, 3)
             form = R.spider_normalize(t, SIG)
-            assert F.equal(F.evaluate(t, interp), R.spider_relation(form, k))
+            assert F.equal(F.evaluate(t, interp), helpers.spider_relation(form, k))
             neg = T.desugar(T.Neg(t), SIG)
             assert F.equal(F.evaluate(neg, interp),
-                           R.spider_relation(R.spider_normalize(neg, SIG), k))
+                           helpers.spider_relation(R.spider_normalize(neg, SIG), k))
 
 
 # --- proof scripts: parser messages, replay oracle, work count --------------
