@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .finrel import FinRelation
+from .finrel import FinRelation, space_bits
 from .terms import DiagrelError
 
 
@@ -243,21 +243,15 @@ def relp_compose(phi, psi, X, Y, Z):
 
 
 def relp_tensor(phi, psi, X1, Y1, X2, Y2):
-    """Parallel composition: over (X1×X2)×(Y1×Y2), the evident reshuffle."""
+    """Parallel composition over (X1×X2)×(Y1×Y2): the meet of phi and psi
+    reindexed along the projections onto X1×Y1 and X2×Y2."""
     if phi.over != prod(X1, Y1) or psi.over != prod(X2, Y2):
         raise DiagrelError("relp_tensor type mismatch")
     XX, YY = prod(X1, X2), prod(Y1, Y2)
-    bits = 0
-    for x1 in range(X1.size):
-        for x2 in range(X2.size):
-            for y1 in range(Y1.size):
-                for y2 in range(Y2.size):
-                    if (pair_index(X1, Y1, x1, y1) in phi
-                            and pair_index(X2, Y2, x2, y2) in psi):
-                        row = pair_index(X1, X2, x1, x2)
-                        col = pair_index(Y1, Y2, y1, y2)
-                        bits |= 1 << pair_index(XX, YY, row, col)
-    return Predicate(prod(XX, YY), bits)
+    pX, pY = proj1(XX, YY), proj2(XX, YY)
+    r1 = pairing(compose(pX, proj1(X1, X2)), compose(pY, proj1(Y1, Y2)))
+    r2 = pairing(compose(pX, proj2(X1, X2)), compose(pY, proj2(Y1, Y2)))
+    return meet(subst(r1, phi), subst(r2, psi))
 
 
 def graph_of(f):
@@ -343,10 +337,11 @@ def ruc_witness(phi, X, Y):
 # bridges to the relation model
 
 
-def predicate_to_relation(phi, X, Y, k):
-    """View a predicate over X×Y with |X| = k^n, |Y| = k^m as a FinRelation."""
-    n = _log(X.size, k)
-    m = _log(Y.size, k)
+def predicate_to_relation(phi, k, n, m):
+    """View a predicate over X^n × X^m, |X| = k, as a FinRelation."""
+    if phi.over.size != space_bits(k, n, m):
+        raise DiagrelError(f"predicate over {phi.over.size} elements is not "
+                           f"over {k}^{n} × {k}^{m}")
     return FinRelation(k, n, m, phi.bits)
 
 
@@ -354,17 +349,6 @@ def relation_to_predicate(rel):
     X = FinSetObj(rel.rows)
     Y = FinSetObj(rel.cols)
     return Predicate(prod(X, Y), rel.bits), X, Y
-
-
-def _log(size, k):
-    n = 0
-    v = 1
-    while v < size:
-        v *= k
-        n += 1
-    if v != size:
-        raise DiagrelError(f"{size} is not a power of {k}")
-    return n
 
 
 def print_morphism(f):

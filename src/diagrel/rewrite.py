@@ -6,6 +6,9 @@ axioms may only be applied left-to-right (every term context is monotone,
 so replacing a subterm by a larger one enlarges the whole), equalities in
 either direction.  Matching is purely syntactic — no matching modulo
 associativity; the structural axioms are explicit proof steps.
+
+The database writes 61 laws and derives the other 45 as their colour
+switches (`_mirrored`); each builder names the laws it derives.
 """
 
 from __future__ import annotations
@@ -276,10 +279,6 @@ class Axiom:
         return objs, arrows, gens
 
 
-def _oe(*items):
-    return tuple(items)
-
-
 class _Colour:
     """Pattern constructors for one colour; keeps the database compact."""
 
@@ -287,24 +286,22 @@ class _Colour:
         self.c = c
 
     def id(self, *e):
-        return PConstM("id" + self.c, (_oe(*e),))
+        return PConstM("id" + self.c, (e,))
 
-    def sym(self, e1, e2):
-        e1 = e1 if isinstance(e1, tuple) else (e1,)
-        e2 = e2 if isinstance(e2, tuple) else (e2,)
-        return PConstM("sym" + self.c, (e1, e2))
+    def sym(self, e1, e2):  # each an object expression or its one item
+        return PConstM("sym" + self.c, tuple(e if type(e) is tuple else (e,) for e in (e1, e2)))
 
     def copy(self, *e):
-        return PConstM("copy" + self.c, (_oe(*e),))
+        return PConstM("copy" + self.c, (e,))
 
     def cocopy(self, *e):
-        return PConstM("coc" + self.c, (_oe(*e),))
+        return PConstM("coc" + self.c, (e,))
 
     def discard(self, *e):
-        return PConstM("dsc" + self.c, (_oe(*e),))
+        return PConstM("dsc" + self.c, (e,))
 
     def codiscard(self, *e):
-        return PConstM("cod" + self.c, (_oe(*e),))
+        return PConstM("cod" + self.c, (e,))
 
     def seq(self, p, q):
         return PBin("seq" + self.c, p, q)
@@ -314,21 +311,33 @@ class _Colour:
 
 
 _W = _Colour("w")
-_B = _Colour("b")
+_B = _Colour("b")  # only for the laws that mix colours
 
 
-def _a(name):
-    return PVar(name)
+def _switch(p):
+    """The colour switch of a pattern; a metavariable stands for its own."""
+    if type(p) is PBin:
+        return PBin(T.mirror_head(p.op), _switch(p.l), _switch(p.r))
+    return PConstM(T.mirror_head(p.kind), p.objs) if type(p) is PConstM else p
 
 
-def _structural_axioms(col, suffix):
-    a, b, c, d = _a("a"), _a("b"), _a("c"), _a("d")
-    S, Tn, ID, SY = col.seq, col.tens, col.id, col.sym
-    CP, CC, DS, CD = col.copy, col.cocopy, col.discard, col.codiscard
+def _mirrored(axiom, name, family):
+    """The De Morgan dual of `axiom`, named `name` in `family`: its colour
+    switch, which reverses inclusion, so the sides of an inequality swap."""
+    sides = (axiom.rhs, axiom.lhs) if axiom.kind == "le" else (axiom.lhs, axiom.rhs)
+    return Axiom(name, family, axiom.kind, *map(_switch, sides), axiom.arrows)
+
+
+def _structural_axioms():
+    """The white laws of a symmetric monoidal category with (co)monoids;
+    the black ones (suffix `-b`) are their mirrors."""
+    a, b, c, d = PVar("a"), PVar("b"), PVar("c"), PVar("d")
+    S, Tn, ID, SY = _W.seq, _W.tens, _W.id, _W.sym
+    CP, CC, DS, CD = _W.copy, _W.cocopy, _W.discard, _W.codiscard
     ax = []
 
     def eq(name, lhs, rhs, arrows=()):
-        ax.append(Axiom(name + suffix, "structural", "eq", lhs, rhs, arrows))
+        ax.append(Axiom(name, "structural", "eq", lhs, rhs, arrows))
 
     eq("seq-assoc", S(S(a, b), c), S(a, S(b, c)),
        (("a", ("X",), ("Y",)), ("b", ("Y",), ("Z",)), ("c", ("Z",), ("W",))))
@@ -357,86 +366,76 @@ def _structural_axioms(col, suffix):
        S(Tn(ID("X"), Tn(SY("Y", "X"), ID("Y"))), Tn(CC("X"), CC("Y"))))
     eq("discard-split", DS("X", "Y"), Tn(DS("X"), DS("Y")))
     eq("codiscard-split", CD("X", "Y"), Tn(CD("X"), CD("Y")))
-    return ax
+    return ax + [_mirrored(x, x.name + "-b", "structural") for x in ax]
 
 
-def _comonoid_axioms(col, suffix, flip):
-    """Fig-1-style (co)monoid laws; `flip` reverses the inequalities for the
-    cocartesian (black) colour."""
-    a = _a("a")
-    S, Tn, ID, SY = col.seq, col.tens, col.id, col.sym
-    CP, CC, DS, CD = col.copy, col.cocopy, col.discard, col.codiscard
-    fam = "cocartesian" if flip else "cartesian"
+def _comonoid_axioms():
+    """Fig-1-style (co)monoid laws of the cartesian (white) colour; the
+    cocartesian (black, suffix `-b`) laws are their mirrors."""
+    a = PVar("a")
+    S, Tn, ID, SY = _W.seq, _W.tens, _W.id, _W.sym
+    CP, CC, DS, CD = _W.copy, _W.cocopy, _W.discard, _W.codiscard
     ax = []
 
-    def eq(name, lhs, rhs, arrows=()):
-        ax.append(Axiom(name + suffix, fam, "eq", lhs, rhs, arrows))
+    def law(kind, name, lhs, rhs, arrows=()):
+        ax.append(Axiom(name, "cartesian", kind, lhs, rhs, arrows))
 
-    def le(name, lhs, rhs, arrows=()):
-        if flip:
-            lhs, rhs = rhs, lhs
-        ax.append(Axiom(name + suffix, fam, "le", lhs, rhs, arrows))
-
-    eq("copy-as", S(CP("X"), Tn(CP("X"), ID("X"))), S(CP("X"), Tn(ID("X"), CP("X"))))
-    eq("copy-un", S(CP("X"), Tn(ID("X"), DS("X"))), ID("X"))
-    eq("copy-un-l", S(CP("X"), Tn(DS("X"), ID("X"))), ID("X"))
-    eq("copy-co", S(CP("X"), SY("X", "X")), CP("X"))
-    eq("cocopy-as", S(Tn(CC("X"), ID("X")), CC("X")), S(Tn(ID("X"), CC("X")), CC("X")))
-    eq("cocopy-un", S(Tn(ID("X"), CD("X")), CC("X")), ID("X"))
-    eq("cocopy-un-l", S(Tn(CD("X"), ID("X")), CC("X")), ID("X"))
-    eq("cocopy-co", S(SY("X", "X"), CC("X")), CC("X"))
-    eq("special", S(CP("X"), CC("X")), ID("X"))
-    eq("frob-l", S(CC("X"), CP("X")), S(Tn(ID("X"), CP("X")), Tn(CC("X"), ID("X"))))
-    eq("frob-r", S(CC("X"), CP("X")), S(Tn(CP("X"), ID("X")), Tn(ID("X"), CC("X"))))
-    le("copy-nat", S(a, CP("Y")), S(CP("X"), Tn(a, a)), (("a", ("X",), ("Y",)),))
-    le("discard-nat", S(a, DS("Y")), DS("X"), (("a", ("X",), ("Y",)),))
-    le("eta-copy", ID("X"), S(CP("X"), CC("X")))
-    le("eps-copy", S(CC("X"), CP("X")), ID("X", "X"))
-    le("eta-discard", ID("X"), S(DS("X"), CD("X")))
-    le("eps-discard", S(CD("X"), DS("X")), ID())
-    return ax
+    law("eq", "copy-as", S(CP("X"), Tn(CP("X"), ID("X"))), S(CP("X"), Tn(ID("X"), CP("X"))))
+    law("eq", "copy-un", S(CP("X"), Tn(ID("X"), DS("X"))), ID("X"))
+    law("eq", "copy-un-l", S(CP("X"), Tn(DS("X"), ID("X"))), ID("X"))
+    law("eq", "copy-co", S(CP("X"), SY("X", "X")), CP("X"))
+    law("eq", "cocopy-as", S(Tn(CC("X"), ID("X")), CC("X")), S(Tn(ID("X"), CC("X")), CC("X")))
+    law("eq", "cocopy-un", S(Tn(ID("X"), CD("X")), CC("X")), ID("X"))
+    law("eq", "cocopy-un-l", S(Tn(CD("X"), ID("X")), CC("X")), ID("X"))
+    law("eq", "cocopy-co", S(SY("X", "X"), CC("X")), CC("X"))
+    law("eq", "special", S(CP("X"), CC("X")), ID("X"))
+    law("eq", "frob-l", S(CC("X"), CP("X")), S(Tn(ID("X"), CP("X")), Tn(CC("X"), ID("X"))))
+    law("eq", "frob-r", S(CC("X"), CP("X")), S(Tn(CP("X"), ID("X")), Tn(ID("X"), CC("X"))))
+    law("le", "copy-nat", S(a, CP("Y")), S(CP("X"), Tn(a, a)), (("a", ("X",), ("Y",)),))
+    law("le", "discard-nat", S(a, DS("Y")), DS("X"), (("a", ("X",), ("Y",)),))
+    law("le", "eta-copy", ID("X"), S(CP("X"), CC("X")))
+    law("le", "eps-copy", S(CC("X"), CP("X")), ID("X", "X"))
+    law("le", "eta-discard", ID("X"), S(DS("X"), CD("X")))
+    law("le", "eps-discard", S(CD("X"), DS("X")), ID())
+    return ax + [_mirrored(x, x.name + "-b", "cocartesian") for x in ax]
 
 
 def _linear_axioms():
-    a, b, c, d = _a("a"), _a("b"), _a("c"), _a("d")
+    """Half of the linear distributivity laws, each with its mirror:
+    delta-r, nu-bl, nu-br, gamma-sym, gamma-sym-b and tens-id-white-colax
+    are derived."""
+    a, b, c, d = PVar("a"), PVar("b"), PVar("c"), PVar("d")
     ax = []
 
     def le(name, lhs, rhs, arrows=()):
         ax.append(Axiom(name, "linear", "le", lhs, rhs, arrows))
+        return ax[-1]
+
+    def derive(axiom, name):
+        ax.append(_mirrored(axiom, name, "linear"))
 
     chain = (("a", ("X",), ("Y",)), ("b", ("Y",), ("Z",)), ("c", ("Z",), ("W",)))
-    le("delta-l", _W.seq(a, _B.seq(b, c)), _B.seq(_W.seq(a, b), c), chain)
-    le("delta-r", _W.seq(_B.seq(a, b), c), _B.seq(a, _W.seq(b, c)), chain)
+    derive(le("delta-l", _W.seq(a, _B.seq(b, c)), _B.seq(_W.seq(a, b), c), chain), "delta-r")
     par = (("a", ("X1",), ("Y1",)), ("b", ("Y1",), ("Z1",)),
            ("c", ("X2",), ("Y2",)), ("d", ("Y2",), ("Z2",)))
-    le("nu-wl", _W.tens(_B.seq(a, b), _B.seq(c, d)),
-       _B.seq(_W.tens(a, c), _B.tens(b, d)), par)
-    le("nu-wr", _W.tens(_B.seq(a, b), _B.seq(c, d)),
-       _B.seq(_B.tens(a, c), _W.tens(b, d)), par)
-    le("nu-bl", _W.seq(_W.tens(a, c), _B.tens(b, d)),
-       _B.tens(_W.seq(a, b), _W.seq(c, d)), par)
-    le("nu-br", _W.seq(_B.tens(a, c), _W.tens(b, d)),
-       _B.tens(_W.seq(a, b), _W.seq(c, d)), par)
-    le("tau-sym", _W.id("X", "Y"), _B.seq(_W.sym("X", "Y"), _B.sym("Y", "X")))
-    le("gamma-sym", _W.seq(_B.sym("X", "Y"), _W.sym("Y", "X")), _B.id("X", "Y"))
-    le("tau-sym-b", _W.id("X", "Y"), _B.seq(_B.sym("X", "Y"), _W.sym("Y", "X")))
-    le("gamma-sym-b", _W.seq(_W.sym("X", "Y"), _B.sym("Y", "X")), _B.id("X", "Y"))
-    le("tens-id-black-lax", _W.tens(_B.id("X"), _B.id("Y")), _B.id("X", "Y"))
-    le("tens-id-white-colax", _W.id("X", "Y"), _B.tens(_W.id("X"), _W.id("Y")))
+    nu_wl = le("nu-wl", _W.tens(_B.seq(a, b), _B.seq(c, d)),
+               _B.seq(_W.tens(a, c), _B.tens(b, d)), par)
+    derive(le("nu-wr", _W.tens(_B.seq(a, b), _B.seq(c, d)),
+              _B.seq(_B.tens(a, c), _W.tens(b, d)), par), "nu-bl")
+    derive(nu_wl, "nu-br")
+    derive(le("tau-sym", _W.id("X", "Y"), _B.seq(_W.sym("X", "Y"), _B.sym("Y", "X"))),
+           "gamma-sym")
+    derive(le("tau-sym-b", _W.id("X", "Y"), _B.seq(_B.sym("X", "Y"), _W.sym("Y", "X"))),
+           "gamma-sym-b")
+    derive(le("tens-id-black-lax", _W.tens(_B.id("X"), _B.id("Y")), _B.id("X", "Y")),
+           "tens-id-white-colax")
     return ax
 
 
 def _fo_axioms():
     """Linear adjointness of the white constants to their black mirrors,
-    plus the mixed-colour Frobenius equalities."""
-    ax = []
-
-    def le(name, lhs, rhs):
-        ax.append(Axiom(name, "fo", "le", lhs, rhs))
-
-    def eq(name, lhs, rhs):
-        ax.append(Axiom(name, "fo", "eq", lhs, rhs))
-
+    plus the mixed-colour Frobenius equalities, written in white; the black
+    ones, F-wb and F-wb2, are the mirrors of F-bw2 and F-bw."""
     X, XX, O = ("X",), ("X", "X"), ()
     pairs = [
         ("copy", _W.copy("X"), _B.cocopy("X"), X, XX),
@@ -444,51 +443,41 @@ def _fo_axioms():
         ("cocopy", _W.cocopy("X"), _B.copy("X"), XX, X),
         ("codiscard", _W.codiscard("X"), _B.discard("X"), O, X),
     ]
+    ax = []
     for name, w, bl, dn, dm in pairs:
-        le("tau-" + name, PConstM("idw", (dn,)), _B.seq(w, bl))
-        le("gamma-" + name, _W.seq(bl, w), PConstM("idb", (dm,)))
-        le("tau-" + name + "-rev", PConstM("idw", (dm,)), _B.seq(bl, w))
-        le("gamma-" + name + "-rev", _W.seq(w, bl), PConstM("idb", (dn,)))
+        ax += [Axiom("tau-" + name, "fo", "le", _W.id(*dn), _B.seq(w, bl)),
+               Axiom("gamma-" + name, "fo", "le", _W.seq(bl, w), _B.id(*dm)),
+               Axiom("tau-" + name + "-rev", "fo", "le", _W.id(*dm), _B.seq(bl, w)),
+               Axiom("gamma-" + name + "-rev", "fo", "le", _W.seq(w, bl), _B.id(*dn))]
 
-    # mixed-colour Frobenius: in each ambient colour, the S-shaped composite
-    # with one dot of each colour equals the corresponding Z-shape
-    for tag, col in (("F-bw", _W), ("F-wb", _B)):
-        S, Tn, ID = col.seq, col.tens, col.id
-        eq(tag,
-           S(Tn(ID("X"), _W.copy("X")), Tn(_B.cocopy("X"), ID("X"))),
-           S(Tn(_B.copy("X"), ID("X")), Tn(ID("X"), _W.cocopy("X"))))
-        eq(tag + "2",
-           S(Tn(ID("X"), _B.copy("X")), Tn(_W.cocopy("X"), ID("X"))),
-           S(Tn(_W.copy("X"), ID("X")), Tn(ID("X"), _B.cocopy("X"))))
-    return ax
+    # mixed-colour Frobenius: the S-shaped composite with one dot of each
+    # colour equals the corresponding Z-shape
+    S, Tn, ID = _W.seq, _W.tens, _W.id
+    f_bw = Axiom("F-bw", "fo", "eq",
+                 S(Tn(ID("X"), _W.copy("X")), Tn(_B.cocopy("X"), ID("X"))),
+                 S(Tn(_B.copy("X"), ID("X")), Tn(ID("X"), _W.cocopy("X"))))
+    f_bw2 = Axiom("F-bw2", "fo", "eq",
+                  S(Tn(ID("X"), _B.copy("X")), Tn(_W.cocopy("X"), ID("X"))),
+                  S(Tn(_W.copy("X"), ID("X")), Tn(ID("X"), _B.cocopy("X"))))
+    return ax + [f_bw, f_bw2, _mirrored(f_bw2, "F-wb", "fo"), _mirrored(f_bw, "F-wb2", "fo")]
 
 
 def _generator_axioms():
+    """A generator and its opposed box are linear adjoints; gen-tau-rev and
+    gen-gamma-rev are the mirrors of gen-gamma and gen-tau."""
     r, rop = PGenVar("r"), PGenVar("r", op=True)
-    dn, dm = (("dom", "r"),), (("cod", "r"),)
-    ax = []
-
-    def le(name, lhs, rhs):
-        ax.append(Axiom(name, "generator-adjoint", "le", lhs, rhs))
-
-    le("gen-tau", PConstM("idw", (dn,)), _B.seq(r, rop))
-    le("gen-gamma", _W.seq(rop, r), PConstM("idb", (dm,)))
-    le("gen-tau-rev", PConstM("idw", (dm,)), _B.seq(rop, r))
-    le("gen-gamma-rev", _W.seq(r, rop), PConstM("idb", (dn,)))
-    return ax
+    dn, dm = ("dom", "r"), ("cod", "r")
+    tau = Axiom("gen-tau", "generator-adjoint", "le", _W.id(dn), _B.seq(r, rop))
+    gamma = Axiom("gen-gamma", "generator-adjoint", "le", _W.seq(rop, r), _B.id(dm))
+    return [tau, gamma, _mirrored(gamma, "gen-tau-rev", "generator-adjoint"),
+            _mirrored(tau, "gen-gamma-rev", "generator-adjoint")]
 
 
 @functools.cache
 def _axioms():
     """The axiom tuple and the same axioms keyed by name, built once."""
-    ax = []
-    ax += _structural_axioms(_W, "")
-    ax += _structural_axioms(_B, "-b")
-    ax += _comonoid_axioms(_W, "", flip=False)
-    ax += _comonoid_axioms(_B, "-b", flip=True)
-    ax += _linear_axioms()
-    ax += _fo_axioms()
-    ax += _generator_axioms()
+    ax = (_structural_axioms() + _comonoid_axioms() + _linear_axioms() + _fo_axioms()
+          + _generator_axioms())
     by_name = {x.name: x for x in ax}
     assert len(by_name) == len(ax), "duplicate axiom name"
     return tuple(ax), by_name
@@ -857,35 +846,41 @@ class _DSU:
 
 def spider_normalize(t, sig=EMPTY_SIGNATURE):
     """Normalize a single-colour Frobenius-fragment term to its boundary-port
-    partition plus a count of closed connected components."""
+    partition plus a count of closed connected components.  After desugaring
+    only a generator leaf lies outside the fragment; the first one from the
+    left is reported, and mixed colours after the whole walk."""
     typecheck(t, sig)
     t = desugar(t, sig)
-    colour = _fragment_colour(t)
-    dsu = _DSU()
+    colours, dsu = set(), _DSU()
 
-    def walk(t):
+    def walk(t, path):
         cls = type(t)
+        if cls is T.Const:
+            colours.add(t.kind[-1])
+            p = dsu.fresh()  # every wire of a (co)monoid constant is one port
+            n, m = T.CONSTANT_TYPES[t.kind]
+            return [p] * n, [p] * m
+        if cls not in _HEAD_COLOUR:
+            raise SpiderError(
+                f"outside Frobenius fragment: {print_term(t)} at {format_position(path)}")
+        colours.add(_HEAD_COLOUR[cls])
         if cls is IdW or cls is IdB:
             ports = [dsu.fresh() for _ in range(t.n)]
             return ports, list(ports)
         if cls is SymW or cls is SymB:
             ports = [dsu.fresh() for _ in range(t.m + t.n)]
             return list(ports), ports[t.m:] + ports[:t.m]
-        if cls is T.Const:
-            p = dsu.fresh()  # every wire of a (co)monoid constant is one port
-            n, m = T.CONSTANT_TYPES[t.kind]
-            return [p] * n, [p] * m
+        i1, o1 = walk(t.t, path + (0,))
+        i2, o2 = walk(t.u, path + (1,))
         if cls is SeqW or cls is SeqB:
-            i1, o1 = walk(t.t)
-            i2, o2 = walk(t.u)
             for x, y in zip(o1, i2):
                 dsu.union(x, y)
             return i1, o2
-        i1, o1 = walk(t.t)  # TensW / TensB
-        i2, o2 = walk(t.u)
-        return i1 + i2, o1 + o2
+        return i1 + i2, o1 + o2  # TensW / TensB
 
-    ins, outs = walk(t)
+    ins, outs = walk(t, ())
+    if len(colours) > 1:
+        raise SpiderError("mixed colours: term outside either Frobenius fragment")
     labels = {}
     for i, p in enumerate(ins):
         labels.setdefault(dsu.find(p), []).append(f"in{i}")
@@ -894,29 +889,8 @@ def spider_normalize(t, sig=EMPTY_SIGNATURE):
     closed = sum(1 for p in range(len(dsu.parent))
                  if dsu.find(p) == p and dsu.find(p) not in labels)
     partition = frozenset(frozenset(v) for v in labels.values())
-    return SpiderForm(len(ins), len(outs), colour, partition, closed)
+    return SpiderForm(len(ins), len(outs), colours.pop() if colours else "w", partition, closed)
 
 
 # the colour of each primitive class but Const: the last letter of its head
 _HEAD_COLOUR = {cls: head[-1] for head, (cls, _) in T.FORMS.items() if cls in T.MIRROR}
-
-
-def _fragment_colour(t):
-    colours = set()
-
-    def scan(t, path):
-        if type(t) is T.Const:
-            colours.add(t.kind[-1])
-        elif type(t) in _HEAD_COLOUR:
-            colours.add(_HEAD_COLOUR[type(t)])
-        else:
-            raise SpiderError(
-                f"outside Frobenius fragment: {print_term(t)} at "
-                f"{format_position(path)}")
-        for i, kid in enumerate(T.children(t)):
-            scan(kid, path + (i,))
-
-    scan(t, ())
-    if len(colours) > 1:
-        raise SpiderError("mixed colours: term outside either Frobenius fragment")
-    return colours.pop() if colours else "w"

@@ -11,9 +11,9 @@ into the primitive calculus for the proof kernel (`rewrite.check_proof`,
 The s-expression syntax is declared once, in `FORMS`: each head with its
 node class and argument kinds.  The eight constants are bare atoms.  The
 colour switch is declared once, in `MIRROR`; a constant's mirror flips the
-last letter of its kind.  The black arity-indexed macros are computed as
-the De Morgan dual of the white ones: each is the colour switch
-(`_negate_prim`) of its white mirror.
+last letter of its kind (`mirror_head`, which also switches axiom patterns).
+The black arity-indexed macros are computed as the De Morgan dual of the
+white ones: each is the colour switch (`_negate_prim`) of its white mirror.
 
 Every file format is read through `read_lines`: each line is cut at its
 first `#`, stripped, and skipped when blank.
@@ -147,6 +147,11 @@ class GenOp(Term):
     name: str
 
 
+def mirror_head(head):
+    """The colour switch of a form head or constant kind: its last letter flipped."""
+    return head[:-1] + ("b" if head[-1] == "w" else "w")
+
+
 #: atom name -> (dom, cod) for the eight unary (co)monoid constants; a
 #: black constant has the type of its white mirror
 CONSTANT_TYPES = {
@@ -155,7 +160,7 @@ CONSTANT_TYPES = {
     "cocw": (2, 1),
     "codw": (0, 1),
 }
-CONSTANT_TYPES.update({kind[:-1] + "b": ty for kind, ty in CONSTANT_TYPES.items()})
+CONSTANT_TYPES.update({mirror_head(kind): ty for kind, ty in CONSTANT_TYPES.items()})
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,7 @@ FORMS = {
     "bot": (Bot, ("nat", "nat")),
 }
 
-#: the colour switch of the primitive classes; a constant's flips its last letter
+#: the colour switch of the primitive classes; a constant's is `mirror_head`
 MIRROR = {IdW: IdB, SymW: SymB, SeqW: SeqB, TensW: TensB}
 MIRROR.update({black: white for white, black in MIRROR.items()})
 
@@ -617,7 +622,7 @@ def _negate_prim(t, sig):
         kids = [_negate_prim(kid, sig) for kid in children(t)]
         return MIRROR[cls](*kids) if kids else MIRROR[cls](**vars(t))
     if cls is Const:
-        return Const(t.kind[:-1] + ("b" if t.kind[-1] == "w" else "w"))
+        return Const(mirror_head(t.kind))
     if cls is Gen:
         n, m = sig.type_of(t.name)
         return _dag_expansion(GenOp(t.name), m, n)

@@ -344,7 +344,42 @@ def spider_relation(form, k):
     return rel if form.colour == "w" else F.complement(rel)
 
 
+def naive_fragment_colour(t):
+    """The colour of a desugared term in the Frobenius fragment, or the
+    SpiderError message of a pre-order scan: the first node outside the
+    fragment, else mixed colours."""
+    colours = set()
+    stack = [(t, ())]
+    while stack:
+        t, path = stack.pop()
+        if type(t) is T.Const:
+            colours.add(t.kind[-1])
+        elif type(t) in (T.Gen, T.GenOp):
+            return f"outside Frobenius fragment: {T.print_term(t)} at {T.format_position(path)}"
+        else:  # a primitive head ends in its colour
+            colours.add(next(h for h, (cls, _) in T.FORMS.items() if cls is type(t))[-1])
+        kids = T.children(t)
+        stack += [(kid, path + (i,)) for i, kid in reversed(list(enumerate(kids)))]
+    if len(colours) > 1:
+        return "mixed colours: term outside either Frobenius fragment"
+    return colours.pop() if colours else "w"
+
+
 # --- naive doctrine oracles -----------------------------------------------
+
+def naive_relp_tensor(phi, psi, X1, Y1, X2, Y2):
+    """The tensor of phi over X1×Y1 and psi over X2×Y2, pointwise over
+    (X1×X2)×(Y1×Y2)."""
+    XX, YY = D.prod(X1, X2), D.prod(Y1, Y2)
+    bits = 0
+    for x1, x2, y1, y2 in itertools.product(
+            range(X1.size), range(X2.size), range(Y1.size), range(Y2.size)):
+        if D.pair_index(X1, Y1, x1, y1) in phi and D.pair_index(X2, Y2, x2, y2) in psi:
+            row = D.pair_index(X1, X2, x1, x2)
+            col = D.pair_index(Y1, Y2, y1, y2)
+            bits |= 1 << D.pair_index(XX, YY, row, col)
+    return D.Predicate(D.prod(XX, YY), bits)
+
 
 def exists_along_formula(f, alpha):
     """Direct image computed through substitution and a projection, as an

@@ -387,6 +387,35 @@ def test_cli_fuzz_with_a_huge_numeral_exits_cleanly(tmp_path, capsys, k, max_bit
     _fuzz_cli(tmp_path, capsys, k, max_bits, interp, terms, theory)
 
 
+def _exits_cleanly(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert (out if code < 2 else err).strip(), argv
+    assert "Traceback" not in out + err, argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_terms(ODD_PIECES))
+def test_spider_fuzz_exits_cleanly(tmp_path, capsys, terms):
+    """Odd numerals and small naturals only.  The huge numeral is kept away:
+    no guard bounds the port count of `spider`, which makes a list of ports
+    per identity wire, so `(idw 100000000)` already ends in a MemoryError
+    under a 1 GB address-space limit."""
+    (tmp_path / "r.sig").write_text("sig R : 1 -> 1\n")
+    for term in terms:
+        _exits_cleanly(["spider", "--sig", str(tmp_path / "r.sig"), term], capsys)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["comprehension", "ruc"]), st.integers(-1, 4),
+       st.lists(st.integers(-2, 20), max_size=6))
+def test_doctrine_fuzz_exits_cleanly(capsys, action, size, members):
+    _exits_cleanly(["doctrine", action, "--size", str(size), *map(str, members)], capsys)
+
+
 def test_negative_trials_exit_2(files, capsys):
     proof = files["dir"] / "id.prf"
     proof.write_text("prove (idw 1) <= (top 1 1)\nstep eta-discard at e dir l2r\nqed\n")

@@ -5,6 +5,7 @@ import pytest
 
 from diagrel import finrel as F
 from diagrel import doctrine as D
+from diagrel.terms import DiagrelError
 
 import helpers
 
@@ -202,9 +203,62 @@ def test_relp_tensor_agrees_with_finrel():
             t = D.relp_tensor(D.relation_to_predicate(r)[0],
                               D.relation_to_predicate(s)[0], X, X, X, X)
             # reread the tensor predicate as a 2 -> 2 relation
-            tr = D.predicate_to_relation(t, D.prod(X, X), D.prod(X, X), k)
+            tr = D.predicate_to_relation(t, k, 2, 2)
             want = F.tensor_white(r, s)
             assert F.equal(F.FinRelation(k, 2, 2, tr.bits), want)
+
+
+def test_relp_tensor_matches_pointwise_oracle():
+    """Every (phi, psi) over objects of sizes 0..2."""
+    sizes = list(itertools.product(objs(0, 2), repeat=2))
+    for X1, Y1 in sizes:
+        for X2, Y2 in sizes:
+            for phi in D.all_predicates(D.prod(X1, Y1)):
+                for psi in D.all_predicates(D.prod(X2, Y2)):
+                    assert D.relp_tensor(phi, psi, X1, Y1, X2, Y2) \
+                        == helpers.naive_relp_tensor(phi, psi, X1, Y1, X2, Y2)
+
+
+def test_relp_tensor_agrees_with_finrel_at_small_carriers():
+    rng = random.Random(4)
+    for k in range(4):
+        for n1, m1, n2, m2 in itertools.product(range(2), repeat=4):
+            for _ in range(3):
+                r = helpers.random_relation(rng, k, n1, m1)
+                s = helpers.random_relation(rng, k, n2, m2)
+                (phi, X1, Y1), (psi, X2, Y2) = D.relation_to_predicate(r), D.relation_to_predicate(s)
+                t = D.relp_tensor(phi, psi, X1, Y1, X2, Y2)
+                assert F.equal(D.predicate_to_relation(t, k, n1 + n2, m1 + m2),
+                               F.tensor_white(r, s)), (k, n1, m1, n2, m2)
+
+
+def test_predicate_to_relation_round_trip():
+    rng = random.Random(9)
+    for k in range(4):
+        for n, m in itertools.product(range(3), repeat=2):
+            r = helpers.random_relation(rng, k, n, m)
+            assert D.predicate_to_relation(D.relation_to_predicate(r)[0], k, n, m) == r
+
+
+def test_predicate_to_relation_at_carriers_zero_and_one():
+    """At k <= 1 every power of the carrier has the same size, so the
+    arities are given, not read off the objects."""
+    one, empty = D.top(D.FinSetObj(1)), D.bottom(D.FinSetObj(0))
+    assert D.predicate_to_relation(one, 1, 3, 2) == F.FinRelation(1, 3, 2, 1)
+    assert D.predicate_to_relation(one, 0, 0, 0) == F.FinRelation(0, 0, 0, 1)
+    assert D.predicate_to_relation(empty, 0, 1, 2) == F.FinRelation(0, 1, 2, 0)
+
+
+@pytest.mark.parametrize("size, k, n, m", [
+    (2, 1, 1, 1),  # at k = 1 every space has one element
+    (1, 0, 1, 0),  # at k = 0 a space of positive arity is empty
+    (0, 0, 0, 0),
+    (8, 2, 1, 1),
+    (4, 2, 10 ** 9, 1),  # the size guard refuses before a power is built
+])
+def test_predicate_to_relation_refuses_a_size_mismatch(size, k, n, m):
+    with pytest.raises(DiagrelError):
+        D.predicate_to_relation(D.bottom(D.FinSetObj(size)), k, n, m)
 
 
 def test_maps_are_functional_entire():

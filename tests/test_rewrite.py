@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,41 @@ def test_axiom_db_well_formed():
     families = {a.family for a in db}
     assert {"structural", "cartesian", "cocartesian", "linear", "fo",
             "generator-adjoint"} <= families
+
+
+def test_axiom_db_is_pinned():
+    """Every axiom, field by field and in order; the digest does not depend
+    on the hash seed."""
+    digest = hashlib.sha256(repr(R.axiom_db()).encode()).hexdigest()
+    assert digest == "27b794611694455055d489b3dca85071539998904dddb79559ac3db20605179b"
+
+
+def _switch(p):
+    """A pattern's colour switch: the last letter of every head flipped."""
+    if isinstance(p, R.PBin):
+        return R.PBin(p.op[:-1] + {"w": "b", "b": "w"}[p.op[-1]], _switch(p.l), _switch(p.r))
+    if isinstance(p, R.PConstM):
+        return R.PConstM(p.kind[:-1] + {"w": "b", "b": "w"}[p.kind[-1]], p.objs)
+    return p
+
+
+def test_colour_switch_maps_the_database_onto_itself():
+    """Each axiom's colour switch, with the sides of an inequality swapped,
+    is another axiom, in the mirror family."""
+    db = R.axiom_db()
+    by_statement = {(ax.kind, ax.lhs, ax.rhs, ax.arrows): ax for ax in db}
+    assert len(by_statement) == len(db)
+    mirror_family = {"cartesian": "cocartesian", "cocartesian": "cartesian"}
+    images = set()
+    for ax in db:
+        lhs, rhs = _switch(ax.lhs), _switch(ax.rhs)
+        if ax.kind == "le":
+            lhs, rhs = rhs, lhs
+        mirror = by_statement.get((ax.kind, lhs, rhs, ax.arrows))
+        assert mirror is not None, ax.name
+        assert mirror.family == mirror_family.get(ax.family, ax.family), ax.name
+        images.add(mirror.name)
+    assert len(images) == len(db)
 
 
 def test_arrow_types_are_single_object_variables():
@@ -286,6 +322,37 @@ def test_spider_rejects_mixed_and_foreign():
     with pytest.raises(R.SpiderError) as e:
         R.spider_normalize(T.SeqW(T.Gen("R"), T.Gen("R")), SIG)
     assert "gen" in str(e.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(dag (gen R))", "outside Frobenius fragment: (gen R) at 1.0.1.0"),
+    ("(tensw (idb 1) (gen R))", "outside Frobenius fragment: (gen R) at 1"),
+    ("(seqw (top 1 0) (bot 0 1))", "mixed colours: term outside either Frobenius fragment"),
+])
+def test_spider_error_messages(text, message):
+    with pytest.raises(R.SpiderError) as e:
+        R.spider_normalize(T.parse_term(text, SIG), SIG)
+    assert str(e.value) == message
+
+
+def _spider_outcome(t):
+    try:
+        return R.spider_normalize(t, SIG).colour
+    except R.SpiderError as e:
+        return str(e)
+
+
+def test_spider_reports_as_the_pre_order_scan():
+    """Random terms, negated or not, in the fragment or not: the colour or
+    the message is the one of a pre-order scan of the desugared term."""
+    rng = random.Random(13)
+    for i in range(400):
+        n, m = rng.randint(0, 2), rng.randint(0, 2)
+        t = (helpers.random_term(rng, SIG, n, m, 3) if i % 2
+             else helpers.random_white_fragment(rng, n, m, 3))
+        if rng.random() < 0.5:
+            t = T.Neg(t)
+        assert _spider_outcome(t) == helpers.naive_fragment_colour(T.desugar(t, SIG))
 
 
 def test_spider_relation_black_is_complement_of_white():
