@@ -13,6 +13,9 @@ the raw bitmasks with their spaces' full masks around the white loop, so it
 builds one relation, not four.  `evaluate` typechecks a term, then evaluates
 it through `evaluate_typed`, the entry for callers that already hold terms
 typechecked under a signature that types each generator as its relation.
+Evaluation is compositional and keeps no state: `evaluate_typed` applies each
+node's kernel to its children's values, one call per node, and hashes no
+term; only the constants are cached, per carrier and arity.
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ def tensor_black(a, b):
 
 def _graph(k, n, m, f):
     """The relation X^n -> X^m relating each n-tuple t to f(t)."""
-    space_bits(k, n, m)  # before the tuples are enumerated
+    space_bits(k, n, m)  # `product` below is built before from_pairs' own guard runs
     return FinRelation.from_pairs(
         k, n, m, ((t, f(t)) for t in itertools.product(range(k), repeat=n)))
 
@@ -327,14 +330,6 @@ _CONSTANTS = {
 }
 
 
-def constant_rel(kind, k):
-    """The unary relation-model constant named `kind` over carrier size k."""
-    try:
-        return _CONSTANTS[kind](k)
-    except KeyError:
-        raise DiagrelError(f"unknown constant {kind!r}") from None
-
-
 def linear_adjoint(a):
     """Converse of the complement; both linear adjoints of a in relations."""
     return converse(complement(a))
@@ -383,27 +378,17 @@ class Interpretation:
                 raise DiagrelError(f"relation for {name!r} has wrong shape")
 
 
-def evaluate(t, interp, _cache=None):
+def evaluate(t, interp):
     """Typecheck a term under `interp.signature`, then evaluate it in the
     relation model.  The derived constructors are evaluated directly, as the
     Boolean operations and the converse they denote in relations."""
     typecheck(t, interp.signature)
-    return evaluate_typed(t, interp, {} if _cache is None else _cache)
+    return evaluate_typed(t, interp)
 
 
-def evaluate_typed(t, interp, cache):
+def evaluate_typed(t, interp):
     """`evaluate` without the typecheck: `t` must typecheck under a signature
-    giving each generator the type of its relation in `interp`.  `cache` maps
-    terms to their values in `interp`."""
-    # keyed by the term itself (terms are frozen dataclasses): structurally
-    # equal subterms evaluate once per cache, also across the sides of an axiom
-    got = cache.get(t)
-    if got is None:
-        got = cache[t] = _eval_raw(t, interp, cache)
-    return got
-
-
-def _eval_raw(t, interp, cache):
+    giving each generator the type of its relation in `interp`."""
     # kernels are called by their module-level names, which perfbench wraps
     k = interp.carrier
     ev = evaluate_typed
@@ -411,23 +396,23 @@ def _eval_raw(t, interp, cache):
     if cls is Gen:
         return interp.assignment[t.name]
     if cls is SeqW:
-        return compose_white(ev(t.t, interp, cache), ev(t.u, interp, cache))
+        return compose_white(ev(t.t, interp), ev(t.u, interp))
     if cls is SeqB:
-        return compose_black(ev(t.t, interp, cache), ev(t.u, interp, cache))
+        return compose_black(ev(t.t, interp), ev(t.u, interp))
     if cls is TensW:
-        return tensor_white(ev(t.t, interp, cache), ev(t.u, interp, cache))
+        return tensor_white(ev(t.t, interp), ev(t.u, interp))
     if cls is TensB:
-        return tensor_black(ev(t.t, interp, cache), ev(t.u, interp, cache))
+        return tensor_black(ev(t.t, interp), ev(t.u, interp))
     if cls is Meet:
-        return intersection(ev(t.t, interp, cache), ev(t.u, interp, cache))
+        return intersection(ev(t.t, interp), ev(t.u, interp))
     if cls is Join:
-        return union(ev(t.t, interp, cache), ev(t.u, interp, cache))
+        return union(ev(t.t, interp), ev(t.u, interp))
     if cls is Dag:
-        return converse(ev(t.t, interp, cache))
+        return converse(ev(t.t, interp))
     if cls is Neg:
-        return complement(ev(t.t, interp, cache))
+        return complement(ev(t.t, interp))
     if cls is Const:
-        return constant_rel(t.kind, k)
+        return _CONSTANTS[t.kind](k)
     if cls is IdW:
         return identity_white(k, t.n)
     if cls is IdB:

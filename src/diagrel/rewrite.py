@@ -762,12 +762,13 @@ def _instance(axiom, objs, gens, draws):
     return sig, lhs, rhs, binding
 
 
-def verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
-    """Check `axiom` on `trials` random instances at carrier k.  Instances are
-    memoized on each trial's drawn values (see `_instance`): built and
-    typechecked (by `evaluate`) when first drawn, later evaluated through the
-    typed entry; each trial still draws a fresh interpretation.  An axiom with no
-    arrow or generator metavariables has none, so its verdict is memoized too."""
+def verify_axiom(axiom, k=2, trials=200, seed=0):
+    """Check `axiom` on `trials` random instances at carrier k, each object and
+    generator arity drawn from 0..2.  Instances are memoized on each trial's
+    drawn values (see `_instance`): built and typechecked (by `evaluate`) when
+    first drawn, later evaluated through the typed entry; each trial still draws
+    a fresh interpretation.  An axiom with no arrow or generator metavariables
+    has none, so its verdict is memoized too."""
     check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
@@ -777,17 +778,15 @@ def verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
     constant_axiom = not arrows and not gens
     memo = {}  # drawn values -> [sig, lhs, rhs, binding, verdict or None]
     for _ in range(trials):
-        draws = tuple(rng.randint(0, max_obj) for _ in range(len(objs) + 2 * len(gens)))
+        draws = tuple(rng.randint(0, 2) for _ in range(len(objs) + 2 * len(gens)))
         entry = memo.get(draws)
         if fresh := entry is None:
             entry = memo[draws] = [*_instance(axiom, objs, gens, draws), None]
         sig, lhs, rhs, binding, bad = entry
         interp = random_interpretation(sig, k, rng)
         if bad is None:
-            cache = {}
             ev = evaluate if fresh else evaluate_typed
-            lv = ev(lhs, interp, cache)
-            rv = ev(rhs, interp, cache)
+            lv, rv = ev(lhs, interp), ev(rhs, interp)
             bad = not (included(lv, rv) and (axiom.kind == "le" or included(rv, lv)))
             if constant_axiom:
                 # the instance value depends only on the drawn values

@@ -74,19 +74,12 @@ def parse_theory(text):
     return Theory(sig, tuple(axioms))
 
 
-def _axiom_values(theory, interp, ev):
-    """Yield (name, lhs value, rhs value) axiom by axiom, evaluated by `ev`
-    with one evaluation cache shared by all of them."""
-    cache = {}
-    for name, lhs, rhs in theory.axioms:
-        yield name, ev(lhs, interp, cache), ev(rhs, interp, cache)
-
-
 def check_model(theory, interp):
     """Evaluate every axiom, typechecked under `interp.signature` (by
     `evaluate`); failing axioms carry a counterexample pair."""
     verdicts = []
-    for name, lv, rv in _axiom_values(theory, interp, evaluate):
+    for name, lhs, rhs in theory.axioms:
+        lv, rv = evaluate(lhs, interp), evaluate(rhs, interp)
         if included(lv, rv):
             verdicts.append((name, True, None))
         else:
@@ -118,7 +111,8 @@ def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
         }
         interp = Interpretation(theory.signature, k, assignment)
         # typed entry: `Theory` typechecked the axioms; stop at the first failing one
-        if all(included(lv, rv) for _, lv, rv in _axiom_values(theory, interp, evaluate_typed)):
+        if all(included(evaluate_typed(lhs, interp), evaluate_typed(rhs, interp))
+               for _, lhs, rhs in theory.axioms):
             models.append(interp)
     return models
 

@@ -220,6 +220,18 @@ def desugared_evaluate(t, interp):
     return F.evaluate(T.desugar(t, interp.signature), interp)
 
 
+_SWITCH = {T.Meet: T.Join, T.Join: T.Meet, T.Top: T.Bot, T.Bot: T.Top, **T.MIRROR}
+
+
+def mirror(t):
+    """The colour switch of a term: white and black heads and constants swap,
+    meet with join and top with bot; dag, neg, gen and genop are kept."""
+    if type(t) is T.Const:
+        return T.Const(T.mirror_head(t.kind))
+    return _SWITCH.get(type(t), type(t))(**{
+        field: mirror(v) if isinstance(v, T.Term) else v for field, v in vars(t).items()})
+
+
 # --- naive readers and writers of relation text ----------------------------
 
 def naive_parse_interpretation(text, sig):
@@ -739,8 +751,8 @@ def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
 
 def naive_models(theory, k):
     """Oracle for `theory.enumerate_models`: every candidate interpretation in
-    lexicographic order, each axiom evaluated by the checked `finrel.evaluate`
-    with a fresh cache per candidate.  Returns the models' assignment bits."""
+    lexicographic order, each axiom evaluated by the checked `finrel.evaluate`.
+    Returns the models' assignment bits."""
     gens = theory.signature.generators
     names = sorted(gens)
     sizes = [F.space_bits(k, *gens[n]) for n in names]
@@ -748,8 +760,7 @@ def naive_models(theory, k):
     for masks in itertools.product(*(range(1 << size) for size in sizes)):
         interp = F.Interpretation(theory.signature, k, {
             name: F.FinRelation(k, *gens[name], b) for name, b in zip(names, masks)})
-        cache = {}
-        if all(F.included(F.evaluate(lhs, interp, cache), F.evaluate(rhs, interp, cache))
+        if all(F.included(F.evaluate(lhs, interp), F.evaluate(rhs, interp))
                for _, lhs, rhs in theory.axioms):
             models.append(masks)
     return models

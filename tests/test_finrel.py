@@ -307,13 +307,37 @@ def test_dag_evaluates_without_desugared_intermediates():
     assert F.equal(out, helpers.naive_converse(q))
 
 
-def test_evaluate_cache_is_structural():
+def test_evaluate_accepts_every_dag_chain_typecheck_accepts():
     sig = T.Signature({"R": (1, 1)})
     interp = F.Interpretation(sig, 2, {"R": F.identity_white(2, 1)})
-    cache = {}
-    a = F.evaluate(T.Dag(T.Gen("R")), interp, _cache=cache)
-    b = F.evaluate(T.Dag(T.Gen("R")), interp, _cache=cache)  # a distinct object
-    assert a is b and len(cache) == 2
+    t = T.Gen("R")
+    for _ in range(900):
+        t = T.Dag(t)
+    assert T.typecheck(t, sig) == (1, 1)
+    assert F.evaluate(t, interp) == F.identity_white(2, 1)
+
+
+def test_colour_switch_complements_the_value():
+    """evaluate(mirror(t), I) is the complement of evaluate(t, ~I), where ~I
+    complements every generator: the black half is the De Morgan dual of the
+    white one, constants included."""
+    sig = T.Signature({"R": (1, 1), "S": (2, 1), "U": (1, 0), "P": (0, 0)})
+    rng = random.Random(11)
+    for k in (0, 1, 2, 3):
+        for i in range(375):
+            interp = F.Interpretation(sig, k, {
+                name: helpers.random_relation(rng, k, dn, dm)
+                for name, (dn, dm) in sig.generators.items()})
+            negated = F.Interpretation(sig, k, {
+                name: F.complement(rel) for name, rel in interp.assignment.items()})
+            t = helpers.random_term(rng, sig, rng.randint(0, 2), rng.randint(0, 2), 3)
+            if i < len(T.CONSTANT_TYPES):
+                # random_term draws no constant: wrap each one in a random term
+                kind = sorted(T.CONSTANT_TYPES)[i]
+                n, m = T.CONSTANT_TYPES[kind]
+                t = T.SeqW(T.Const(kind), helpers.random_term(rng, sig, m, n, 2))
+            assert F.evaluate(helpers.mirror(t), interp) == \
+                F.complement(F.evaluate(t, negated)), T.print_term(t)
 
 
 FUZZ_SIG = T.Signature({"R": (1, 1), "S": (2, 1)})
