@@ -13,7 +13,7 @@ import sys
 
 from . import doctrine as D
 from . import finrel, rewrite, theory as theory_mod
-from .finrel import evaluate, included, inclusion_witness, parse_interpretation
+from .finrel import evaluate, inclusion_witness, parse_interpretation
 from .terms import DiagrelError, Signature, desugar, parse_term, print_term, typecheck
 
 
@@ -67,11 +67,9 @@ def _cmd_included(args):
     interp = _load_interp(args, sig)
     lv = evaluate(_term_arg(args.lhs, sig), interp)
     rv = evaluate(_term_arg(args.rhs, sig), interp)
-    if included(lv, rv):
-        print("included")
-        return 0
-    print(f"not included: witness {inclusion_witness(lv, rv)}")
-    return 1
+    witness = inclusion_witness(lv, rv)
+    print("included" if witness is None else f"not included: witness {witness}")
+    return 0 if witness is None else 1
 
 
 def _cmd_check_model(args):

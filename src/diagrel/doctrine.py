@@ -188,6 +188,7 @@ def forall_along(f, alpha):
     return neg(exists_along(f, neg(alpha)))
 
 
+@functools.lru_cache
 def equality_pred(X):
     bits = 0
     for x in range(X.size):
@@ -196,22 +197,22 @@ def equality_pred(X):
 
 
 @functools.lru_cache
-def _functional_maps(X, Y):
-    """The pairings p12, p13, p23 of X×Y×Y's projections, and Y's equality."""
+def _pairings(X, Y, Z):
+    """The pairings p12, p13, p23 of the projections of (X×Y)×Z."""
     XY = prod(X, Y)
-    pXY = proj1(XY, Y)
+    pXY = proj1(XY, Z)
     p1 = compose(pXY, proj1(X, Y))
     p2 = compose(pXY, proj2(X, Y))
-    p3 = proj2(XY, Y)
-    return pairing(p1, p2), pairing(p1, p3), pairing(p2, p3), equality_pred(Y)
+    p3 = proj2(XY, Z)
+    return pairing(p1, p2), pairing(p1, p3), pairing(p2, p3)
 
 
 def is_functional(phi, X, Y):
     """Single-valuedness stated doctrine-internally over X×Y×Y."""
     if phi.over != prod(X, Y):
         raise DiagrelError("predicate not over X×Y")
-    p12, p13, p23, eq_Y = _functional_maps(X, Y)
-    return leq(meet(subst(p12, phi), subst(p13, phi)), subst(p23, eq_Y))
+    p12, p13, p23 = _pairings(X, Y, Y)
+    return leq(meet(subst(p12, phi), subst(p13, phi)), subst(p23, equality_pred(Y)))
 
 
 def is_entire(phi, X, Y):
@@ -232,14 +233,8 @@ def relp_compose(phi, psi, X, Y, Z):
     """Relational composition of phi over X×Y and psi over Y×Z."""
     if phi.over != prod(X, Y) or psi.over != prod(Y, Z):
         raise DiagrelError("relp_compose type mismatch")
-    XY = prod(X, Y)
-    pXY = proj1(XY, Z)
-    pZ = proj2(XY, Z)
-    pX = compose(pXY, proj1(X, Y))
-    pY = compose(pXY, proj2(X, Y))
-    pYZ = pairing(pY, pZ)
-    pXZ = pairing(pX, pZ)
-    return exists_along(pXZ, meet(subst(pXY, phi), subst(pYZ, psi)))
+    p12, p13, p23 = _pairings(X, Y, Z)
+    return exists_along(p13, meet(subst(p12, phi), subst(p23, psi)))
 
 
 def relp_tensor(phi, psi, X1, Y1, X2, Y2):

@@ -336,25 +336,14 @@ def linear_adjoint(a):
 
 
 def is_map(a):
-    """True iff a is total and single-valued (a function)."""
+    """True iff a is total and single-valued (a function): a ; copy equals
+    copy ; (a (x) a) and a ; discard equals discard, each lax law and its colax
+    converse decided by one equality."""
     k = a.carrier
-    lax_copy = included(
-        compose_white(a, copy_white(k, a.cod_arity)),
-        compose_white(copy_white(k, a.dom_arity), tensor_white(a, a)),
-    )
-    lax_discard = included(
-        compose_white(a, discard_white(k, a.cod_arity)),
-        discard_white(k, a.dom_arity),
-    )
-    colax_copy = included(
-        compose_white(copy_white(k, a.dom_arity), tensor_white(a, a)),
-        compose_white(a, copy_white(k, a.cod_arity)),
-    )
-    colax_discard = included(
-        discard_white(k, a.dom_arity),
-        compose_white(a, discard_white(k, a.cod_arity)),
-    )
-    return lax_copy and lax_discard and colax_copy and colax_discard
+    copies = equal(compose_white(a, copy_white(k, a.cod_arity)),
+                   compose_white(copy_white(k, a.dom_arity), tensor_white(a, a)))
+    return copies and equal(compose_white(a, discard_white(k, a.cod_arity)),
+                            discard_white(k, a.dom_arity))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 from . import terms as T
 from .finrel import (
-    FinRelation, Interpretation, evaluate, evaluate_typed, included, inclusion_witness,
-    space_bits,
+    FinRelation, Interpretation, evaluate, evaluate_typed, inclusion_witness, space_bits,
 )
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
@@ -720,10 +719,9 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
     rng = random.Random(seed)
     for _ in range(trials):
         interp = random_interpretation(sig, k, rng)
-        lhs = evaluate(script.lhs, interp)
-        rhs = evaluate(script.rhs, interp)
-        if not included(lhs, rhs):
-            return False, (interp, inclusion_witness(lhs, rhs))
+        witness = inclusion_witness(evaluate(script.lhs, interp), evaluate(script.rhs, interp))
+        if witness is not None:
+            return False, (interp, witness)
     return True, None
 
 
@@ -746,7 +744,9 @@ class AxiomReport:
 
 def _instance(axiom, objs, gens, draws):
     """(sig, lhs, rhs, binding) of `axiom` for the values drawn in a trial: one per
-    object metavariable in `objs`, then two per generator metavariable in `gens`."""
+    object metavariable in `objs`, then two per generator metavariable in `gens`.
+    Both sides are typechecked under `sig` here, so trials evaluate them
+    through the typed entry."""
     binding = {**dict(zip(objs, draws)), **{g: "~" + g for g in gens}}
     arities = iter(draws[len(objs):])
     generators = {"~" + g: (next(arities), next(arities)) for g in gens}
@@ -759,42 +759,42 @@ def _instance(axiom, objs, gens, draws):
     sig = Signature(generators)
     lhs = instantiate(axiom.lhs, binding, sig)
     rhs = instantiate(axiom.rhs, binding, sig)
+    typecheck(lhs, sig)
+    typecheck(rhs, sig)
     return sig, lhs, rhs, binding
 
 
 def verify_axiom(axiom, k=2, trials=200, seed=0):
     """Check `axiom` on `trials` random instances at carrier k, each object and
-    generator arity drawn from 0..2.  Instances are memoized on each trial's
-    drawn values (see `_instance`): built and typechecked (by `evaluate`) when
-    first drawn, later evaluated through the typed entry; each trial still draws
-    a fresh interpretation.  An axiom with no arrow or generator metavariables
-    has none, so its verdict is memoized too."""
+    generator arity drawn from 0..2.  Instances are built and typechecked once
+    per distinct drawn values (see `_instance`); each trial still draws a fresh
+    interpretation.  An instance whose signature has no generators has a value
+    that depends on the drawn values only, so its verdict is memoized too."""
     check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
     counterexample = ""
-    objs, arrows, gens = axiom.variables()
+    objs, _, gens = axiom.variables()
     objs, gens = sorted(objs), sorted(gens)
-    constant_axiom = not arrows and not gens
-    memo = {}  # drawn values -> [sig, lhs, rhs, binding, verdict or None]
+    instances, verdicts = {}, {}  # keyed by the drawn values
     for _ in range(trials):
         draws = tuple(rng.randint(0, 2) for _ in range(len(objs) + 2 * len(gens)))
-        entry = memo.get(draws)
-        if fresh := entry is None:
-            entry = memo[draws] = [*_instance(axiom, objs, gens, draws), None]
-        sig, lhs, rhs, binding, bad = entry
+        if draws not in instances:
+            instances[draws] = _instance(axiom, objs, gens, draws)
+        sig, lhs, rhs, binding = instances[draws]
         interp = random_interpretation(sig, k, rng)
+        bad = verdicts.get(draws)
         if bad is None:
-            ev = evaluate if fresh else evaluate_typed
-            lv, rv = ev(lhs, interp), ev(rhs, interp)
-            bad = not (included(lv, rv) and (axiom.kind == "le" or included(rv, lv)))
-            if constant_axiom:
-                # the instance value depends only on the drawn values
-                entry[4] = bad
+            lv, rv = evaluate_typed(lhs, interp), evaluate_typed(rhs, interp)
+            witness = inclusion_witness(lv, rv)
+            if witness is None and axiom.kind == "eq":
+                witness = inclusion_witness(rv, lv)
+            bad = witness is not None
+            if not sig.generators:
+                verdicts[draws] = bad
             if bad and not counterexample:
-                counterexample = (
-                    f"binding={binding} lhs={print_term(lhs)} rhs={print_term(rhs)} "
-                    f"witness={inclusion_witness(lv, rv) or inclusion_witness(rv, lv)}")
+                counterexample = (f"binding={binding} lhs={print_term(lhs)} "
+                                  f"rhs={print_term(rhs)} witness={witness}")
         failures += bad
     return AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)
 

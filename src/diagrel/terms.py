@@ -492,7 +492,8 @@ def build_term(sx, sig):
         raise ParseError(f"{tok} expects {len(kinds)} argument(s), got {len(args)}",
                          line, col)
     if kinds[0] == "term":
-        return cls(*[build_term(arg, sig) for arg in args])
+        # map, not a comprehension: one Python frame per term level
+        return cls(*map(build_term, args, [sig] * len(args)))
     if kinds[0] == "nat":
         return cls(*map(_nat, args))
     name = args[0]  # gen and genop take one generator name

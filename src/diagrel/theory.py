@@ -76,14 +76,11 @@ def parse_theory(text):
 
 def check_model(theory, interp):
     """Evaluate every axiom, typechecked under `interp.signature` (by
-    `evaluate`); failing axioms carry a counterexample pair."""
+    `evaluate`); failing axioms carry the counterexample pair that decided them."""
     verdicts = []
     for name, lhs, rhs in theory.axioms:
-        lv, rv = evaluate(lhs, interp), evaluate(rhs, interp)
-        if included(lv, rv):
-            verdicts.append((name, True, None))
-        else:
-            verdicts.append((name, False, inclusion_witness(lv, rv)))
+        witness = inclusion_witness(evaluate(lhs, interp), evaluate(rhs, interp))
+        verdicts.append((name, witness is None, witness))
     return ModelReport(tuple(verdicts))
 
 

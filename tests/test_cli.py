@@ -232,6 +232,15 @@ def test_deep_term_nesting_exits_2(files, capsys, command):
     assert capsys.readouterr().err.strip() == "error: term nesting too deep"
 
 
+def test_eval_of_900_nested_dags(files, capsys):
+    """The parser takes one frame per term level, so 900 levels parse,
+    typecheck and evaluate; an even number of converses gives R back."""
+    deep = files["dir"] / "deep.term"
+    deep.write_text("(dag " * 900 + "(gen R)" + ")" * 900)
+    assert run(["eval", "--sig", files["sig"], "--interp", files["interp"], str(deep)]) == 0
+    assert capsys.readouterr().out == "rel result 1 1 {\n  (0 ; 0)\n  (0 ; 1)\n  (1 ; 1)\n}\n"
+
+
 @pytest.mark.parametrize("arity, axiom", [
     ("3000 -> 6000", "copy-split"),
     ("6000 -> 3000", "cocopy-split-b"),

@@ -165,11 +165,14 @@ def test_linear_adjoint_laws():
 
 
 def test_is_map_iff_function_exhaustive_k2():
-    k = 2
-    for bits in range(1 << (k * k)):
-        r = F.FinRelation(k, 1, 1, bits)
-        assert F.is_map(r) == helpers.is_function(r)
-    assert sum(F.is_map(F.FinRelation(k, 1, 1, b)) for b in range(16)) == 4
+    """Every relation at k = 0..2 with n, m <= 1, and every 1 -> 1 relation at k = 3."""
+    spaces = [(k, n, m) for k in range(3) for n in range(2) for m in range(2)]
+    for k, n, m in spaces + [(3, 1, 1)]:
+        for bits in range(1 << (k ** n * k ** m)):
+            r = F.FinRelation(k, n, m, bits)
+            assert F.is_map(r) == helpers.is_function(r)
+    assert sum(F.is_map(F.FinRelation(2, 1, 1, b)) for b in range(16)) == 4
+    assert sum(F.is_map(F.FinRelation(3, 1, 1, b)) for b in range(512)) == 27
 
 
 def test_interpretation_validation():

@@ -133,6 +133,14 @@ def test_verify_axioms_typecheck_each_distinct_instance_once(monkeypatch):
     assert 0 < calls[0] <= distinct_nodes < per_trial_nodes // 2
 
 
+def test_verification_evaluates_through_the_typed_entry_only(monkeypatch):
+    """Instances are typechecked where they are built, so no trial calls the
+    checked `evaluate`."""
+    calls = helpers.count_calls(monkeypatch, F, "evaluate")
+    R.verify_axioms(k=2, trials=13, seed=0)
+    assert calls == [0]
+
+
 def test_negative_trials_are_rejected():
     script = R.parse_proof("prove (idw 1) <= (top 1 1)\nqed\n", SIG)
     with pytest.raises(T.DiagrelError, match="trials must be non-negative"):
