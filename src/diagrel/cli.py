@@ -181,65 +181,52 @@ def build_parser():
                     "semantics, proof checking, model finding.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    # --max-bits is declared once and inherited by every subcommand but doctrine
-    limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-bits", type=int,
-                        help="relation size guard in bits (default 2^30)")
+    def option(*names, **kwargs):
+        """A parent parser holding one option; the subcommands that inherit it
+        share its one argparse Action."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
 
-    def command(name, fn, summary, sig=True, interp=False):
-        p = sub.add_parser(name, help=summary, parents=[limits])
-        if sig:
-            p.add_argument("--sig", help="signature file (`sig NAME : N -> M` lines)")
-        if interp:
-            p.add_argument("--interp", help="interpretation file")
-        p.set_defaults(fn=fn)
+    # every subcommand but doctrine inherits --max-bits; doctrine's --size is its own
+    limits = option("--max-bits", type=int, help="relation size guard in bits (default 2^30)")
+    sig = option("--sig", help="signature file (`sig NAME : N -> M` lines)")
+    interp = option("--interp", help="interpretation file")
+    machine = option("--machine", action="store_true")
+    size = option("--size", type=int, default=2)
+    trials = option("--trials", type=int)
+    seed = option("--seed", type=int, default=0)
+
+    def command(name, fn, summary, *options, **defaults):
+        p = sub.add_parser(name, help=summary, parents=[limits, *options])
+        p.set_defaults(fn=fn, **defaults)
         return p
 
-    p = command("typecheck", _cmd_typecheck, "type a term")
-    p.add_argument("term")
-
-    p = command("desugar", _cmd_desugar, "expand derived constructors")
-    p.add_argument("term")
-
-    p = command("eval", _cmd_eval, "evaluate a term as a finite relation", interp=True)
-    p.add_argument("term")
-
-    p = command("included", _cmd_included, "test semantic inclusion of two terms",
-                interp=True)
+    command("typecheck", _cmd_typecheck, "type a term", sig).add_argument("term")
+    command("desugar", _cmd_desugar, "expand derived constructors", sig).add_argument("term")
+    command("eval", _cmd_eval, "evaluate a term as a finite relation", sig,
+            interp).add_argument("term")
+    p = command("included", _cmd_included, "test semantic inclusion of two terms", sig, interp)
     p.add_argument("lhs")
     p.add_argument("rhs")
-
-    p = command("check-model", _cmd_check_model,
-                "check an interpretation against a theory", sig=False, interp=True)
-    p.add_argument("theory", help="theory file")
-    p.add_argument("--machine", action="store_true")
-
-    p = command("find-models", _cmd_find_models, "enumerate models at a carrier size",
-                sig=False)
-    p.add_argument("theory", help="theory file")
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--max-space", type=int, default=theory_mod.DEFAULT_SEARCH_BOUND)
-    p.add_argument("--machine", action="store_true")
-
-    p = command("check-proof", _cmd_check_proof, "validate a proof script")
-    p.add_argument("proof", help="proof file")
-    p.add_argument("--spotcheck", action="store_true",
-                   help="also test the claim on random interpretations")
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = command("verify-axioms", _cmd_verify_axioms,
-                "check the axiom database against the relation model", sig=False)
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--family", choices=["cartesian", "cocartesian", "linear",
-                                        "fo", "structural", "generator-adjoint"])
-    p.add_argument("--machine", action="store_true")
-
-    p = command("spider", _cmd_spider, "normalize a Frobenius-fragment term")
-    p.add_argument("term")
+    command("check-model", _cmd_check_model, "check an interpretation against a theory",
+            interp, machine).add_argument("theory", help="theory file")
+    command("find-models", _cmd_find_models, "enumerate models at a carrier size", size,
+            option("--max-space", type=int, default=theory_mod.DEFAULT_SEARCH_BOUND),
+            machine).add_argument("theory", help="theory file")
+    command("check-proof", _cmd_check_proof, "validate a proof script", sig,
+            option("--spotcheck", action="store_true",
+                   help="also test the claim on random interpretations"),
+            size, trials, seed, trials=50).add_argument("proof", help="proof file")
+    command("verify-axioms", _cmd_verify_axioms,
+            "check the axiom database against the relation model", size, trials, seed,
+            option("--family", choices=["cartesian", "cocartesian", "linear", "fo",
+                                        "structural", "generator-adjoint"]),
+            machine, trials=200)
+    # set_defaults wrote each subcommand's --trials default into the shared
+    # action as well; suppress it there, so that each subcommand's own applies
+    trials.set_defaults(trials=argparse.SUPPRESS)
+    command("spider", _cmd_spider, "normalize a Frobenius-fragment term", sig).add_argument("term")
 
     p = sub.add_parser("doctrine", help="powerset-doctrine utilities")
     p.add_argument("action", choices=["comprehension", "ruc"])

@@ -31,6 +31,7 @@ from .terms import (
 )
 
 MAX_BITS = 2 ** 30
+MAX_ARITY = 2 ** 20  # of n + m: one tuple takes a few MB; at k >= 2 the bits refuse first
 
 
 class SizeLimit(DiagrelError):
@@ -39,12 +40,16 @@ class SizeLimit(DiagrelError):
 
 def space_bits(k, n, m):
     """The bit count k^n * k^m of a relation X^n -> X^m, or SizeLimit above
-    MAX_BITS; for k >= 2 the exponent decides first, so no huge power is built."""
+    MAX_BITS; for k >= 2 the exponent decides first, so no huge power is built.
+    The total arity n + m is bounded by MAX_ARITY too: at carriers 0 and 1 the
+    bit count is at most 1 at any arity."""
     if k < 0:
         raise DiagrelError("carrier size must be non-negative")
     if k > 1 and (n + m) * (k.bit_length() - 1) > MAX_BITS.bit_length() \
             or (size := (k ** n) * (k ** m)) > MAX_BITS:
         raise SizeLimit(f"relation space {k}^{n + m} exceeds {MAX_BITS} bits")
+    if n + m > MAX_ARITY:
+        raise SizeLimit(f"relation arity {n + m} exceeds {MAX_ARITY}")
     return size
 
 
@@ -272,39 +277,55 @@ def _graph(k, n, m, f):
         k, n, m, ((t, f(t)) for t in itertools.product(range(k), repeat=n)))
 
 
-@functools.lru_cache(maxsize=None)
+def _cached(build):
+    """`build`, cached while MAX_BITS stays as it was when the cache was filled:
+    a relation built under one size guard is never handed out under a lower one."""
+    cache, filled_under = functools.lru_cache(maxsize=None)(build), MAX_BITS
+
+    @functools.wraps(build)
+    def constant(*key):
+        nonlocal filled_under
+        if MAX_BITS != filled_under:
+            cache.cache_clear()
+            filled_under = MAX_BITS
+        return cache(*key)
+    constant.cache_info = cache.cache_info  # for perfbench's constant-cache hit ratio
+    return constant
+
+
+@_cached
 def identity_white(k, n=1):
     return _graph(k, n, n, lambda t: t)
 
 
-@functools.lru_cache(maxsize=None)
+@_cached
 def symmetry_white(k, m=1, n=1):
     return _graph(k, m + n, n + m, lambda t: t[m:] + t[:m])
 
 
-@functools.lru_cache(maxsize=None)
+@_cached
 def copy_white(k, n=1):
     return _graph(k, n, 2 * n, lambda t: t + t)
 
 
-@functools.lru_cache(maxsize=None)
+@_cached
 def cocopy_white(k, n=1):
     return converse(copy_white(k, n))
 
 
-@functools.lru_cache(maxsize=None)
+@_cached
 def discard_white(k, n=1):
     return _graph(k, n, 0, lambda t: ())
 
 
-@functools.lru_cache(maxsize=None)
+@_cached
 def codiscard_white(k, n=1):
     return converse(discard_white(k, n))
 
 
 def _black(white):
     """The black constant mirroring `white`: its complement, cached."""
-    @functools.lru_cache(maxsize=None)
+    @_cached
     def black(k, *arities):
         return complement(white(k, *arities))
     return black

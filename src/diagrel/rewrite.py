@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import terms as T
 from .finrel import (
-    FinRelation, Interpretation, evaluate, evaluate_typed, inclusion_witness, space_bits,
+    FinRelation, Interpretation, evaluate_typed, inclusion_witness, space_bits,
 )
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
@@ -673,18 +673,17 @@ def parse_proof(text, sig):
 
 def check_proof(script, sig=EMPTY_SIGNATURE):
     """Validate an increasing rewrite chain from claim lhs to claim rhs.
-    The steps share one `typecheck` memo, which lives for this call and this
-    `sig`: a subtree that steps leave untouched is typed once."""
+    The claim and the steps share one `typecheck` memo for this call and
+    `sig`: desugaring reads the claim's pass, and an untouched subtree is typed once."""
+    types = {}
     try:
-        ty1 = typecheck(script.lhs, sig)
-        ty2 = typecheck(script.rhs, sig)
+        ty1 = typecheck(script.lhs, sig, types=types)
+        ty2 = typecheck(script.rhs, sig, types=types)
     except DiagrelError as e:
         return Verdict(False, -1, f"claim does not typecheck: {e}")
     if ty1 != ty2:
         return Verdict(False, -1, f"claim types differ: {ty1} vs {ty2}")
-    cur = desugar(script.lhs, sig)
-    goal = desugar(script.rhs, sig)
-    types = {}
+    cur, goal = desugar(script.lhs, sig, types), desugar(script.rhs, sig, types)
     for idx, step in enumerate(script.steps):
         try:
             cur = apply_step(cur, step, sig, types)
@@ -713,13 +712,15 @@ def check_trials(trials, k):
 
 
 def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
-    """Evaluate the claim on random interpretations; a countermodel would
-    indicate a kernel bug.  Returns (ok, countermodel-or-None)."""
+    """Evaluate the claim, typed once, on random interpretations; a countermodel
+    would indicate a kernel bug.  Returns (ok, countermodel-or-None)."""
     check_trials(trials, k)
+    lhs, rhs = script.lhs, script.rhs
+    typecheck(lhs, sig), typecheck(rhs, sig)  # every trial evaluates through the typed entry
     rng = random.Random(seed)
     for _ in range(trials):
         interp = random_interpretation(sig, k, rng)
-        witness = inclusion_witness(evaluate(script.lhs, interp), evaluate(script.rhs, interp))
+        witness = inclusion_witness(evaluate_typed(lhs, interp), evaluate_typed(rhs, interp))
         if witness is not None:
             return False, (interp, witness)
     return True, None
@@ -767,9 +768,10 @@ def _instance(axiom, objs, gens, draws):
 def verify_axiom(axiom, k=2, trials=200, seed=0):
     """Check `axiom` on `trials` random instances at carrier k, each object and
     generator arity drawn from 0..2.  Instances are built and typechecked once
-    per distinct drawn values (see `_instance`); each trial still draws a fresh
-    interpretation.  An instance whose signature has no generators has a value
-    that depends on the drawn values only, so its verdict is memoized too."""
+    per distinct drawn values (see `_instance`); each computed verdict draws a
+    fresh interpretation.  An instance whose signature has no generators has a
+    value that depends on the drawn values only, so its verdict is memoized too
+    (drawing it takes no random bits, so the stream is the same)."""
     check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
@@ -782,9 +784,9 @@ def verify_axiom(axiom, k=2, trials=200, seed=0):
         if draws not in instances:
             instances[draws] = _instance(axiom, objs, gens, draws)
         sig, lhs, rhs, binding = instances[draws]
-        interp = random_interpretation(sig, k, rng)
         bad = verdicts.get(draws)
         if bad is None:
+            interp = random_interpretation(sig, k, rng)
             lv, rv = evaluate_typed(lhs, interp), evaluate_typed(rhs, interp)
             witness = inclusion_witness(lv, rv)
             if witness is None and axiom.kind == "eq":
@@ -848,7 +850,6 @@ def spider_normalize(t, sig=EMPTY_SIGNATURE):
     partition plus a count of closed connected components.  After desugaring
     only a generator leaf lies outside the fragment; the first one from the
     left is reported, and mixed colours after the whole walk."""
-    typecheck(t, sig)
     t = desugar(t, sig)
     colours, dsu = set(), _DSU()
 

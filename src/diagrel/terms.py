@@ -4,8 +4,8 @@ Terms are immutable trees.  The primitive calculus has two colours (white
 and black) of identities, symmetries, (co)monoid constants, sequential
 composition and tensor, plus generator boxes and their opposed boxes.
 Derived constructors (dagger, negation, meet, join, top, bottom) are sugar
-nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them
-into the primitive calculus for the proof kernel (`rewrite.check_proof`,
+nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them,
+by one `typecheck` pass, for the proof kernel (`rewrite.check_proof`,
 `rewrite.spider_normalize`) and for `diagrel desugar`.
 
 The s-expression syntax is declared once, in `FORMS`: each head with its
@@ -633,25 +633,29 @@ def _negate_prim(t, sig):
     raise DiagrelError(f"not primitive: {t!r}")
 
 
-def desugar(t, sig=EMPTY_SIGNATURE):
-    """Expand all sugar nodes; the result uses only the primitive calculus."""
-    cls = type(t)
-    if cls is SeqW or cls is SeqB or cls is TensW or cls is TensB:
-        return cls(desugar(t.t, sig), desugar(t.u, sig))
-    if cls is Meet or cls is Join:
-        n, m = typecheck(t, sig)
-        a, b = desugar(t.t, sig), desugar(t.u, sig)
-        if cls is Meet:
-            return SeqW(copy_w(n), SeqW(TensW(a, b), cocopy_w(m)))
-        return SeqB(copy_b(n), SeqB(TensB(a, b), cocopy_b(m)))
-    if cls is Top:
-        return SeqW(discard_w(t.n), codiscard_w(t.m))
-    if cls is Bot:
-        return SeqB(discard_b(t.n), codiscard_b(t.m))
-    if cls is Dag:
-        inner = desugar(t.t, sig)
-        n, m = typecheck(inner, sig)
-        return _dag_expansion(inner, n, m)
-    if cls is Neg:
-        return _negate_prim(desugar(t.t, sig), sig)
-    return t
+def desugar(t, sig=EMPTY_SIGNATURE, types=None):
+    """Expand all sugar nodes into the primitive calculus, reading each arity
+    from one `typecheck` pass into `types`; a sugar-free subtree is kept."""
+    types = {} if types is None else types
+    typecheck(t, sig, types=types)
+
+    def expand(t):
+        cls = type(t)
+        if cls in BINARY:
+            a, b = expand(t.t), expand(t.u)
+            if cls is Meet or cls is Join:
+                n, m = types[id(t)][0]
+                if cls is Meet:
+                    return SeqW(copy_w(n), SeqW(TensW(a, b), cocopy_w(m)))
+                return SeqB(copy_b(n), SeqB(TensB(a, b), cocopy_b(m)))
+            return t if a is t.t and b is t.u else cls(a, b)
+        if cls is Top:
+            return SeqW(discard_w(t.n), codiscard_w(t.m))
+        if cls is Bot:
+            return SeqB(discard_b(t.n), codiscard_b(t.m))
+        if cls is Dag:  # the conjugate of the expanded body, at the body's type
+            return _dag_expansion(expand(t.t), *types[id(t.t)][0])
+        if cls is Neg:
+            return _negate_prim(expand(t.t), sig)
+        return t
+    return expand(t)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diagrel import finrel as F, terms as T
-from diagrel.cli import run
+from diagrel.cli import build_parser, run
 
 import helpers
 
@@ -65,6 +66,20 @@ def test_desugar(files, capsys):
     assert run(["desugar", "--sig", files["sig"], "(top 1 1)"]) == 0
     out = capsys.readouterr().out
     assert "dscw" in out and "codw" in out
+
+
+@pytest.mark.parametrize("term", [
+    "(seqw (idw 1) (idw 2))",
+    "(dag (seqw (idw 1) (idw 2)))",
+    "(tensw (idw 1) (meet (seqw (idw 1) (idw 2)) (idw 1)))",
+])
+def test_desugar_rejects_an_ill_typed_term_as_typecheck_does(capsys, term):
+    """`desugar` types its term by the one `typecheck` pass, so it reports the
+    same error at the same position."""
+    assert run(["typecheck", term]) == 2
+    err = capsys.readouterr().err
+    assert run(["desugar", term]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_eval_prints_relation(files, capsys):
@@ -173,6 +188,59 @@ def test_max_bits_does_not_leak_into_later_runs(tmp_path, capsys):
     assert "exceeds 16 bits" in capsys.readouterr().err
     assert run(args) == 0  # 3^4 = 81 bits under the default guard
     assert "(0 0 ; 1 2)" in capsys.readouterr().out
+
+
+def test_a_lowered_max_bits_holds_for_cached_constants(tmp_path, capsys):
+    """A constant built under the default guard is not handed out, from its
+    cache, under a lower one in the same process."""
+    interp = tmp_path / "c4.interp"
+    interp.write_text("carrier 4\n")
+    argv = ["eval", "--interp", str(interp), "(idw 2)"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--max-bits", "16"]) == 2
+    assert capsys.readouterr() == ("", "error: relation space 4^4 exceeds 16 bits\n")
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("term, arity", [
+    (f"(idw {helpers.HUGE_NUMERAL})", 2 * int(helpers.HUGE_NUMERAL)),
+    (f"(top {helpers.HUGE_NUMERAL} 1)", int(helpers.HUGE_NUMERAL) + 1),
+    ("(top 100000000 1)", 100000001),
+])
+def test_a_huge_arity_at_carriers_0_and_1_exits_2(tmp_path, capsys, k, term, arity):
+    """At carriers 0 and 1 a relation's bit count stays small at any arity,
+    so the size guard bounds the arity as well."""
+    interp = tmp_path / "small.interp"
+    interp.write_text(f"carrier {k}\n")
+    assert run(["eval", "--interp", str(interp), term]) == 2
+    assert capsys.readouterr() == ("", f"error: relation arity {arity} exceeds 1048576\n")
+
+
+def test_each_shared_option_is_declared_once():
+    """Every option but --help, across the subcommands other than doctrine
+    (whose --size is its own), is one argparse Action: parent parsers share
+    their actions with the subcommands that inherit them."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {}
+    for name, parser in sub.choices.items():
+        if name != "doctrine":
+            for action in parser._actions:
+                for option in action.option_strings:
+                    if option not in ("-h", "--help"):
+                        actions.setdefault(option, set()).add(id(action))
+    assert "--trials" in actions and "--sig" in actions
+    assert sorted(opt for opt, ids in actions.items() if len(ids) > 1) == []
+
+
+def test_shared_options_keep_each_subcommand_default():
+    parse = build_parser().parse_args
+    proof, axioms = parse(["check-proof", "p.prf"]), parse(["verify-axioms"])
+    assert (proof.trials, proof.size, proof.seed) == (50, 2, 0)
+    assert (axioms.trials, axioms.size, axioms.seed) == (200, 2, 0)
+    assert parse(["find-models", "t.thy"]).size == 2
+    assert parse(["doctrine", "ruc", "--size", "3"]).size == 3
 
 
 def test_max_bits_accepted_by_each_command(files, capsys):
@@ -382,15 +450,14 @@ def test_cli_fuzz_with_odd_numerals_exits_cleanly(tmp_path, capsys, k, max_bits,
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.integers(2, 3), st.integers(0, 4096), st.integers(0, 10 ** 6),
+@given(st.integers(0, 3), st.integers(0, 4096), st.integers(0, 10 ** 6),
        _cli_terms(HUGE_PIECES),
        _cli_theories(HUGE_PIECES))
 def test_cli_fuzz_with_a_huge_numeral_exits_cleanly(tmp_path, capsys, k, max_bits, seed,
                                                     terms, theory):
-    """A numeral past any arity, at carriers 2 and 3, where the size guard
-    refuses it; the carrier of the interpretation is not edited.  At carriers
-    0 and 1 no guard bounds an arity yet, and a relation of that arity can
-    take more memory than the machine has."""
+    """A numeral past any arity, at carriers 0 to 3, where the size guard
+    refuses it: by its bits at carriers 2 and 3, by its arity at 0 and 1.
+    The carrier of the interpretation is not edited."""
     rel = helpers.random_relation(random.Random(seed), k, 1, 1)
     interp = F.print_interpretation(F.Interpretation(CLI_SIG, k, {"R": rel}))
     _fuzz_cli(tmp_path, capsys, k, max_bits, interp, terms, theory)

@@ -59,6 +59,20 @@ def test_space_bits_decides_at_the_exact_bound(monkeypatch):
                         F.space_bits(k, n, m)
 
 
+def test_space_bits_bounds_the_total_arity():
+    """At carriers 0 and 1 the bit count is at most 1 at any arity, so the
+    total arity n + m is bounded too; at carrier 2 the bits refuse first."""
+    bound = F.MAX_ARITY
+    assert 64 <= bound <= 2 ** 20
+    for k in (0, 1):
+        assert F.space_bits(k, bound, 0) == F.space_bits(k, 30, bound - 30) == k
+        for n, m in ((bound + 1, 0), (bound // 2, bound // 2 + 1), (10 ** 20, 1)):
+            with pytest.raises(F.SizeLimit, match=f"^relation arity {n + m} exceeds {bound}$"):
+                F.space_bits(k, n, m)
+    with pytest.raises(F.SizeLimit, match="^relation space 2\\^65 exceeds"):
+        F.space_bits(2, 65, 0)
+
+
 def test_from_pairs_and_has():
     r = F.FinRelation.from_pairs(3, 1, 2, [((0,), (1, 2)), ((2,), (0, 0))])
     assert r.has((0,), (1, 2)) and r.has((2,), (0, 0))

@@ -141,6 +141,17 @@ def test_verification_evaluates_through_the_typed_entry_only(monkeypatch):
     assert calls == [0]
 
 
+def test_verify_axiom_draws_an_interpretation_only_for_a_computed_verdict(monkeypatch):
+    """copy-as has no generator, so each of its 3 instances is decided once;
+    seq-assoc has arrow metavariables, so every trial draws."""
+    draws = helpers.count_calls(monkeypatch, R, "random_interpretation")
+    R.verify_axiom(R.axiom_by_name("copy-as"), k=2, trials=50, seed=0)
+    assert 0 < draws[0] <= 3
+    draws[0] = 0
+    R.verify_axiom(R.axiom_by_name("seq-assoc"), k=2, trials=50, seed=0)
+    assert draws == [50]
+
+
 def test_negative_trials_are_rejected():
     script = R.parse_proof("prove (idw 1) <= (top 1 1)\nqed\n", SIG)
     with pytest.raises(T.DiagrelError, match="trials must be non-negative"):
@@ -241,6 +252,14 @@ def test_shipped_proofs_spotcheck(name):
     script = R.parse_proof(_load(name), SIG)
     ok, counter = R.semantic_spotcheck(script, SIG, trials=50, k=2, seed=1)
     assert ok, counter
+
+
+def test_spotcheck_evaluates_through_the_typed_entry_only(monkeypatch):
+    """The claim is typed once, so no trial calls the checked `evaluate`."""
+    script = R.parse_proof(_load("meet_top.prf"), SIG)
+    calls = helpers.count_calls(monkeypatch, F, "evaluate")
+    assert R.semantic_spotcheck(script, SIG, trials=50, k=2, seed=1) == (True, None)
+    assert calls == [0]
 
 
 def _mutations(script):

@@ -274,6 +274,41 @@ def test_desugar_removes_sugar():
         assert not any(isinstance(T.subterm_at(d, p), sugar) for p in T.positions(d))
 
 
+def _nested_dags(depth):
+    t = T.Gen("R")
+    for _ in range(depth):
+        t = T.Dag(t)
+    return t
+
+
+def test_desugar_types_each_node_once(monkeypatch):
+    """One `typecheck` pass, which visits each of the 61 nodes once, gives
+    every dag its arity."""
+    t = _nested_dags(60)
+    calls = helpers.count_calls(monkeypatch, T, "typecheck")
+    T.desugar(t, SIG)
+    assert calls == [61]
+
+
+def test_desugar_of_900_nested_dags():
+    """One frame per term level in each of the typing pass and the expansion;
+    the result, four levels per dag, is not walked here."""
+    d = T.desugar(_nested_dags(900), SIG)
+    assert type(d) is T.SeqW and type(d.t) is T.TensW  # (cup ⊗ id) ; ...
+
+
+def test_desugar_returns_a_sugar_free_term_itself():
+    rng = random.Random(29)
+    for _ in range(40):
+        t = helpers.random_term(rng, SIG, rng.randint(0, 2), rng.randint(0, 2), 3)
+        d = T.desugar(t, SIG)
+        assert T.desugar(d, SIG) is d
+    r = T.Gen("R")
+    t = T.SeqW(r, T.TensW(T.IdW(0), T.Const("copyw")))
+    assert T.desugar(t, SIG) is t
+    assert T.desugar(T.Meet(t, T.Neg(t)), SIG).u.t.t is t  # copy ; (t ⊗ ¬t) ; cocopy
+
+
 def test_desugar_meet_shape():
     t = T.desugar(T.Meet(T.Gen("R"), T.Gen("R")), SIG)
     # copy ; (R ⊗ R) ; cocopy
