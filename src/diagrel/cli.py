@@ -13,7 +13,7 @@ import sys
 
 from . import doctrine as D
 from . import finrel, rewrite, theory as theory_mod
-from .finrel import evaluate, inclusion_witness, parse_interpretation
+from .finrel import evaluate, evaluate_typed, inclusion_witness, parse_interpretation
 from .terms import DiagrelError, Signature, desugar, parse_term, print_term, typecheck
 
 
@@ -65,9 +65,10 @@ def _cmd_eval(args):
 def _cmd_included(args):
     sig = _load_sig(args)
     interp = _load_interp(args, sig)
-    lv = evaluate(_term_arg(args.lhs, sig), interp)
-    rv = evaluate(_term_arg(args.rhs, sig), interp)
-    witness = inclusion_witness(lv, rv)
+    lhs, rhs = _term_arg(args.lhs, sig), _term_arg(args.rhs, sig)
+    if (ty1 := typecheck(lhs, sig)) != (ty2 := typecheck(rhs, sig)):
+        raise DiagrelError(f"sides typed {ty1} vs {ty2}")  # before either is evaluated
+    witness = inclusion_witness(evaluate_typed(lhs, interp), evaluate_typed(rhs, interp))
     print("included" if witness is None else f"not included: witness {witness}")
     return 0 if witness is None else 1
 
@@ -245,19 +246,15 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 2
-    saved = finrel.MAX_BITS
-    if getattr(args, "max_bits", None) is not None:
-        finrel.MAX_BITS = args.max_bits
     try:
-        return args.fn(args)
+        with finrel.size_guard(getattr(args, "max_bits", None)):
+            return args.fn(args)
     except (DiagrelError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: term nesting too deep", file=sys.stderr)
         return 2
-    finally:
-        finrel.MAX_BITS = saved
 
 
 def main():

@@ -15,23 +15,23 @@ it through `evaluate_typed`, the entry for callers that already hold terms
 typechecked under a signature that types each generator as its relation.
 Evaluation is compositional and keeps no state: `evaluate_typed` applies each
 node's kernel to its children's values, one call per node, and hashes no
-term; only the constants are cached, per carrier and arity.
+term.  Only the constants, graphs of index maps, are cached per carrier and
+arity, in plain caches that `size_guard` empties when it changes MAX_BITS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .terms import (
-    Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
+    MAX_ARITY, Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
     ParseError, SeqB, SeqW, Signature, SymB, SymW, TensB, TensW, Top, read_lines, read_nat,
     typecheck,
 )
 
 MAX_BITS = 2 ** 30
-MAX_ARITY = 2 ** 20  # of n + m: one tuple takes a few MB; at k >= 2 the bits refuse first
 
 
 class SizeLimit(DiagrelError):
@@ -51,6 +51,27 @@ def space_bits(k, n, m):
     if n + m > MAX_ARITY:
         raise SizeLimit(f"relation arity {n + m} exceeds {MAX_ARITY}")
     return size
+
+
+@contextlib.contextmanager
+def size_guard(bits):
+    """Run a block under the size guard MAX_BITS = `bits` (None keeps it), then
+    restore the old guard, also on an exception; each change empties the caches."""
+    saved = MAX_BITS
+    _set_guard(saved if bits is None else bits)
+    try:
+        yield
+    finally:
+        _set_guard(saved)
+
+
+def _set_guard(bits):
+    global MAX_BITS
+    if bits != MAX_BITS:
+        MAX_BITS = bits
+        for value in list(globals().values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def encode(k, tup):
@@ -80,7 +101,7 @@ class FinRelation:
 
     def __post_init__(self):
         size = space_bits(self.carrier, self.dom_arity, self.cod_arity)
-        if not 0 <= self.bits < (1 << size):
+        if self.bits < 0 or self.bits.bit_length() > size:
             raise DiagrelError("bitmask out of range for relation space")
 
     @property
@@ -125,7 +146,8 @@ def _check_same_space(a, b):
 
 
 def complement(a):
-    return FinRelation(a.carrier, a.dom_arity, a.cod_arity, a.bits ^ a.ones)
+    # no mask from `ones`: the relation built checks the space, once
+    return FinRelation(a.carrier, a.dom_arity, a.cod_arity, a.bits ^ (1 << a.rows * a.cols) - 1)
 
 
 def converse(a):
@@ -198,12 +220,13 @@ def _join_rows(rows, cols):
     return rows[0]
 
 
-def _compose_bits(a, b, abits, bbits):
-    """The bits of the relational composition of `abits` in a's space with
-    `bbits` in b's space."""
+def _compose_bits(a, b, black=False):
+    """The bits of the relational composition of a and b, or with `black` of
+    its De Morgan dual ~(~a ; ~b), on raw bitmasks XORed with full masks."""
+    abits, bbits = (a.bits ^ a.ones, b.bits ^ b.ones) if black else (a.bits, b.bits)
     if a.carrier != b.carrier or a.cod_arity != b.dom_arity:
         raise DiagrelError("composition type mismatch")
-    space_bits(a.carrier, a.dom_arity, b.cod_arity)
+    size = space_bits(a.carrier, a.dom_arity, b.cod_arity)
     b_rows = _row_masks(bbits, b.rows, b.cols)
     out_rows = []
     for row in _row_masks(abits, a.rows, a.cols):
@@ -213,31 +236,29 @@ def _compose_bits(a, b, abits, bbits):
             out |= b_rows[low.bit_length() - 1]
             row ^= low
         out_rows.append(out)
-    return _join_rows(out_rows, b.cols)
+    return _join_rows(out_rows, b.cols) ^ ((1 << size) - 1 if black else 0)
 
 
 def compose_white(a, b):
     """{(x,z) | exists y. a(x,y) and b(y,z)}."""
-    return FinRelation(a.carrier, a.dom_arity, b.cod_arity,
-                       _compose_bits(a, b, a.bits, b.bits))
+    return FinRelation(a.carrier, a.dom_arity, b.cod_arity, _compose_bits(a, b))
 
 
 def compose_black(a, b):
     """{(x,z) | forall y. a(x,y) or b(y,z)}: the De Morgan dual ~(~a ; ~b) of
     the white composition, on complemented raw bitmasks."""
-    k, n, m = a.carrier, a.dom_arity, b.cod_arity
-    bits = _compose_bits(a, b, a.bits ^ a.ones, b.bits ^ b.ones)
-    return FinRelation(k, n, m, bits ^ (1 << space_bits(k, n, m)) - 1)
+    return FinRelation(a.carrier, a.dom_arity, b.cod_arity, _compose_bits(a, b, True))
 
 
-def _tensor_bits(a, b, abits, bbits):
-    """The bits of the conjunctive tensor of `abits` in a's space with `bbits`
-    in b's space, by bitmask arithmetic: restride b's rows to the result's
-    column width, then for each row of a multiply by the spread of its column
-    mask (shifted copies land in disjoint blocks, so no carries)."""
+def _tensor_bits(a, b, black=False):
+    """The bits of the conjunctive tensor of a and b, or with `black` of its
+    De Morgan dual ~(~a * ~b), by bitmask arithmetic: restride b's rows to the
+    result's column width, then for each row of a multiply by the spread of
+    its column mask (shifted copies land in disjoint blocks, so no carries)."""
+    abits, bbits = (a.bits ^ a.ones, b.bits ^ b.ones) if black else (a.bits, b.bits)
     if a.carrier != b.carrier:
         raise DiagrelError("tensor carrier mismatch")
-    space_bits(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity)
+    size = space_bits(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity)
     bcols, brows = b.cols, b.rows
     tot = a.cols * bcols
     restrided = _join_rows(_row_masks(bbits, brows, bcols), tot)
@@ -249,21 +270,20 @@ def _tensor_bits(a, b, abits, bbits):
             spread |= 1 << ((low.bit_length() - 1) * bcols)
             row ^= low
         out_blocks.append(spread * restrided if spread else 0)
-    return _join_rows(out_blocks, brows * tot)
+    return _join_rows(out_blocks, brows * tot) ^ ((1 << size) - 1 if black else 0)
 
 
 def tensor_white(a, b):
     """Conjunctive tensor."""
     return FinRelation(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity,
-                       _tensor_bits(a, b, a.bits, b.bits))
+                       _tensor_bits(a, b))
 
 
 def tensor_black(a, b):
     """Disjunctive tensor: the De Morgan dual ~(~a * ~b) of the conjunctive
     one, on complemented raw bitmasks."""
-    k, n, m = a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity
-    bits = _tensor_bits(a, b, a.bits ^ a.ones, b.bits ^ b.ones)
-    return FinRelation(k, n, m, bits ^ (1 << space_bits(k, n, m)) - 1)
+    return FinRelation(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity,
+                       _tensor_bits(a, b, True))
 
 
 # ---------------------------------------------------------------------------
@@ -271,64 +291,46 @@ def tensor_black(a, b):
 
 
 def _graph(k, n, m, f):
-    """The relation X^n -> X^m relating each n-tuple t to f(t)."""
-    space_bits(k, n, m)  # `product` below is built before from_pairs' own guard runs
-    return FinRelation.from_pairs(
-        k, n, m, ((t, f(t)) for t in itertools.product(range(k), repeat=n)))
+    """The relation X^n -> X^m relating each row index r to the column index
+    f(r), the graph of a map on the base-k encodings of tuples."""
+    space_bits(k, n, m)  # before the k^n rows are walked
+    return FinRelation(k, n, m, _join_rows([1 << f(r) for r in range(k ** n)], k ** m))
 
 
-def _cached(build):
-    """`build`, cached while MAX_BITS stays as it was when the cache was filled:
-    a relation built under one size guard is never handed out under a lower one."""
-    cache, filled_under = functools.lru_cache(maxsize=None)(build), MAX_BITS
-
-    @functools.wraps(build)
-    def constant(*key):
-        nonlocal filled_under
-        if MAX_BITS != filled_under:
-            cache.cache_clear()
-            filled_under = MAX_BITS
-        return cache(*key)
-    constant.cache_info = cache.cache_info  # for perfbench's constant-cache hit ratio
-    return constant
-
-
-@_cached
+@functools.cache
 def identity_white(k, n=1):
-    return _graph(k, n, n, lambda t: t)
+    return _graph(k, n, n, lambda r: r)
 
 
-@_cached
+@functools.cache
 def symmetry_white(k, m=1, n=1):
-    return _graph(k, m + n, n + m, lambda t: t[m:] + t[:m])
+    # row (x, y), with x of m and y of n coordinates, goes to column (y, x)
+    return _graph(k, m + n, n + m, lambda r: r % k ** n * k ** m + r // k ** n)
 
 
-@_cached
+@functools.cache
 def copy_white(k, n=1):
-    return _graph(k, n, 2 * n, lambda t: t + t)
+    return _graph(k, n, 2 * n, lambda r: r * k ** n + r)
 
 
-@_cached
+@functools.cache
 def cocopy_white(k, n=1):
     return converse(copy_white(k, n))
 
 
-@_cached
+@functools.cache
 def discard_white(k, n=1):
-    return _graph(k, n, 0, lambda t: ())
+    return _graph(k, n, 0, lambda r: 0)
 
 
-@_cached
+@functools.cache
 def codiscard_white(k, n=1):
     return converse(discard_white(k, n))
 
 
 def _black(white):
     """The black constant mirroring `white`: its complement, cached."""
-    @_cached
-    def black(k, *arities):
-        return complement(white(k, *arities))
-    return black
+    return functools.cache(lambda k, *arities: complement(white(k, *arities)))
 
 
 identity_black = _black(identity_white)

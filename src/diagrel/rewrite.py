@@ -865,10 +865,10 @@ def spider_normalize(t, sig=EMPTY_SIGNATURE):
                 f"outside Frobenius fragment: {print_term(t)} at {format_position(path)}")
         colours.add(_HEAD_COLOUR[cls])
         if cls is IdW or cls is IdB:
-            ports = [dsu.fresh() for _ in range(t.n)]
+            ports = [dsu.fresh() for _ in range(T.check_arity(t.n))]
             return ports, list(ports)
         if cls is SymW or cls is SymB:
-            ports = [dsu.fresh() for _ in range(t.m + t.n)]
+            ports = [dsu.fresh() for _ in range(T.check_arity(t.m + t.n))]
             return list(ports), ports[t.m:] + ports[:t.m]
         i1, o1 = walk(t.t, path + (0,))
         i2, o2 = walk(t.u, path + (1,))
@@ -876,7 +876,8 @@ def spider_normalize(t, sig=EMPTY_SIGNATURE):
             for x, y in zip(o1, i2):
                 dsu.union(x, y)
             return i1, o2
-        return i1 + i2, o1 + o2  # TensW / TensB
+        T.check_arity(max(len(i1) + len(i2), len(o1) + len(o2)))  # TensW / TensB
+        return i1 + i2, o1 + o2
 
     ins, outs = walk(t, ())
     if len(colours) > 1:

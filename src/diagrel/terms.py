@@ -37,6 +37,11 @@ import functools
 import re
 from dataclasses import dataclass, fields
 
+#: the largest total arity n + m of a relation space, and the largest arity of
+#: an arity-indexed macro or of a spider port list; at carriers 0 and 1 a
+#: relation's bit count stays small at any arity, so the bits cannot bound it
+MAX_ARITY = 2 ** 20
+
 
 class DiagrelError(Exception):
     pass
@@ -385,15 +390,26 @@ def typecheck(t, sig, _path=(), types=None):
 
 
 def print_term(t):
-    cls = type(t)
-    if cls is Const:
-        return t.kind
-    if cls not in _SYNTAX:
-        raise DiagrelError(f"not a term: {t!r}")
-    head, kind, names = _SYNTAX[cls]
-    args = (map(print_term, children(t)) if kind == "term"
-            else [str(getattr(t, f)) for f in names])
-    return f"({head} {' '.join(args)})"
+    """The s-expression of t, written from an explicit stack of subterms and
+    text pieces, so that it prints every term `desugar` builds, at any depth."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is str or cls is Const:
+            out.append(t if cls is str else t.kind)
+            continue
+        if cls not in _SYNTAX:
+            raise DiagrelError(f"not a term: {t!r}")
+        head, kind, names = _SYNTAX[cls]
+        if kind == "term":  # "(head", then " " and each subterm, then ")"
+            out.append("(" + head)
+            stack.append(")")
+            for name in reversed(names):
+                stack += (getattr(t, name), " ")
+        else:
+            out.append(f"({head} {' '.join(str(getattr(t, f)) for f in names)})")
+    return "".join(out)
 
 
 def read_lines(text):
@@ -535,8 +551,15 @@ def parse_inequality(text, sig=None, line=1, col=1):
 # build the same macros over and over
 
 
+def check_arity(n):
+    """`n`, or a DiagrelError if it exceeds MAX_ARITY."""
+    if n > MAX_ARITY:
+        raise DiagrelError(f"arity {n} exceeds {MAX_ARITY}")
+    return n
+
+
 def _comb(pair, n):
-    if n == 0:
+    if check_arity(n) == 0:
         return IdW(0)
     t = pair
     for _ in range(n - 1):
@@ -557,7 +580,7 @@ def codiscard_w(n):
 @functools.cache
 def copy_w(n):
     """n-ary white copy X^n -> X^2n, first copy then second copy."""
-    if n == 0:
+    if check_arity(n) == 0:
         return IdW(0)
     if n == 1:
         return CopyW
@@ -569,7 +592,7 @@ def copy_w(n):
 
 @functools.cache
 def cocopy_w(n):
-    if n == 0:
+    if check_arity(n) == 0:
         return IdW(0)
     if n == 1:
         return CocopyW

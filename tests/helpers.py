@@ -197,6 +197,13 @@ def naive_tensor_black(a, b):
                          a.cod_arity + b.cod_arity, bits)
 
 
+def naive_graph(k, n, m, f):
+    """The relation X^n -> X^m relating each n-tuple t to the m-tuple f(t),
+    by enumerating the tuples and encoding each pair."""
+    return F.FinRelation.from_pairs(
+        k, n, m, ((t, f(t)) for t in itertools.product(range(k), repeat=n)))
+
+
 def naive_converse(a):
     return F.FinRelation.from_pairs(
         a.carrier, a.cod_arity, a.dom_arity,
@@ -305,6 +312,17 @@ def naive_parse_interpretation(text, sig):
         take("}")
         assignment[name] = F.FinRelation.from_pairs(k, n, m, block)
     return F.Interpretation(sig, k, assignment)
+
+
+def naive_print_term(t):
+    """The recursive term printer, one Python frame per term level."""
+    cls = type(t)
+    if cls is T.Const:
+        return t.kind
+    head, kind, names = T._SYNTAX[cls]
+    args = (map(naive_print_term, T.children(t)) if kind == "term"
+            else [str(getattr(t, f)) for f in names])
+    return f"({head} {' '.join(args)})"
 
 
 def naive_format_relation(name, rel):

@@ -89,6 +89,14 @@ def test_eval_prints_relation(files, capsys):
     assert "(0 ; 1)" in out and "(1 ; 0)" not in out
 
 
+def test_included_types_both_sides_before_evaluating_either(files, capsys, monkeypatch):
+    evaluated = helpers.count_calls(monkeypatch, F, "evaluate_typed")
+    assert run(["included", "--sig", files["sig"], "--interp", files["interp"],
+                "(gen R)", "(gen S)"]) == 2
+    assert capsys.readouterr() == ("", "error: sides typed (1, 1) vs (2, 1)\n")
+    assert evaluated == [0]
+
+
 def test_eval_requires_interp(files, capsys):
     assert run(["eval", "--sig", files["sig"], "(gen R)"]) == 2
 
@@ -215,6 +223,45 @@ def test_a_huge_arity_at_carriers_0_and_1_exits_2(tmp_path, capsys, k, term, ari
     interp.write_text(f"carrier {k}\n")
     assert run(["eval", "--interp", str(interp), term]) == 2
     assert capsys.readouterr() == ("", f"error: relation arity {arity} exceeds 1048576\n")
+
+
+@pytest.mark.parametrize("command, term, arity", [
+    ("spider", f"(idw {helpers.HUGE_NUMERAL})", int(helpers.HUGE_NUMERAL)),
+    ("spider", f"(symb 1 {helpers.HUGE_NUMERAL})", int(helpers.HUGE_NUMERAL) + 1),
+    ("spider", "(tensw (idw 600000) (idw 600000))", 1200000),
+    ("desugar", f"(top 0 {helpers.HUGE_NUMERAL})", int(helpers.HUGE_NUMERAL)),
+    ("desugar", f"(bot {helpers.HUGE_NUMERAL} 1)", int(helpers.HUGE_NUMERAL)),
+    ("desugar", f"(meet (idw {helpers.HUGE_NUMERAL}) (idw {helpers.HUGE_NUMERAL}))",
+     int(helpers.HUGE_NUMERAL)),
+    ("desugar", f"(dag (symw {helpers.HUGE_NUMERAL} 0))", int(helpers.HUGE_NUMERAL)),
+])
+def test_a_huge_port_list_or_macro_arity_exits_2(capsys, command, term, arity):
+    """No relation guard reaches `spider`'s port lists or the arity-indexed
+    macros of `desugar`, so both are bounded by MAX_ARITY themselves."""
+    assert run([command, term]) == 2
+    assert capsys.readouterr() == ("", f"error: arity {arity} exceeds 1048576\n")
+
+
+def test_desugar_of_a_huge_identity_prints_it(capsys):
+    term = f"(idw {helpers.HUGE_NUMERAL})"
+    assert run(["desugar", term]) == 0
+    assert capsys.readouterr() == (term + "\n", "")
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (150, 0), (900, 0), (2000, 2)])
+def test_desugar_prints_every_term_desugar_builds(files, capsys, depth, code):
+    """Each dag conjugates its body, four output levels deep, so the output is
+    the one-dag expansion's text around (gen R), repeated; 2,000 nested dags
+    are past the parser."""
+    deep = files["dir"] / "deep.term"
+    deep.write_text("(dag " * depth + "(gen R)" + ")" * depth)
+    assert run(["desugar", "--sig", files["sig"], str(deep)]) == code
+    if code:
+        assert capsys.readouterr() == ("", "error: term nesting too deep\n")
+        return
+    one = T.desugar(T.Dag(T.Gen("R")), T.Signature.parse(SIG))
+    before, after = helpers.naive_print_term(one).split("(gen R)")
+    assert capsys.readouterr() == (before * depth + "(gen R)" + after * depth + "\n", "")
 
 
 def test_each_shared_option_is_declared_once():
@@ -391,16 +438,17 @@ CLI_SIG = T.Signature({"R": (1, 1)})
 
 
 def _fuzz_cli(tmp_path, capsys, k, max_bits, interp, terms, theory):
-    """Run eval, included, typecheck, check-model and find-models on the given
-    files and terms: each ends in exit 0, 1 or 2 with a message, never in an
-    exception."""
+    """Run eval, included, typecheck, desugar, spider, check-model and
+    find-models on the given files and terms: each ends in exit 0, 1 or 2 with
+    a message, never in an exception."""
     (tmp_path / "r.sig").write_text("sig R : 1 -> 1\n")
     (tmp_path / "fuzz.interp").write_bytes(interp.encode("utf-8", "surrogatepass"))
     (tmp_path / "fuzz.thy").write_bytes(theory.encode("utf-8", "surrogatepass"))
     common = ["--max-bits", str(max_bits), "--sig", str(tmp_path / "r.sig")]
     with_interp = [*common, "--interp", str(tmp_path / "fuzz.interp")]
     for argv in (["eval", *with_interp, terms[0]], ["included", *with_interp, *terms],
-                 ["typecheck", *common, terms[0]],
+                 ["typecheck", *common, terms[0]], ["desugar", *common, terms[0]],
+                 ["spider", *common, terms[1]],
                  ["check-model", "--max-bits", str(max_bits), "--interp",
                   str(tmp_path / "fuzz.interp"), str(tmp_path / "fuzz.thy")],
                  ["find-models", "--max-bits", str(max_bits), "--size", str(k),
@@ -475,10 +523,8 @@ def _exits_cleanly(argv, capsys):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_cli_terms(ODD_PIECES))
 def test_spider_fuzz_exits_cleanly(tmp_path, capsys, terms):
-    """Odd numerals and small naturals only.  The huge numeral is kept away:
-    no guard bounds the port count of `spider`, which makes a list of ports
-    per identity wire, so `(idw 100000000)` already ends in a MemoryError
-    under a 1 GB address-space limit."""
+    """Odd numerals and small naturals; `_fuzz_cli` runs `spider` on the
+    huge numeral as well."""
     (tmp_path / "r.sig").write_text("sig R : 1 -> 1\n")
     for term in terms:
         _exits_cleanly(["spider", "--sig", str(tmp_path / "r.sig"), term], capsys)

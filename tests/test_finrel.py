@@ -122,6 +122,77 @@ def test_identity_and_symmetry():
         assert sym.bits.bit_count() == k * k
 
 
+def test_size_guard_holds_for_cached_constants_and_restores_max_bits():
+    interp, saved = F.Interpretation(T.EMPTY_SIGNATURE, 4, {}), F.MAX_BITS
+    F.identity_white(4, 2)  # cached under the default guard
+    with F.size_guard(16):
+        assert F.MAX_BITS == 16
+        with pytest.raises(F.SizeLimit, match=r"^relation space 4\^4 exceeds 16 bits$"):
+            F.evaluate(T.parse_term("(idw 2)"), interp)
+    assert F.MAX_BITS == saved
+    with pytest.raises(ZeroDivisionError), F.size_guard(16):
+        1 / 0
+    assert F.MAX_BITS == saved
+    with F.size_guard(None):
+        assert F.MAX_BITS == saved
+
+
+def test_a_changed_guard_empties_every_finrel_cache():
+    """Every cache in the module is emptied, so a constant added later cannot
+    be left out; entering the same guard keeps them."""
+    caches = {name: v for name, v in vars(F).items() if hasattr(v, "cache_clear")}
+    assert len(caches) >= 12
+    for cache in caches.values():
+        cache(2)  # each constant takes a carrier and defaults its arities
+    with F.size_guard(F.MAX_BITS):
+        assert all(cache.cache_info().currsize for cache in caches.values())
+    with F.size_guard(F.MAX_BITS + 1):
+        assert [n for n, cache in caches.items() if cache.cache_info().currsize] == []
+
+
+_IDENTITY, _COPY, _DISCARD = (lambda t: t), (lambda t: t + t), (lambda t: ())
+
+
+def test_constants_are_graphs_of_their_tuple_maps():
+    """At k = 0..4, up to 2^16 bits: each white constant equals the naive
+    enumeration of its tuple map, or the converse of one, and each black
+    constant is the complement of its white mirror."""
+    def check(white, black, args, expected):
+        if expected is not None:
+            assert white(*args) == expected, (white, args)
+            assert black(*args) == F.complement(expected), (black, args)
+
+    def graph(k, n, m, f, converse=False):
+        if k ** (n + m) > 2 ** 16:
+            return None
+        g = helpers.naive_graph(k, n, m, f)
+        return helpers.naive_converse(g) if converse else g
+
+    for k in range(5):
+        for n in range(4):
+            check(F.identity_white, F.identity_black, (k, n), graph(k, n, n, _IDENTITY))
+            check(F.discard_white, F.discard_black, (k, n), graph(k, n, 0, _DISCARD))
+            check(F.codiscard_white, F.codiscard_black, (k, n),
+                  graph(k, n, 0, _DISCARD, converse=True))
+            check(F.copy_white, F.copy_black, (k, n), graph(k, n, 2 * n, _COPY))
+            check(F.cocopy_white, F.cocopy_black, (k, n),
+                  graph(k, n, 2 * n, _COPY, converse=True))
+        for m, n in itertools.product(range(3), repeat=2):
+            check(F.symmetry_white, F.symmetry_black, (k, m, n),
+                  graph(k, m + n, n + m, lambda t: t[m:] + t[:m]))
+
+
+def test_constants_encode_no_tuple(monkeypatch):
+    """The constants are built from index maps: no tuple is encoded, and an
+    identity of arity 500,000 at carrier 1 walks one row."""
+    encoded = helpers.count_calls(monkeypatch, F, "encode")
+    sym = F.symmetry_white.__wrapped__(2, 2, 1)
+    wide = F.identity_white.__wrapped__(1, 500_000)
+    assert encoded == [0]
+    assert sym == helpers.naive_graph(2, 3, 3, lambda t: t[2:] + t[:2])
+    assert wide == F.FinRelation(1, 500_000, 500_000, 1)
+
+
 def test_constants_pointwise():
     k = 3
     cw = F.copy_white(k, 1)

@@ -88,6 +88,25 @@ def test_print_term_pinned():
         assert T.print_term(t) == text
 
 
+def test_print_term_matches_the_recursive_printer():
+    """On random terms and on their desugarings."""
+    rng = random.Random(11)
+    for i in range(600):
+        n, m = rng.randint(0, 2), rng.randint(0, 2)
+        t = helpers.random_term(rng, SIG, n, m, 4)
+        assert T.print_term(t) == helpers.naive_print_term(t)
+        if i % 12 == 0:
+            d = T.desugar(t, SIG)
+            assert T.print_term(d) == helpers.naive_print_term(d)
+
+
+def test_print_term_prints_any_depth():
+    t = T.Gen("R")
+    for _ in range(20000):
+        t = T.Dag(t)
+    assert T.print_term(t) == "(dag " * 20000 + "(gen R)" + ")" * 20000
+
+
 def test_every_term_class_has_one_form():
     def subclasses(cls):
         for sub in cls.__subclasses__():
