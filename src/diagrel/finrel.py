@@ -8,15 +8,17 @@ Only the white (cartesian) half has kernels of its own: composition is the
 usual relational composition and the tensor is conjunctive.  The black half
 is computed as their De Morgan dual: R ;b S = ~(~R ; ~S) (a universally
 quantified disjunction), the black tensor likewise (disjunctive), and each
-black constant is the complement of its white mirror.  A black kernel XORs
+black constant is the complement of its white mirror, in the one builder of
+the constants, `constant`.  A black kernel XORs
 the raw bitmasks with their spaces' full masks around the white loop, so it
 builds one relation, not four.  `evaluate` typechecks a term, then evaluates
 it through `evaluate_typed`, the entry for callers that already hold terms
 typechecked under a signature that types each generator as its relation.
 Evaluation is compositional and keeps no state: `evaluate_typed` applies each
 node's kernel to its children's values, one call per node, and hashes no
-term.  Only the constants, graphs of index maps, are cached per carrier and
-arity, in plain caches that `size_guard` empties when it changes MAX_BITS.
+term.  Only the constants, graphs of index maps, are cached per head, carrier
+and arity, in the one cache of `constant`, which `size_guard` empties when it
+changes MAX_BITS.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 from .terms import (
     MAX_ARITY, Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
-    ParseError, SeqB, SeqW, Signature, SymB, SymW, TensB, TensW, Top, read_lines, read_nat,
-    typecheck,
+    ParseError, SeqB, SeqW, Signature, SymB, SymW, TensB, TensW, Top, mirror_head, read_lines,
+    read_nat, typecheck,
 )
 
 MAX_BITS = 2 ** 30
@@ -117,7 +119,9 @@ class FinRelation:
         return (1 << space_bits(self.carrier, self.dom_arity, self.cod_arity)) - 1
 
     def has(self, xs, ys):
-        k = self.carrier
+        k, n, m = self.carrier, self.dom_arity, self.cod_arity
+        if len(xs) != n or len(ys) != m:
+            raise DiagrelError(f"pair arity mismatch for relation {n}->{m}")
         return bool(self.bits >> (encode(k, xs) * self.cols + encode(k, ys)) & 1)
 
     @staticmethod
@@ -297,60 +301,29 @@ def _graph(k, n, m, f):
     return FinRelation(k, n, m, _join_rows([1 << f(r) for r in range(k ** n)], k ** m))
 
 
-@functools.cache
-def identity_white(k, n=1):
-    return _graph(k, n, n, lambda r: r)
-
-
-@functools.cache
-def symmetry_white(k, m=1, n=1):
+# white head -> its (dom, cod, index map) at carrier k and the given arities;
+# each map is called after `_graph`'s size check, so no huge power is built
+_GRAPHS = {
+    "idw": lambda k, n: (n, n, lambda r: r),
     # row (x, y), with x of m and y of n coordinates, goes to column (y, x)
-    return _graph(k, m + n, n + m, lambda r: r % k ** n * k ** m + r // k ** n)
-
-
-@functools.cache
-def copy_white(k, n=1):
-    return _graph(k, n, 2 * n, lambda r: r * k ** n + r)
-
-
-@functools.cache
-def cocopy_white(k, n=1):
-    return converse(copy_white(k, n))
-
-
-@functools.cache
-def discard_white(k, n=1):
-    return _graph(k, n, 0, lambda r: 0)
-
-
-@functools.cache
-def codiscard_white(k, n=1):
-    return converse(discard_white(k, n))
-
-
-def _black(white):
-    """The black constant mirroring `white`: its complement, cached."""
-    return functools.cache(lambda k, *arities: complement(white(k, *arities)))
-
-
-identity_black = _black(identity_white)
-symmetry_black = _black(symmetry_white)
-copy_black = _black(copy_white)
-cocopy_black = _black(cocopy_white)
-discard_black = _black(discard_white)
-codiscard_black = _black(codiscard_white)
-
-
-_CONSTANTS = {
-    "copyw": copy_white,
-    "cocw": cocopy_white,
-    "dscw": discard_white,
-    "codw": codiscard_white,
-    "copyb": copy_black,
-    "cocb": cocopy_black,
-    "dscb": discard_black,
-    "codb": codiscard_black,
+    "symw": lambda k, m, n: (m + n, n + m, lambda r: r % k ** n * k ** m + r // k ** n),
+    "copyw": lambda k, n: (n, 2 * n, lambda r: r * k ** n + r),
+    "dscw": lambda k, n: (n, 0, lambda r: 0),
 }
+
+
+@functools.cache
+def constant(head, k, *arities):
+    """The constant `head` (a form head `idw`, `symw`, their black mirrors, or
+    a constant kind) at carrier k and the arities of its term: a white one is
+    the graph of its index map, cocopy and codiscard are the converses of copy
+    and discard, and a black one is the complement of its white mirror."""
+    if head[-1] == "b":
+        return complement(constant(mirror_head(head), k, *arities))
+    if head in ("cocw", "codw"):
+        return converse(constant("copyw" if head == "cocw" else "dscw", k, *arities))
+    n, m, f = _GRAPHS[head](k, *arities)
+    return _graph(k, n, m, f)
 
 
 def linear_adjoint(a):
@@ -363,10 +336,10 @@ def is_map(a):
     copy ; (a (x) a) and a ; discard equals discard, each lax law and its colax
     converse decided by one equality."""
     k = a.carrier
-    copies = equal(compose_white(a, copy_white(k, a.cod_arity)),
-                   compose_white(copy_white(k, a.dom_arity), tensor_white(a, a)))
-    return copies and equal(compose_white(a, discard_white(k, a.cod_arity)),
-                            discard_white(k, a.dom_arity))
+    copies = equal(compose_white(a, constant("copyw", k, a.cod_arity)),
+                   compose_white(constant("copyw", k, a.dom_arity), tensor_white(a, a)))
+    return copies and equal(compose_white(a, constant("dscw", k, a.cod_arity)),
+                            constant("dscw", k, a.dom_arity))
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +397,15 @@ def evaluate_typed(t, interp):
     if cls is Neg:
         return complement(ev(t.t, interp))
     if cls is Const:
-        return _CONSTANTS[t.kind](k)
+        return constant(t.kind, k, 1)
     if cls is IdW:
-        return identity_white(k, t.n)
+        return constant("idw", k, t.n)
     if cls is IdB:
-        return identity_black(k, t.n)
+        return constant("idb", k, t.n)
     if cls is SymW:
-        return symmetry_white(k, t.m, t.n)
+        return constant("symw", k, t.m, t.n)
     if cls is SymB:
-        return symmetry_black(k, t.m, t.n)
+        return constant("symb", k, t.m, t.n)
     if cls is GenOp:
         return linear_adjoint(interp.assignment[t.name])
     if cls is Top:

@@ -72,13 +72,6 @@ class PBin:
     r: object
 
 
-# the (co)monoid families; identities and symmetries come from `terms.FORMS`
-_MACROS = {
-    "copyw": T.copy_w, "cocw": T.cocopy_w, "dscw": T.discard_w, "codw": T.codiscard_w,
-    "copyb": T.copy_b, "cocb": T.cocopy_b, "dscb": T.discard_b, "codb": T.codiscard_b,
-}
-
-
 class UnboundMetavariable(RewriteError):
     pass
 
@@ -190,7 +183,8 @@ def _compiled(p):
         def build(b, sig):
             return node(build_l(b, sig), build_r(b, sig))
     elif cls is PConstM:
-        ctor = _MACROS.get(p.kind) or T.FORMS[p.kind][0]
+        # a (co)monoid family is a `terms.macro`, an identity or symmetry its form
+        ctor = T.FORMS[p.kind][0] if p.kind in T.FORMS else functools.partial(T.macro, p.kind)
         objs, solve = p.objs, _solver(p.objs[0])
 
         def build(b, sig):
@@ -218,7 +212,7 @@ def _compiled(p):
                     return False
                 arity = m if by_cod else n
                 return ((n == m or not square) and solve(arity, b, sig)
-                        and type(t) is roots[min(arity, 2)] and instantiate(p, b, sig) == t)
+                        and type(t) is roots[min(arity, 2)] and build(b, sig) == t)
     else:
         raise RewriteError(f"not a pattern: {p!r}")
     return match, build
@@ -801,10 +795,9 @@ def verify_axiom(axiom, k=2, trials=200, seed=0):
     return AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)
 
 
-def verify_axioms(k=2, trials=200, seed=0, family=None, axioms=None):
+def verify_axioms(k=2, trials=200, seed=0, family=None):
     """Check every axiom against random instantiations in the relation model."""
-    if axioms is None:
-        axioms = axiom_db()
+    axioms = axiom_db()
     if family is not None:
         axioms = [ax for ax in axioms if ax.family == family]
     return [verify_axiom(ax, k=k, trials=trials, seed=seed) for ax in axioms]

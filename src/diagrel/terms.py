@@ -12,8 +12,9 @@ The s-expression syntax is declared once, in `FORMS`: each head with its
 node class and argument kinds.  The eight constants are bare atoms.  The
 colour switch is declared once, in `MIRROR`; a constant's mirror flips the
 last letter of its kind (`mirror_head`, which also switches axiom patterns).
-The black arity-indexed macros are computed as the De Morgan dual of the
-white ones: each is the colour switch (`_negate_prim`) of its white mirror.
+One builder, `macro(kind, n)`, gives the arity-indexed (co)copy and
+(co)discard of both colours, each in its kind's own colour, so a black macro
+is the colour switch of its white mirror.
 
 Every file format is read through `read_lines`: each line is cut at its
 first `#`, stripped, and skipped when blank.
@@ -270,16 +271,6 @@ UNARY = tuple(cls for cls, kinds in FORMS.values() if kinds == ("term",))
 # node class -> (head, argument kind, field names), looked up once here
 _SYNTAX = {cls: (head, kinds[0], tuple(f.name for f in fields(cls)))
            for head, (cls, kinds) in FORMS.items()}
-
-# convenience aliases used throughout
-CopyW = Const("copyw")
-DiscardW = Const("dscw")
-CocopyW = Const("cocw")
-CodiscardW = Const("codw")
-CopyB = Const("copyb")
-DiscardB = Const("dscb")
-CocopyB = Const("cocb")
-CodiscardB = Const("codb")
 
 
 def children(t):
@@ -546,9 +537,10 @@ def parse_inequality(text, sig=None, line=1, col=1):
 
 
 # ---------------------------------------------------------------------------
-# arity-indexed macros (left-nested combs built from the unary constants),
-# memoized: terms are immutable, and the proof kernel and axiom verification
-# build the same macros over and over
+# arity-indexed macros: the n-ary (co)copy and (co)discard of both colours,
+# each a left-nested comb of its unary constant built by a loop, memoized:
+# terms are immutable, and the proof kernel and axiom verification build the
+# same macros over and over
 
 
 def check_arity(n):
@@ -558,72 +550,36 @@ def check_arity(n):
     return n
 
 
-def _comb(pair, n):
+@functools.cache
+def macro(kind, n):
+    """The n-ary macro of the constant `kind`, X^n -> X^2n for copy: the
+    identity at n = 0, else the constant tensored in front of the macro at
+    n - 1, with a symmetry shuffling the wires of (co)copy so that copy gives
+    first copy then second copy.  Its nodes have the kind's colour."""
+    one = Const(kind)
+    idc, symc, seqc, tensc = (cls if kind[-1] == "w" else MIRROR[cls]
+                              for cls in (IdW, SymW, SeqW, TensW))
     if check_arity(n) == 0:
-        return IdW(0)
-    t = pair
-    for _ in range(n - 1):
-        t = TensW(pair, t)
+        return idc(0)
+    t = one
+    for i in range(1, n):  # t has arity i
+        if kind[:3] == "cop":
+            t = seqc(tensc(one, t), tensc(idc(1), tensc(symc(1, i), idc(i))))
+        elif kind[:3] == "coc":
+            t = seqc(tensc(idc(1), tensc(symc(i, 1), idc(i))), tensc(one, t))
+        else:
+            t = tensc(one, t)
     return t
-
-
-@functools.cache
-def discard_w(n):
-    return _comb(DiscardW, n)
-
-
-@functools.cache
-def codiscard_w(n):
-    return _comb(CodiscardW, n)
-
-
-@functools.cache
-def copy_w(n):
-    """n-ary white copy X^n -> X^2n, first copy then second copy."""
-    if check_arity(n) == 0:
-        return IdW(0)
-    if n == 1:
-        return CopyW
-    rest = copy_w(n - 1)
-    spread = TensW(CopyW, rest)
-    shuffle = TensW(IdW(1), TensW(SymW(1, n - 1), IdW(n - 1)))
-    return SeqW(spread, shuffle)
-
-
-@functools.cache
-def cocopy_w(n):
-    if check_arity(n) == 0:
-        return IdW(0)
-    if n == 1:
-        return CocopyW
-    rest = cocopy_w(n - 1)
-    shuffle = TensW(IdW(1), TensW(SymW(n - 1, 1), IdW(n - 1)))
-    merge = TensW(CocopyW, rest)
-    return SeqW(shuffle, merge)
-
-
-def _black(white):
-    """The black macro mirroring `white`: its colour switch, memoized."""
-    @functools.cache
-    def black(n):
-        return _negate_prim(white(n), EMPTY_SIGNATURE)
-    return black
-
-
-discard_b = _black(discard_w)
-codiscard_b = _black(codiscard_w)
-copy_b = _black(copy_w)
-cocopy_b = _black(cocopy_w)
 
 
 def cup_w(n):
     """0 -> 2n, the pairs {((), (v,v))}."""
-    return SeqW(codiscard_w(n), copy_w(n))
+    return SeqW(macro("codw", n), macro("copyw", n))
 
 
 def cap_w(n):
     """2n -> 0, the pairs {((v,v), ())}."""
-    return SeqW(cocopy_w(n), discard_w(n))
+    return SeqW(macro("cocw", n), macro("dscw", n))
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +625,13 @@ def desugar(t, sig=EMPTY_SIGNATURE, types=None):
             if cls is Meet or cls is Join:
                 n, m = types[id(t)][0]
                 if cls is Meet:
-                    return SeqW(copy_w(n), SeqW(TensW(a, b), cocopy_w(m)))
-                return SeqB(copy_b(n), SeqB(TensB(a, b), cocopy_b(m)))
+                    return SeqW(macro("copyw", n), SeqW(TensW(a, b), macro("cocw", m)))
+                return SeqB(macro("copyb", n), SeqB(TensB(a, b), macro("cocb", m)))
             return t if a is t.t and b is t.u else cls(a, b)
         if cls is Top:
-            return SeqW(discard_w(t.n), codiscard_w(t.m))
+            return SeqW(macro("dscw", t.n), macro("codw", t.m))
         if cls is Bot:
-            return SeqB(discard_b(t.n), codiscard_b(t.m))
+            return SeqB(macro("dscb", t.n), macro("codb", t.m))
         if cls is Dag:  # the conjugate of the expanded body, at the body's type
             return _dag_expansion(expand(t.t), *types[id(t.t)][0])
         if cls is Neg:

@@ -1,5 +1,6 @@
 """Shared test utilities: random well-typed term generation and naive oracles."""
 
+import functools
 import itertools
 import random
 import re
@@ -137,7 +138,7 @@ def random_white_fragment(rng, n, m, depth):
         if (cn, cm) == (n, m):
             choices.append(T.Const(kind))
     if not choices:
-        return T.SeqW(T.discard_w(n), T.codiscard_w(m))
+        return T.SeqW(T.macro("dscw", n), T.macro("codw", m))
     return rng.choice(choices)
 
 
@@ -564,6 +565,27 @@ def naive_splice(t, path, u):
     return type(t)(*kids)
 
 
+@functools.cache
+def naive_macro(kind, n):
+    """Oracle for `terms.macro`: a white macro built by recursion on the arity,
+    a black one as the colour switch (`_negate_prim`) of its white mirror."""
+    if kind[-1] == "b":
+        return T._negate_prim(naive_macro(T.mirror_head(kind), n), T.EMPTY_SIGNATURE)
+    if n == 0:
+        return T.IdW(0)
+    one = T.Const(kind)
+    if n == 1:
+        return one
+    rest = naive_macro(kind, n - 1)
+    if kind in ("dscw", "codw"):
+        return T.TensW(one, rest)
+    if kind == "copyw":  # first copy, then second copy
+        return T.SeqW(T.TensW(one, rest),
+                      T.TensW(T.IdW(1), T.TensW(T.SymW(1, n - 1), T.IdW(n - 1))))
+    return T.SeqW(T.TensW(T.IdW(1), T.TensW(T.SymW(n - 1, 1), T.IdW(n - 1))),
+                  T.TensW(one, rest))
+
+
 def naive_instantiate(p, binding, sig=T.EMPTY_SIGNATURE):
     """Oracle for `rewrite.instantiate`: the pattern walked afresh on every call."""
     if isinstance(p, R.PVar):
@@ -582,7 +604,9 @@ def naive_instantiate(p, binding, sig=T.EMPTY_SIGNATURE):
         return T.GenOp(name) if p.op else T.Gen(name)
     if isinstance(p, R.PConstM):
         vals = [R._expr_value(e, binding, sig) for e in p.objs]
-        return (R._MACROS.get(p.kind) or T.FORMS[p.kind][0])(*vals)
+        if p.kind in T.CONSTANT_TYPES:
+            return naive_macro(p.kind, *vals)
+        return T.FORMS[p.kind][0](*vals)
     if isinstance(p, R.PBin):
         return T.FORMS[p.op][0](naive_instantiate(p.l, binding, sig),
                                 naive_instantiate(p.r, binding, sig))

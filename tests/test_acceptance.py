@@ -155,7 +155,7 @@ def test_criterion_6_equivalence_instances():
     for k in (1, 2):
         X = D.FinSetObj(k)
         rels = [F.FinRelation(k, 1, 1, b) for b in range(1 << k * k)]
-        if F.FinRelation(k, 1, 1, D.relp_identity(X).bits) != F.identity_white(k, 1):
+        if F.FinRelation(k, 1, 1, D.relp_identity(X).bits) != F.constant("idw", k, 1):
             bad.append(("identity", k))
         for r in rels:
             for s in rels:

@@ -1,6 +1,7 @@
 import argparse
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -246,6 +247,21 @@ def test_desugar_of_a_huge_identity_prints_it(capsys):
     term = f"(idw {helpers.HUGE_NUMERAL})"
     assert run(["desugar", term]) == 0
     assert capsys.readouterr() == (term + "\n", "")
+
+
+@pytest.mark.parametrize("term, counts", [
+    ("(meet (idw 1500) (idw 1500))", {"copyw": 1500, "cocw": 1500}),
+    ("(bot 1500 0)", {"dscb": 1500, "codb": 0}),
+    ("(join (idw 400) (idw 400))", {"copyb": 400, "cocb": 400}),
+    ("(dag (idw 1200))", {"codw": 1200, "copyw": 1200, "cocw": 1200, "dscw": 1200}),
+])
+def test_desugar_builds_wide_macros_without_recursion(capsys, term, counts):
+    """Each arity-indexed macro is built by a loop, so a wide one costs no
+    Python recursion, and it holds one constant per wire."""
+    assert run(["desugar", term]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert {kind: len(re.findall(rf"\b{kind}\b", out)) for kind in counts} == counts
 
 
 @pytest.mark.parametrize("depth, code", [(100, 0), (150, 0), (900, 0), (2000, 2)])

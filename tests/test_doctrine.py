@@ -191,7 +191,7 @@ def test_relp_agrees_with_finrel():
                 assert F.equal(F.FinRelation(k, 1, 1, lhs.bits),
                                F.compose_white(r, s))
         assert F.equal(F.FinRelation(k, 1, 1, D.relp_identity(X).bits),
-                       F.identity_white(k, 1))
+                       F.constant("idw", k, 1))
 
 
 def test_relp_tensor_agrees_with_finrel():

@@ -22,16 +22,19 @@ def test_space_guard():
         F.FinRelation.empty(2, 20, 20)
 
 
-@pytest.mark.parametrize("build, arities", [
-    (F.identity_white, (6,)), (F.symmetry_white, (3, 3)), (F.copy_white, (4,)),
-    (F.discard_white, (7,)), (F.identity_black, (6,)), (F.cocopy_white, (4,)),
-])
-def test_constants_check_the_size_guard_before_enumerating(monkeypatch, build, arities):
+# each constant head, white and black, at arities past 64 bits at carrier 2
+_WHITE_HEADS = {"idw": (6,), "symw": (3, 3), "copyw": (4,), "cocw": (4,), "dscw": (7,),
+                "codw": (7,)}
+CONSTANT_HEADS = {**_WHITE_HEADS, **{T.mirror_head(h): a for h, a in _WHITE_HEADS.items()}}
+
+
+@pytest.mark.parametrize("head, arities", sorted(CONSTANT_HEADS.items()))
+def test_constants_check_the_size_guard_before_enumerating(monkeypatch, head, arities):
     """A constant over 64 bits is refused before any of its tuples is encoded."""
     monkeypatch.setattr(F, "MAX_BITS", 64)
     encoded = helpers.count_calls(monkeypatch, F, "encode")
     with pytest.raises(F.SizeLimit):
-        build.__wrapped__(2, *arities)  # past the cache
+        F.constant.__wrapped__(head, 2, *arities)  # past the cache
     assert encoded == [0]
 
 
@@ -113,18 +116,26 @@ def test_de_morgan_duality():
 
 def test_identity_and_symmetry():
     for k in (1, 2, 3):
-        idw = F.identity_white(k, 1)
+        idw = F.constant("idw", k, 1)
         assert sorted(helpers.pairs(idw)) == [((x,), (x,)) for x in range(k)]
-        idb = F.identity_black(k, 1)
+        idb = F.constant("idb", k, 1)
         assert F.equal(idb, F.complement(idw))
-        sym = F.symmetry_white(k, 1, 1)
+        sym = F.constant("symw", k, 1, 1)
         assert all(sym.has((x, y), (y, x)) for x in range(k) for y in range(k))
         assert sym.bits.bit_count() == k * k
 
 
+def test_has_refuses_tuples_of_the_wrong_length():
+    rel = F.FinRelation(2, 1, 1, 0b1001)  # the identity on {0, 1}
+    assert rel.has((1,), (1,)) and not rel.has((0,), (1,))
+    for xs, ys in [((), (1, 1)), ((1, 1), ()), ((0,), ()), ((), (0,))]:
+        with pytest.raises(F.DiagrelError, match=r"^pair arity mismatch for relation 1->1$"):
+            rel.has(xs, ys)
+
+
 def test_size_guard_holds_for_cached_constants_and_restores_max_bits():
     interp, saved = F.Interpretation(T.EMPTY_SIGNATURE, 4, {}), F.MAX_BITS
-    F.identity_white(4, 2)  # cached under the default guard
+    F.constant("idw", 4, 2)  # cached under the default guard
     with F.size_guard(16):
         assert F.MAX_BITS == 16
         with pytest.raises(F.SizeLimit, match=r"^relation space 4\^4 exceeds 16 bits$"):
@@ -138,16 +149,33 @@ def test_size_guard_holds_for_cached_constants_and_restores_max_bits():
 
 
 def test_a_changed_guard_empties_every_finrel_cache():
-    """Every cache in the module is emptied, so a constant added later cannot
-    be left out; entering the same guard keeps them."""
+    """Every cache in the module is emptied, so a cache added later cannot be
+    left out; entering the same guard keeps them."""
     caches = {name: v for name, v in vars(F).items() if hasattr(v, "cache_clear")}
-    assert len(caches) >= 12
-    for cache in caches.values():
-        cache(2)  # each constant takes a carrier and defaults its arities
+    assert caches["constant"] is F.constant
+    F.constant.cache_clear()
+    for head, arities in CONSTANT_HEADS.items():
+        F.constant(head, 2, *[1] * len(arities))
     with F.size_guard(F.MAX_BITS):
-        assert all(cache.cache_info().currsize for cache in caches.values())
+        assert F.constant.cache_info().currsize == len(CONSTANT_HEADS) == 12
     with F.size_guard(F.MAX_BITS + 1):
         assert [n for n, cache in caches.items() if cache.cache_info().currsize] == []
+
+
+def test_evaluating_a_constant_fills_a_cache_the_bench_reads():
+    """perfbench's finrel.const_cache.hit_ratio sums the `cache_info` of the
+    module's values; with no such value filled it would read 0."""
+    def stats():
+        infos = [info() for value in vars(F).values()
+                 if (info := getattr(value, "cache_info", None)) is not None]
+        return sum(i.hits for i in infos), sum(i.misses for i in infos)
+
+    interp = F.Interpretation(T.EMPTY_SIGNATURE, 2, {})
+    with F.size_guard(F.MAX_BITS + 1):  # a changed guard empties the caches
+        assert stats() == (0, 0)
+        F.evaluate(T.parse_term("(seqw (seqw copyw cocw) (seqw copyw (idw 2)))"), interp)
+        hits, misses = stats()
+        assert hits > 0 and misses > 0
 
 
 _IDENTITY, _COPY, _DISCARD = (lambda t: t), (lambda t: t + t), (lambda t: ())
@@ -157,10 +185,11 @@ def test_constants_are_graphs_of_their_tuple_maps():
     """At k = 0..4, up to 2^16 bits: each white constant equals the naive
     enumeration of its tuple map, or the converse of one, and each black
     constant is the complement of its white mirror."""
-    def check(white, black, args, expected):
+    def check(white, args, expected):
         if expected is not None:
-            assert white(*args) == expected, (white, args)
-            assert black(*args) == F.complement(expected), (black, args)
+            assert F.constant(white, *args) == expected, (white, args)
+            black = T.mirror_head(white)
+            assert F.constant(black, *args) == F.complement(expected), (black, args)
 
     def graph(k, n, m, f, converse=False):
         if k ** (n + m) > 2 ** 16:
@@ -170,24 +199,21 @@ def test_constants_are_graphs_of_their_tuple_maps():
 
     for k in range(5):
         for n in range(4):
-            check(F.identity_white, F.identity_black, (k, n), graph(k, n, n, _IDENTITY))
-            check(F.discard_white, F.discard_black, (k, n), graph(k, n, 0, _DISCARD))
-            check(F.codiscard_white, F.codiscard_black, (k, n),
-                  graph(k, n, 0, _DISCARD, converse=True))
-            check(F.copy_white, F.copy_black, (k, n), graph(k, n, 2 * n, _COPY))
-            check(F.cocopy_white, F.cocopy_black, (k, n),
-                  graph(k, n, 2 * n, _COPY, converse=True))
+            check("idw", (k, n), graph(k, n, n, _IDENTITY))
+            check("dscw", (k, n), graph(k, n, 0, _DISCARD))
+            check("codw", (k, n), graph(k, n, 0, _DISCARD, converse=True))
+            check("copyw", (k, n), graph(k, n, 2 * n, _COPY))
+            check("cocw", (k, n), graph(k, n, 2 * n, _COPY, converse=True))
         for m, n in itertools.product(range(3), repeat=2):
-            check(F.symmetry_white, F.symmetry_black, (k, m, n),
-                  graph(k, m + n, n + m, lambda t: t[m:] + t[:m]))
+            check("symw", (k, m, n), graph(k, m + n, n + m, lambda t: t[m:] + t[:m]))
 
 
 def test_constants_encode_no_tuple(monkeypatch):
     """The constants are built from index maps: no tuple is encoded, and an
     identity of arity 500,000 at carrier 1 walks one row."""
     encoded = helpers.count_calls(monkeypatch, F, "encode")
-    sym = F.symmetry_white.__wrapped__(2, 2, 1)
-    wide = F.identity_white.__wrapped__(1, 500_000)
+    sym = F.constant.__wrapped__("symw", 2, 2, 1)
+    wide = F.constant.__wrapped__("idw", 1, 500_000)
     assert encoded == [0]
     assert sym == helpers.naive_graph(2, 3, 3, lambda t: t[2:] + t[:2])
     assert wide == F.FinRelation(1, 500_000, 500_000, 1)
@@ -195,35 +221,33 @@ def test_constants_encode_no_tuple(monkeypatch):
 
 def test_constants_pointwise():
     k = 3
-    cw = F.copy_white(k, 1)
+    cw = F.constant("copyw", k, 1)
     assert sorted(helpers.pairs(cw)) == [((x,), (x, x)) for x in range(k)]
-    dw = F.discard_white(k, 1)
+    dw = F.constant("dscw", k, 1)
     assert sorted(helpers.pairs(dw)) == [((x,), ()) for x in range(k)]
-    assert F.equal(F.cocopy_white(k, 1), F.converse(cw))
-    assert F.equal(F.codiscard_white(k, 1), F.converse(dw))
+    assert F.equal(F.constant("cocw", k, 1), F.converse(cw))
+    assert F.equal(F.constant("codw", k, 1), F.converse(dw))
     # black (co)monoids are the complements of the white ones
-    assert F.equal(F.copy_black(k, 1), F.complement(cw))
-    assert F.equal(F.discard_black(k, 1), F.FinRelation.empty(k, 1, 0))
-    assert F.equal(F.codiscard_black(k, 1), F.FinRelation.empty(k, 0, 1))
+    assert F.equal(F.constant("copyb", k, 1), F.complement(cw))
+    assert F.equal(F.constant("dscb", k, 1), F.FinRelation.empty(k, 1, 0))
+    assert F.equal(F.constant("codb", k, 1), F.FinRelation.empty(k, 0, 1))
 
 
 def test_black_macros_denote_complements_of_white():
-    pairs = [(T.copy_w, T.copy_b, F.copy_black), (T.cocopy_w, T.cocopy_b, F.cocopy_black),
-             (T.discard_w, T.discard_b, F.discard_black),
-             (T.codiscard_w, T.codiscard_b, F.codiscard_black)]
     for k in range(4):
         interp = F.Interpretation(T.EMPTY_SIGNATURE, k, {})
-        for white, black, constant in pairs:
+        for white in ("copyw", "cocw", "dscw", "codw"):
+            black = T.mirror_head(white)
             for n in range(4):
-                got = F.evaluate(black(n), interp)
-                assert F.equal(got, F.complement(F.evaluate(white(n), interp))), (n, k)
-                assert F.equal(got, constant(k, n)), (n, k)
+                got = F.evaluate(T.macro(black, n), interp)
+                assert F.equal(got, F.complement(F.evaluate(T.macro(white, n), interp))), (n, k)
+                assert F.equal(got, F.constant(black, k, n)), (n, k)
 
 
 def test_constants_arity_n_are_tensor_shuffles():
     # copy at arity n relates a tuple to its doubling
     k, n = 2, 2
-    cw = F.copy_white(k, n)
+    cw = F.constant("copyw", k, n)
     for xs in itertools.product(range(k), repeat=n):
         assert cw.has(xs, xs + xs)
     assert cw.bits.bit_count() == k ** n
@@ -245,8 +269,8 @@ def test_linear_adjoint_laws():
         k = rng.choice([1, 2, 3])
         a = helpers.random_relation(rng, k, 1, rng.randint(0, 2))
         adj = F.linear_adjoint(a)
-        assert F.included(F.identity_white(k, 1), F.compose_black(a, adj))
-        assert F.included(F.compose_white(adj, a), F.identity_black(k, a.cod_arity))
+        assert F.included(F.constant("idw", k, 1), F.compose_black(a, adj))
+        assert F.included(F.compose_white(adj, a), F.constant("idb", k, a.cod_arity))
 
 
 def test_is_map_iff_function_exhaustive_k2():
@@ -262,12 +286,12 @@ def test_is_map_iff_function_exhaustive_k2():
 
 def test_interpretation_validation():
     sig = T.Signature({"R": (1, 1)})
-    good = F.Interpretation(sig, 2, {"R": F.identity_white(2, 1)})
+    good = F.Interpretation(sig, 2, {"R": F.constant("idw", 2, 1)})
     assert good.carrier == 2
     with pytest.raises(T.DiagrelError):
         F.Interpretation(sig, 2, {})
     with pytest.raises(T.DiagrelError):
-        F.Interpretation(sig, 2, {"R": F.identity_white(3, 1)})
+        F.Interpretation(sig, 2, {"R": F.constant("idw", 3, 1)})
     with pytest.raises(T.DiagrelError):
         F.Interpretation(sig, 2, {"R": F.FinRelation.empty(2, 2, 1)})
 
@@ -306,8 +330,8 @@ def test_meet_join_top_bot_semantics():
                        F.intersection(r, s))
         assert F.equal(F.evaluate(T.Join(T.Gen("R"), T.Gen("S")), interp),
                        F.union(r, s))
-    interp = F.Interpretation(sig, 2, {"R": F.identity_white(2, 1),
-                                       "S": F.identity_white(2, 1)})
+    interp = F.Interpretation(sig, 2, {"R": F.constant("idw", 2, 1),
+                                       "S": F.constant("idw", 2, 1)})
     assert F.equal(F.evaluate(T.Top(1, 2), interp), F.FinRelation.full(2, 1, 2))
     assert F.equal(F.evaluate(T.Bot(2, 1), interp), F.FinRelation.empty(2, 2, 1))
 
@@ -333,14 +357,14 @@ def test_table1_dagger_laws_random():
         assert F.equal(ev(T.Dag(T.Meet(a, c))), ev(T.Meet(T.Dag(a), T.Dag(c))))
         # monotone: a ≤ a∨c implies a† ≤ (a∨c)†
         assert F.included(ev(T.Dag(a)), ev(T.Dag(T.Join(a, c))))
-    interp = F.Interpretation(sig, 2, {"R": F.identity_white(2, 1),
+    interp = F.Interpretation(sig, 2, {"R": F.constant("idw", 2, 1),
                                        "S": F.FinRelation.empty(2, 2, 1),
                                        "P": F.FinRelation.empty(2, 0, 2)})
     assert F.equal(F.evaluate(T.Dag(T.Top(1, 2)), interp), F.FinRelation.full(2, 2, 1))
-    assert F.equal(F.evaluate(T.Dag(T.IdW(2)), interp), F.identity_white(2, 2))
-    assert F.equal(F.evaluate(T.Dag(T.Const("copyw")), interp), F.cocopy_white(2, 1))
-    assert F.equal(F.evaluate(T.Dag(T.Const("dscw")), interp), F.codiscard_white(2, 1))
-    assert F.equal(F.evaluate(T.Dag(T.SymW(1, 1)), interp), F.symmetry_white(2, 1, 1))
+    assert F.equal(F.evaluate(T.Dag(T.IdW(2)), interp), F.constant("idw", 2, 2))
+    assert F.equal(F.evaluate(T.Dag(T.Const("copyw")), interp), F.constant("cocw", 2, 1))
+    assert F.equal(F.evaluate(T.Dag(T.Const("dscw")), interp), F.constant("codw", 2, 1))
+    assert F.equal(F.evaluate(T.Dag(T.SymW(1, 1)), interp), F.constant("symw", 2, 1, 1))
 
 
 def test_extensional_equality_of_maps():
@@ -397,12 +421,12 @@ def test_dag_evaluates_without_desugared_intermediates():
 
 def test_evaluate_accepts_every_dag_chain_typecheck_accepts():
     sig = T.Signature({"R": (1, 1)})
-    interp = F.Interpretation(sig, 2, {"R": F.identity_white(2, 1)})
+    interp = F.Interpretation(sig, 2, {"R": F.constant("idw", 2, 1)})
     t = T.Gen("R")
     for _ in range(900):
         t = T.Dag(t)
     assert T.typecheck(t, sig) == (1, 1)
-    assert F.evaluate(t, interp) == F.identity_white(2, 1)
+    assert F.evaluate(t, interp) == F.constant("idw", 2, 1)
 
 
 def test_colour_switch_complements_the_value():

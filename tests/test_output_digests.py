@@ -29,6 +29,10 @@ LOOP4_TERMS = (
     "copyw", "cocw", "dscw", "codw", "copyb", "cocb", "dscb", "codb",
     "(tensw copyw (symw 1 1))", "(seqb cocb copyb)",
 )
+LOOP5_TERMS = (
+    "(top {N} 0)", "(bot 0 {N})", "(meet (idw {N}) (idw {N}))", "(join (idw {N}) (idw {N}))",
+    "(dag (idw {N}))", "(neg (top {N} {N}))",
+)
 
 
 def _verify_axioms(d):
@@ -66,12 +70,20 @@ def _constants(d):
             yield ["eval", "--interp", str(d / "c.interp"), term]
 
 
+def _desugar_macros(d):
+    for n in range(7):
+        for term in LOOP5_TERMS:
+            yield ["desugar", term.format(N=n)]
+
+
 @pytest.mark.parametrize("commands, digest", [
     (_verify_axioms, "e1ff7d57d6014a171f687d57251e717defd81af2135453250234023ee2c9a3dc"),
     (_models_and_proofs, "cfc335f87a97cef9df634784eccaffc45338ee2f8b0e54d1cdc472705b84f71d"),
     (_desugar_and_spider, "d59a47a00a4027a71e534356ab8d143e1aafdd766ff8881deca47fbb456d27e1"),
     (_constants, "246cd390d9b71084823404ae5c9f27cf11705192673db9e5793deb0889384563"),
-], ids=["verify-axioms", "find-models-and-check-proof", "desugar-and-spider", "eval-constants"])
+    (_desugar_macros, "789fbe632388b154d086a3f3864a314f675b384faf1c19fdace1eb8e3e4a3e75"),
+], ids=["verify-axioms", "find-models-and-check-proof", "desugar-and-spider", "eval-constants",
+        "desugar-macros"])
 def test_output_is_byte_identical(tmp_path, capsys, commands, digest):
     h = hashlib.sha256()
     for argv in commands(tmp_path):

@@ -66,8 +66,8 @@ PINNED_SYNTAX = {
     T.Gen("S"): "(gen S)",
     T.GenOp("P"): "(genop P)",
     T.SeqW(T.Gen("R"), T.IdW(1)): "(seqw (gen R) (idw 1))",
-    T.SeqB(T.CopyB, T.CocopyW): "(seqb copyb cocw)",
-    T.TensW(T.DiscardW, T.CodiscardB): "(tensw dscw codb)",
+    T.SeqB(T.Const("copyb"), T.Const("cocw")): "(seqb copyb cocw)",
+    T.TensW(T.Const("dscw"), T.Const("codb")): "(tensw dscw codb)",
     T.TensB(T.Top(1, 0), T.IdB(2)): "(tensb (top 1 0) (idb 2))",
     T.Meet(T.Gen("R"), T.Dag(T.Gen("R"))): "(meet (gen R) (dag (gen R)))",
     T.Join(T.Neg(T.IdW(1)), T.SymB(0, 1)): "(join (neg (idw 1)) (symb 0 1))",
@@ -75,8 +75,7 @@ PINNED_SYNTAX = {
     T.Neg(T.Bot(0, 2)): "(neg (bot 0 2))",
     T.Top(3, 1): "(top 3 1)",
     T.Bot(0, 0): "(bot 0 0)",
-    T.CopyW: "copyw", T.CocopyW: "cocw", T.DiscardW: "dscw", T.CodiscardW: "codw",
-    T.CopyB: "copyb", T.CocopyB: "cocb", T.DiscardB: "dscb", T.CodiscardB: "codb",
+    **{T.Const(kind): kind for kind in T.CONSTANT_TYPES},
 }
 
 
@@ -242,39 +241,47 @@ def test_format_position():
 
 def test_macros_have_expected_types():
     for n in range(4):
-        assert T.typecheck(T.copy_w(n), SIG) == (n, 2 * n)
-        assert T.typecheck(T.cocopy_b(n), SIG) == (2 * n, n)
-        assert T.typecheck(T.discard_w(n), SIG) == (n, 0)
-        assert T.typecheck(T.codiscard_b(n), SIG) == (0, n)
+        assert T.typecheck(T.macro("copyw", n), SIG) == (n, 2 * n)
+        assert T.typecheck(T.macro("cocb", n), SIG) == (2 * n, n)
+        assert T.typecheck(T.macro("dscw", n), SIG) == (n, 0)
+        assert T.typecheck(T.macro("codb", n), SIG) == (0, n)
         assert T.typecheck(T.cup_w(n), SIG) == (0, 2 * n)
         assert T.typecheck(T.cap_w(n), SIG) == (2 * n, 0)
+
+
+@pytest.mark.parametrize("kind", sorted(T.CONSTANT_TYPES))
+def test_macros_match_the_recursive_oracle(kind):
+    """Each macro, built by a loop in its own colour, is the parent's term:
+    white by recursion on the arity, black as the colour switch of white."""
+    for n in range(61):
+        assert T.macro(kind, n) == helpers.naive_macro(kind, n), n
 
 
 def test_black_macro_syntax():
     # proof-script positions index into these exact trees
     want = {
-        (T.copy_b, 0): "(idb 0)",
-        (T.copy_b, 1): "copyb",
-        (T.copy_b, 2): "(seqb (tensb copyb copyb) (tensb (idb 1) (tensb (symb 1 1) (idb 1))))",
-        (T.copy_b, 3): "(seqb (tensb copyb (seqb (tensb copyb copyb) (tensb (idb 1) "
+        ("copyb", 0): "(idb 0)",
+        ("copyb", 1): "copyb",
+        ("copyb", 2): "(seqb (tensb copyb copyb) (tensb (idb 1) (tensb (symb 1 1) (idb 1))))",
+        ("copyb", 3): "(seqb (tensb copyb (seqb (tensb copyb copyb) (tensb (idb 1) "
                        "(tensb (symb 1 1) (idb 1))))) (tensb (idb 1) (tensb (symb 1 2) (idb 2))))",
-        (T.cocopy_b, 2): "(seqb (tensb (idb 1) (tensb (symb 1 1) (idb 1))) (tensb cocb cocb))",
-        (T.cocopy_b, 3): "(seqb (tensb (idb 1) (tensb (symb 2 1) (idb 2))) (tensb cocb "
+        ("cocb", 2): "(seqb (tensb (idb 1) (tensb (symb 1 1) (idb 1))) (tensb cocb cocb))",
+        ("cocb", 3): "(seqb (tensb (idb 1) (tensb (symb 2 1) (idb 2))) (tensb cocb "
                          "(seqb (tensb (idb 1) (tensb (symb 1 1) (idb 1))) (tensb cocb cocb))))",
-        (T.discard_b, 0): "(idb 0)",
-        (T.discard_b, 2): "(tensb dscb dscb)",
-        (T.discard_b, 3): "(tensb dscb (tensb dscb dscb))",
-        (T.codiscard_b, 1): "codb",
-        (T.codiscard_b, 3): "(tensb codb (tensb codb codb))",
+        ("dscb", 0): "(idb 0)",
+        ("dscb", 2): "(tensb dscb dscb)",
+        ("dscb", 3): "(tensb dscb (tensb dscb dscb))",
+        ("codb", 1): "codb",
+        ("codb", 3): "(tensb codb (tensb codb codb))",
     }
-    for (macro, n), text in want.items():
-        assert T.print_term(macro(n)) == text, text
+    for (kind, n), text in want.items():
+        assert T.print_term(T.macro(kind, n)) == text, text
 
 
 def test_parse_inequality():
     assert T.parse_inequality("(idw 1) <= (gen R)", SIG) == (T.IdW(1), T.Gen("R"))
     assert T.parse_inequality(" copyw\n<= (seqw copyw (symw 1 1)) ") == (
-        T.CopyW, T.SeqW(T.CopyW, T.SymW(1, 1)))
+        T.Const("copyw"), T.SeqW(T.Const("copyw"), T.SymW(1, 1)))
     with pytest.raises(T.ParseError, match="expected '<=' between terms"):
         T.parse_inequality("(idw 1) (gen R)", SIG)
     with pytest.raises(T.ParseError, match="trailing input after second term"):
