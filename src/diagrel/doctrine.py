@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .finrel import FinRelation, space_bits
-from .terms import DiagrelError
+from .terms import DiagrelError, Record, slot_setters
 
 
-@dataclass(frozen=True)
-class FinSetObj:
-    size: int
+class FinSetObj(Record):
+    __slots__ = ("size",)
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size):
+        if size < 0:
             raise DiagrelError("object size must be non-negative")
+        _SET_SIZE(self, size)
 
 
 def prod(X, Y):
@@ -36,17 +35,17 @@ def pair_index(X, Y, x, y):
     return x * Y.size + y
 
 
-@dataclass(frozen=True)
-class FinSetMor:
-    dom: FinSetObj
-    cod: FinSetObj
-    table: tuple
+class FinSetMor(Record):
+    __slots__ = ("dom", "cod", "table")
 
-    def __post_init__(self):
-        if len(self.table) != self.dom.size:
+    def __init__(self, dom, cod, table):
+        if len(table) != dom.size:
             raise DiagrelError("morphism table length differs from domain size")
-        if any(not 0 <= v < self.cod.size for v in self.table):
+        if any(not 0 <= v < cod.size for v in table):
             raise DiagrelError("morphism table entry outside codomain")
+        _SET_DOM(self, dom)
+        _SET_COD(self, cod)
+        _SET_TABLE(self, table)
 
     def __call__(self, x):
         return self.table[x]
@@ -98,14 +97,20 @@ def all_morphisms(X, Y):
 # predicates (fibers)
 
 
-@dataclass(frozen=True)
-class Predicate:
-    over: FinSetObj
-    bits: int
+class Predicate(Record):
+    __slots__ = ("over", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.over.size):
+    def __init__(self, over, bits):
+        if not 0 <= bits < (1 << over.size):
             raise DiagrelError("predicate bit-vector out of range")
+        _SET_OVER(self, over)
+        _SET_PRED_BITS(self, bits)
+
+    def __eq__(self, other):
+        return self.bits == other.bits and self.over.size == other.over.size \
+            if type(other) is type(self) else NotImplemented
+
+    __hash__ = Record.__hash__
 
     def __contains__(self, x):
         return bool(self.bits >> x & 1)
@@ -121,6 +126,10 @@ class Predicate:
                 raise DiagrelError(f"member {x} outside object of size {X.size}")
             bits |= 1 << x
         return Predicate(X, bits)
+
+
+(_SET_SIZE,), (_SET_DOM, _SET_COD, _SET_TABLE), (_SET_OVER, _SET_PRED_BITS) = map(
+    slot_setters, (FinSetObj, FinSetMor, Predicate))
 
 
 def top(X):

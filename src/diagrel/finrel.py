@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass
 
 from .terms import (
     MAX_ARITY, Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
-    ParseError, SeqB, SeqW, Signature, SymB, SymW, TensB, TensW, Top, mirror_head, read_lines,
-    read_nat, typecheck,
+    ParseError, Record, SeqB, SeqW, SymB, SymW, TensB, TensW, Top, mirror_head,
+    read_lines, read_nat, slot_setters, typecheck,
 )
 
 MAX_BITS = 2 ** 30
@@ -94,17 +93,17 @@ def decode(k, arity, v):
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class FinRelation:
-    carrier: int
-    dom_arity: int
-    cod_arity: int
-    bits: int
+class FinRelation(Record):
+    __slots__ = ("carrier", "dom_arity", "cod_arity", "bits")
 
-    def __post_init__(self):
-        size = space_bits(self.carrier, self.dom_arity, self.cod_arity)
-        if self.bits < 0 or self.bits.bit_length() > size:
+    def __init__(self, carrier, dom_arity, cod_arity, bits):
+        size = space_bits(carrier, dom_arity, cod_arity)
+        if bits < 0 or bits.bit_length() > size:
             raise DiagrelError("bitmask out of range for relation space")
+        _SET_CARRIER(self, carrier)
+        _SET_DOM(self, dom_arity)
+        _SET_COD(self, cod_arity)
+        _SET_BITS(self, bits)
 
     @property
     def rows(self):
@@ -346,21 +345,25 @@ def is_map(a):
 # interpretations and evaluation
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    signature: Signature
-    carrier: int
-    assignment: dict
+class Interpretation(Record):
+    __slots__ = ("signature", "carrier", "assignment")
 
-    def __post_init__(self):
-        if self.carrier < 0:
+    def __init__(self, signature, carrier, assignment):
+        if carrier < 0:
             raise DiagrelError("carrier size must be non-negative")
-        for name, (n, m) in self.signature.generators.items():
-            rel = self.assignment.get(name)
+        for name, (n, m) in signature.generators.items():
+            rel = assignment.get(name)
             if rel is None:
                 raise DiagrelError(f"no relation assigned to generator {name!r}")
-            if (rel.carrier, rel.dom_arity, rel.cod_arity) != (self.carrier, n, m):
+            if (rel.carrier, rel.dom_arity, rel.cod_arity) != (carrier, n, m):
                 raise DiagrelError(f"relation for {name!r} has wrong shape")
+        _SET_SIGNATURE(self, signature)
+        _SET_CARRIER_I(self, carrier)
+        _SET_ASSIGNMENT(self, assignment)
+
+
+(_SET_CARRIER, _SET_DOM, _SET_COD, _SET_BITS), (_SET_SIGNATURE, _SET_CARRIER_I, _SET_ASSIGNMENT) \
+    = map(slot_setters, (FinRelation, Interpretation))
 
 
 def evaluate(t, interp):

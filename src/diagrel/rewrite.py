@@ -16,16 +16,16 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import terms as T
 from .finrel import (
     FinRelation, Interpretation, evaluate_typed, inclusion_witness, space_bits,
 )
 from .terms import (
-    DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, SeqB,
+    DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, Record, SeqB,
     SeqW, Signature, SymB, SymW, Term, desugar, format_position,
-    parse_inequality, print_term, read_lines, replace_at, spine_at, typecheck,
+    parse_inequality, print_term, read_lines, replace_at, slot_setters, spine_at, typecheck,
 )
 
 
@@ -45,31 +45,24 @@ class RewriteError(DiagrelError):
 # referring to the arity of a bound generator metavariable.
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+class PVar(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class PGenVar:
-    var: str
-    op: bool = False
+class PGenVar(Record):
+    __slots__ = ("var", "op")
+    _defaults = {"op": False}
 
 
-@dataclass(frozen=True)
-class PConstM:
+class PConstM(Record):
     """An arity-indexed constant macro: identity, symmetry or one of the
     eight (co)monoid families, at objects given by object expressions."""
 
-    kind: str
-    objs: tuple
+    __slots__ = ("kind", "objs")
 
 
-@dataclass(frozen=True)
-class PBin:
-    op: str  # seqw | seqb | tensw | tensb
-    l: object
-    r: object
+class PBin(Record):
+    __slots__ = ("op", "l", "r")  # op: seqw | seqb | tensw | tensb
 
 
 class UnboundMetavariable(RewriteError):
@@ -251,14 +244,11 @@ def pattern_variables(p, objs, arrows, gens):
 # axioms
 
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
-    family: str  # cartesian | cocartesian | linear | fo | structural | generator-adjoint
-    kind: str    # "eq" or "le"
-    lhs: object
-    rhs: object
-    arrows: tuple = ()  # ((name, dom-expr, cod-expr), ...)
+class Axiom(Record):
+    # family: cartesian | cocartesian | linear | fo | structural | generator-adjoint;
+    # kind: "eq" or "le"; arrows: ((name, dom-expr, cod-expr), ...)
+    __slots__ = ("name", "family", "kind", "lhs", "rhs", "arrows")
+    _defaults = {"arrows": ()}
 
     def variables(self):
         objs, arrows, gens = set(), set(), set()
@@ -492,12 +482,18 @@ def axiom_by_name(name):
 # rewriting
 
 
-@dataclass(frozen=True)
-class Step:
-    axiom: str
-    position: tuple
-    direction: str  # l2r | r2l
-    bindings: tuple = ()  # ((name, value), ...)
+class Step(Record):
+    # direction: l2r | r2l; bindings: ((name, value), ...)
+    __slots__ = ("axiom", "position", "direction", "bindings")
+
+    def __init__(self, axiom, position, direction, bindings=()):
+        _SET_AXIOM(self, axiom)
+        _SET_POSITION(self, position)
+        _SET_DIRECTION(self, direction)
+        _SET_BINDINGS(self, bindings)
+
+
+_SET_AXIOM, _SET_POSITION, _SET_DIRECTION, _SET_BINDINGS = slot_setters(Step)
 
 
 @functools.cache
@@ -554,18 +550,13 @@ def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
 # proof scripts
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    lhs: Term
-    rhs: Term
-    steps: tuple
+class ProofScript(Record):
+    __slots__ = ("lhs", "rhs", "steps")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    step_index: int = -1
-    reason: str = ""
+class Verdict(Record):
+    __slots__ = ("accepted", "step_index", "reason")
+    _defaults = {"step_index": -1, "reason": ""}
 
     def __str__(self):
         if self.accepted:
@@ -724,13 +715,9 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
 # axiom verification against the relation model
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    name: str
-    family: str
-    trials: int
-    failures: int
-    counterexample: str = ""
+class AxiomReport(Record):
+    __slots__ = ("name", "family", "trials", "failures", "counterexample")
+    _defaults = {"counterexample": ""}
 
     @property
     def ok(self):
@@ -811,13 +798,11 @@ class SpiderError(DiagrelError):
     pass
 
 
-@dataclass(frozen=True)
-class SpiderForm:
-    n: int
-    m: int
-    colour: str
-    partition: frozenset  # frozenset of frozensets of port labels "inI"/"outJ"
-    closed: int = field(compare=False, default=0)
+class SpiderForm(Record):
+    # partition: frozenset of frozensets of port labels "inI"/"outJ"
+    __slots__ = ("n", "m", "colour", "partition", "closed")
+    _defaults = {"closed": 0}
+    _key = attrgetter("n", "m", "colour", "partition")  # `closed` is not compared
 
 
 class _DSU:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, fields
+from operator import attrgetter
 
 #: the largest total arity n + m of a relation space, and the largest arity of
 #: an arity-indexed macro or of a spider port list; at carriers 0 and 1 a
@@ -71,16 +71,66 @@ def format_position(path):
     return ".".join(str(i) for i in path) if path else "ε"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """An immutable record: its fields are the slots of its class and bases,
+    in `_fields` order, and `_defaults` fills those `__init__` may omit.
+    Records of one class are `==` when their `_key(record)`s (all fields, or
+    one value for one field) are, and `hash` agrees.  A class that checks its
+    fields or is built often writes its own `__init__` over `slot_setters`."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for base in reversed(cls.__mro__)
+                            for name in vars(base).get("__slots__", ()))
+        if "_key" not in vars(cls) and cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **kwargs, **dict(zip(fields, args))}
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]) \
+                or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if type(other) is type(self) \
+            else NotImplemented
+
+    def __hash__(self):
+        return hash((self._key(self),))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through `__init__`
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+def slot_setters(cls):
+    """The `__set__` of each slot that `cls` declares, in order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+class Signature(Record):
     """Map from generator names to (arity, coarity)."""
 
-    generators: dict
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        for name, (n, m) in self.generators.items():
+    def __init__(self, generators):
+        for name, (n, m) in generators.items():
             if n < 0 or m < 0:
                 raise DiagrelError(f"generator {name}: negative arity")
+        super().__init__(generators)
 
     def type_of(self, name):
         try:
@@ -117,40 +167,110 @@ EMPTY_SIGNATURE = Signature({})
 # AST
 
 
-class Term:
+class Term(Record):
+    """A term node: its slots and constructor come from a layout mixin outside
+    this hierarchy, so that each subclass is one form."""
+
     __slots__ = ()
 
+    def __eq__(self, other):
+        """Structural equality at any depth: a loop walks down the t children,
+        stacking the u children; leaves compare by their keys."""
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            a, b = pop()
+            while a is not b:
+                cls = type(a)
+                if cls is not type(b):
+                    return False
+                if cls in BINARY:
+                    push((a.u, b.u))
+                elif cls not in UNARY:
+                    if a._key(a) != b._key(b):
+                        return False
+                    break
+                a, b = a.t, b.t
+        return True
 
-@dataclass(frozen=True)
-class IdW(Term):
-    n: int
-
-
-@dataclass(frozen=True)
-class IdB(Term):
-    n: int
-
-
-@dataclass(frozen=True)
-class SymW(Term):
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
-class SymB(Term):
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
-class Gen(Term):
-    name: str
+    __hash__ = Record.__hash__  # a class that defines `__eq__` loses the inherited hash
 
 
-@dataclass(frozen=True)
-class GenOp(Term):
-    name: str
+# the layouts: the slots, constructor and (where it is hot) hash of one node shape
+
+
+class _Nat:
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        _SET_NAT(self, n)
+
+    def __hash__(self):
+        return hash((self.n,))
+
+
+class _Sym:
+    __slots__ = ("m", "n")
+
+    def __init__(self, m, n):
+        _SET_SYM_M(self, m)
+        _SET_SYM_N(self, n)
+
+    def __hash__(self):
+        return hash((self.m, self.n))
+
+
+class _Box:
+    __slots__ = ("n", "m")
+
+    def __init__(self, n, m):
+        _SET_BOX_N(self, n)
+        _SET_BOX_M(self, m)
+
+
+class _Name:
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _SET_NAME(self, name)
+
+    def __hash__(self):
+        return hash((self.name,))
+
+
+class _Unary:
+    __slots__ = ("t",)
+
+    def __init__(self, t):
+        _SET_UNARY(self, t)
+
+
+class _Binary:
+    __slots__ = ("t", "u")
+
+    def __init__(self, t, u):
+        _SET_T(self, t)
+        _SET_U(self, u)
+
+    def __hash__(self):
+        return hash((self.t, self.u))
+
+
+def _nodes(layout, *names):
+    """A term class of `layout` for each name; each is one form."""
+    return [type(name, (layout, Term), {"__slots__": ()}) for name in names]
+
+
+IdW, IdB = _nodes(_Nat, "IdW", "IdB")
+SymW, SymB = _nodes(_Sym, "SymW", "SymB")
+Gen, GenOp = _nodes(_Name, "Gen", "GenOp")
+SeqW, SeqB, TensW, TensB = _nodes(_Binary, "SeqW", "SeqB", "TensW", "TensB")
+# sugar nodes
+Dag, Neg = _nodes(_Unary, "Dag", "Neg")
+Meet, Join = _nodes(_Binary, "Meet", "Join")
+Top, Bot = _nodes(_Box, "Top", "Bot")
 
 
 def mirror_head(head):
@@ -169,74 +289,18 @@ CONSTANT_TYPES = {
 CONSTANT_TYPES.update({mirror_head(kind): ty for kind, ty in CONSTANT_TYPES.items()})
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in CONSTANT_TYPES:
-            raise DiagrelError(f"unknown constant {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class SeqW(Term):
-    t: Term
-    u: Term
+    def __init__(self, kind):
+        if kind not in CONSTANT_TYPES:
+            raise DiagrelError(f"unknown constant {kind!r}")
+        _SET_KIND(self, kind)
 
 
-@dataclass(frozen=True)
-class SeqB(Term):
-    t: Term
-    u: Term
-
-
-@dataclass(frozen=True)
-class TensW(Term):
-    t: Term
-    u: Term
-
-
-@dataclass(frozen=True)
-class TensB(Term):
-    t: Term
-    u: Term
-
-
-# sugar nodes
-
-
-@dataclass(frozen=True)
-class Dag(Term):
-    t: Term
-
-
-@dataclass(frozen=True)
-class Neg(Term):
-    t: Term
-
-
-@dataclass(frozen=True)
-class Meet(Term):
-    t: Term
-    u: Term
-
-
-@dataclass(frozen=True)
-class Join(Term):
-    t: Term
-    u: Term
-
-
-@dataclass(frozen=True)
-class Top(Term):
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class Bot(Term):
-    n: int
-    m: int
+(_SET_NAT,), (_SET_NAME,), (_SET_UNARY,), (_SET_KIND,), (_SET_SYM_M, _SET_SYM_N), \
+    (_SET_BOX_N, _SET_BOX_M), (_SET_T, _SET_U) = map(slot_setters, (
+        _Nat, _Name, _Unary, Const, _Sym, _Box, _Binary))
 
 
 #: head -> (node class, argument kinds), each kind "nat", "name" (of a
@@ -265,11 +329,11 @@ FORMS = {
 MIRROR = {IdW: IdB, SymW: SymB, SeqW: SeqB, TensW: TensB}
 MIRROR.update({black: white for white, black in MIRROR.items()})
 
-BINARY = tuple(cls for cls, kinds in FORMS.values() if kinds == ("term", "term"))
-UNARY = tuple(cls for cls, kinds in FORMS.values() if kinds == ("term",))
+BINARY = frozenset(cls for cls, kinds in FORMS.values() if kinds == ("term", "term"))
+UNARY = frozenset(cls for cls, kinds in FORMS.values() if kinds == ("term",))
 
 # node class -> (head, argument kind, field names), looked up once here
-_SYNTAX = {cls: (head, kinds[0], tuple(f.name for f in fields(cls)))
+_SYNTAX = {cls: (head, kinds[0], cls._fields)
            for head, (cls, kinds) in FORMS.items()}
 
 
@@ -600,7 +664,7 @@ def _negate_prim(t, sig):
     cls = type(t)
     if cls in MIRROR:  # mirror classes share their field names
         kids = [_negate_prim(kid, sig) for kid in children(t)]
-        return MIRROR[cls](*kids) if kids else MIRROR[cls](**vars(t))
+        return MIRROR[cls](*(kids or [getattr(t, name) for name in cls._fields]))
     if cls is Const:
         return Const(mirror_head(t.kind))
     if cls is Gen:

@@ -8,35 +8,33 @@ Equalities are written as two axioms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .finrel import (
     FinRelation, Interpretation, evaluate, evaluate_typed, included, inclusion_witness,
     space_bits,
 )
 from .terms import (
-    DiagrelError, ParseError, Signature, parse_inequality, read_lines, read_sig_line, typecheck,
+    DiagrelError, ParseError, Record, Signature, parse_inequality, read_lines, read_sig_line,
+    typecheck,
 )
 
 DEFAULT_SEARCH_BOUND = 2 ** 24
 
 
-@dataclass(frozen=True)
-class Theory:
-    signature: Signature
-    axioms: tuple  # ((name, lhs: Term, rhs: Term), ...)
+class Theory(Record):
+    __slots__ = ("signature", "axioms")  # axioms: ((name, lhs: Term, rhs: Term), ...)
 
-    def __post_init__(self):
-        for name, lhs, rhs in self.axioms:
-            t1 = typecheck(lhs, self.signature)
-            t2 = typecheck(rhs, self.signature)
+    def __init__(self, signature, axioms):
+        for name, lhs, rhs in axioms:
+            t1 = typecheck(lhs, signature)
+            t2 = typecheck(rhs, signature)
             if t1 != t2:
                 raise DiagrelError(f"axiom {name}: sides typed {t1} vs {t2}")
+        super().__init__(signature, axioms)
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    verdicts: tuple  # ((name, holds: bool, witness-or-None), ...)
+class ModelReport(Record):
+    __slots__ = ("verdicts",)  # ((name, holds: bool, witness-or-None), ...)
 
     @property
     def is_model(self):

@@ -236,8 +236,8 @@ def mirror(t):
     meet with join and top with bot; dag, neg, gen and genop are kept."""
     if type(t) is T.Const:
         return T.Const(T.mirror_head(t.kind))
-    return _SWITCH.get(type(t), type(t))(**{
-        field: mirror(v) if isinstance(v, T.Term) else v for field, v in vars(t).items()})
+    return _SWITCH.get(type(t), type(t))(*[
+        mirror(v) if isinstance(v, T.Term) else v for v in map(t.__getattribute__, t._fields)])
 
 
 # --- naive readers and writers of relation text ----------------------------
@@ -324,6 +324,15 @@ def naive_print_term(t):
     args = (map(naive_print_term, T.children(t)) if kind == "term"
             else [str(getattr(t, f)) for f in names])
     return f"({head} {' '.join(args)})"
+
+
+def naive_equal(a, b):
+    """Oracle for term `==`: the recursive structural equality, one Python
+    frame per term level: one class, and equal fields, subterms compared by
+    this function."""
+    return type(a) is type(b) and all(
+        naive_equal(x, y) if isinstance(x, T.Term) else x == y
+        for x, y in zip(map(a.__getattribute__, a._fields), map(b.__getattribute__, b._fields)))
 
 
 def naive_format_relation(name, rel):

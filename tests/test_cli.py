@@ -363,6 +363,17 @@ def test_deep_term_nesting_exits_2(files, capsys, command):
     assert capsys.readouterr().err.strip() == "error: term nesting too deep"
 
 
+@pytest.mark.parametrize("depth", [83, 300, 900])
+def test_check_proof_of_deeply_nested_claim(tmp_path, capsys, depth):
+    """The replay compares its final term with the goal without recursion, so
+    a claim nests as deep as the parser reads."""
+    term = "(dag " * depth + "(idw 1)" + ")" * depth
+    proof = tmp_path / "deep.prf"
+    proof.write_text(f"prove {term} <= {term}\nqed\n")
+    assert run(["check-proof", str(proof)]) == 0
+    assert capsys.readouterr() == ("accepted\n", "")
+
+
 def test_eval_of_900_nested_dags(files, capsys):
     """The parser takes one frame per term level, so 900 levels parse,
     typecheck and evaluate; an even number of converses gives R back."""
