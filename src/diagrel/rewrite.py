@@ -7,8 +7,17 @@ so replacing a subterm by a larger one enlarges the whole), equalities in
 either direction.  Matching is purely syntactic — no matching modulo
 associativity; the structural axioms are explicit proof steps.
 
-The database writes 61 laws and derives the other 45 as their colour
-switches (`_mirrored`); each builder names the laws it derives.
+The axiom database is the text `_LAWS`, read once: 61 laws, one per line
+(an indented line continues the one above), and directives that derive the
+other 45 as their colour switches (`_mirrored`).  A law is `NAME : LHS = RHS`
+or `NAME : LHS <= RHS`, then optionally `with a : X -> Y, ...`, the types of
+its arrow metavariables.  The sides are terms with metavariables: a bare name
+is an arrow, `(gen r)` and `(genop r)` range over generators, and a number
+position holds an object expression, names and naturals joined by `+`, `()`
+(the empty sum), `(dom r)` or `(cod r)`.  A constant kind is a head taking an
+arity, as in `(copyw X)`.  `family F` starts a family; `mirrors -b F` appends
+to family F the colour switch of each law since then, named with the suffix
+`-b`; `NEW = mirror OLD` appends the colour switch of the law OLD.
 """
 
 from __future__ import annotations
@@ -245,8 +254,7 @@ def pattern_variables(p, objs, arrows, gens):
 
 
 class Axiom(Record):
-    # family: cartesian | cocartesian | linear | fo | structural | generator-adjoint;
-    # kind: "eq" or "le"; arrows: ((name, dom-expr, cod-expr), ...)
+    # family: as in `_LAWS`; kind: "eq" or "le"; arrows: ((name, dom-expr, cod-expr), ...)
     __slots__ = ("name", "family", "kind", "lhs", "rhs", "arrows")
     _defaults = {"arrows": ()}
 
@@ -260,41 +268,6 @@ class Axiom(Record):
                     if isinstance(item, str):
                         objs.add(item)
         return objs, arrows, gens
-
-
-class _Colour:
-    """Pattern constructors for one colour; keeps the database compact."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def id(self, *e):
-        return PConstM("id" + self.c, (e,))
-
-    def sym(self, e1, e2):  # each an object expression or its one item
-        return PConstM("sym" + self.c, tuple(e if type(e) is tuple else (e,) for e in (e1, e2)))
-
-    def copy(self, *e):
-        return PConstM("copy" + self.c, (e,))
-
-    def cocopy(self, *e):
-        return PConstM("coc" + self.c, (e,))
-
-    def discard(self, *e):
-        return PConstM("dsc" + self.c, (e,))
-
-    def codiscard(self, *e):
-        return PConstM("cod" + self.c, (e,))
-
-    def seq(self, p, q):
-        return PBin("seq" + self.c, p, q)
-
-    def tens(self, p, q):
-        return PBin("tens" + self.c, p, q)
-
-
-_W = _Colour("w")
-_B = _Colour("b")  # only for the laws that mix colours
 
 
 def _switch(p):
@@ -311,156 +284,138 @@ def _mirrored(axiom, name, family):
     return Axiom(name, family, axiom.kind, *map(_switch, sides), axiom.arrows)
 
 
-def _structural_axioms():
-    """The white laws of a symmetric monoidal category with (co)monoids;
-    the black ones (suffix `-b`) are their mirrors."""
-    a, b, c, d = PVar("a"), PVar("b"), PVar("c"), PVar("d")
-    S, Tn, ID, SY = _W.seq, _W.tens, _W.id, _W.sym
-    CP, CC, DS, CD = _W.copy, _W.cocopy, _W.discard, _W.codiscard
-    ax = []
-
-    def eq(name, lhs, rhs, arrows=()):
-        ax.append(Axiom(name, "structural", "eq", lhs, rhs, arrows))
-
-    eq("seq-assoc", S(S(a, b), c), S(a, S(b, c)),
-       (("a", ("X",), ("Y",)), ("b", ("Y",), ("Z",)), ("c", ("Z",), ("W",))))
-    eq("seq-unit-l", S(ID("X"), a), a, (("a", ("X",), ("Y",)),))
-    eq("seq-unit-r", S(a, ID("Y")), a, (("a", ("X",), ("Y",)),))
-    eq("tens-assoc", Tn(Tn(a, b), c), Tn(a, Tn(b, c)),
-       (("a", ("X1",), ("Y1",)), ("b", ("X2",), ("Y2",)), ("c", ("X3",), ("Y3",))))
-    eq("tens-unit-l", Tn(ID(0), a), a, (("a", ("X",), ("Y",)),))
-    eq("tens-unit-r", Tn(a, ID(0)), a, (("a", ("X",), ("Y",)),))
-    eq("interchange", S(Tn(a, b), Tn(c, d)), Tn(S(a, c), S(b, d)),
-       (("a", ("X1",), ("Y1",)), ("b", ("X2",), ("Y2",)),
-        ("c", ("Y1",), ("Z1",)), ("d", ("Y2",), ("Z2",))))
-    eq("tens-id", Tn(ID("X"), ID("Y")), ID("X", "Y"))
-    eq("sym-nat", S(Tn(a, b), SY("Y1", "Y2")), S(SY("X1", "X2"), Tn(b, a)),
-       (("a", ("X1",), ("Y1",)), ("b", ("X2",), ("Y2",))))
-    eq("sym-inv", S(SY("X", "Y"), SY("Y", "X")), ID("X", "Y"))
-    eq("sym-unit-l", SY(0, "X"), ID("X"))
-    eq("sym-unit-r", SY("X", 0), ID("X"))
-    eq("sym-split-l", SY(("X", "Y"), "Z"),
-       S(Tn(ID("X"), SY("Y", "Z")), Tn(SY("X", "Z"), ID("Y"))))
-    eq("sym-split-r", SY("X", ("Y", "Z")),
-       S(Tn(SY("X", "Y"), ID("Z")), Tn(ID("Y"), SY("X", "Z"))))
-    eq("copy-split", CP("X", "Y"),
-       S(Tn(CP("X"), CP("Y")), Tn(ID("X"), Tn(SY("X", "Y"), ID("Y")))))
-    eq("cocopy-split", CC("X", "Y"),
-       S(Tn(ID("X"), Tn(SY("Y", "X"), ID("Y"))), Tn(CC("X"), CC("Y"))))
-    eq("discard-split", DS("X", "Y"), Tn(DS("X"), DS("Y")))
-    eq("codiscard-split", CD("X", "Y"), Tn(CD("X"), CD("Y")))
-    return ax + [_mirrored(x, x.name + "-b", "structural") for x in ax]
-
-
-def _comonoid_axioms():
-    """Fig-1-style (co)monoid laws of the cartesian (white) colour; the
-    cocartesian (black, suffix `-b`) laws are their mirrors."""
-    a = PVar("a")
-    S, Tn, ID, SY = _W.seq, _W.tens, _W.id, _W.sym
-    CP, CC, DS, CD = _W.copy, _W.cocopy, _W.discard, _W.codiscard
-    ax = []
-
-    def law(kind, name, lhs, rhs, arrows=()):
-        ax.append(Axiom(name, "cartesian", kind, lhs, rhs, arrows))
-
-    law("eq", "copy-as", S(CP("X"), Tn(CP("X"), ID("X"))), S(CP("X"), Tn(ID("X"), CP("X"))))
-    law("eq", "copy-un", S(CP("X"), Tn(ID("X"), DS("X"))), ID("X"))
-    law("eq", "copy-un-l", S(CP("X"), Tn(DS("X"), ID("X"))), ID("X"))
-    law("eq", "copy-co", S(CP("X"), SY("X", "X")), CP("X"))
-    law("eq", "cocopy-as", S(Tn(CC("X"), ID("X")), CC("X")), S(Tn(ID("X"), CC("X")), CC("X")))
-    law("eq", "cocopy-un", S(Tn(ID("X"), CD("X")), CC("X")), ID("X"))
-    law("eq", "cocopy-un-l", S(Tn(CD("X"), ID("X")), CC("X")), ID("X"))
-    law("eq", "cocopy-co", S(SY("X", "X"), CC("X")), CC("X"))
-    law("eq", "special", S(CP("X"), CC("X")), ID("X"))
-    law("eq", "frob-l", S(CC("X"), CP("X")), S(Tn(ID("X"), CP("X")), Tn(CC("X"), ID("X"))))
-    law("eq", "frob-r", S(CC("X"), CP("X")), S(Tn(CP("X"), ID("X")), Tn(ID("X"), CC("X"))))
-    law("le", "copy-nat", S(a, CP("Y")), S(CP("X"), Tn(a, a)), (("a", ("X",), ("Y",)),))
-    law("le", "discard-nat", S(a, DS("Y")), DS("X"), (("a", ("X",), ("Y",)),))
-    law("le", "eta-copy", ID("X"), S(CP("X"), CC("X")))
-    law("le", "eps-copy", S(CC("X"), CP("X")), ID("X", "X"))
-    law("le", "eta-discard", ID("X"), S(DS("X"), CD("X")))
-    law("le", "eps-discard", S(CD("X"), DS("X")), ID())
-    return ax + [_mirrored(x, x.name + "-b", "cocartesian") for x in ax]
-
-
-def _linear_axioms():
-    """Half of the linear distributivity laws, each with its mirror:
-    delta-r, nu-bl, nu-br, gamma-sym, gamma-sym-b and tens-id-white-colax
-    are derived."""
-    a, b, c, d = PVar("a"), PVar("b"), PVar("c"), PVar("d")
-    ax = []
-
-    def le(name, lhs, rhs, arrows=()):
-        ax.append(Axiom(name, "linear", "le", lhs, rhs, arrows))
-        return ax[-1]
-
-    def derive(axiom, name):
-        ax.append(_mirrored(axiom, name, "linear"))
-
-    chain = (("a", ("X",), ("Y",)), ("b", ("Y",), ("Z",)), ("c", ("Z",), ("W",)))
-    derive(le("delta-l", _W.seq(a, _B.seq(b, c)), _B.seq(_W.seq(a, b), c), chain), "delta-r")
-    par = (("a", ("X1",), ("Y1",)), ("b", ("Y1",), ("Z1",)),
-           ("c", ("X2",), ("Y2",)), ("d", ("Y2",), ("Z2",)))
-    nu_wl = le("nu-wl", _W.tens(_B.seq(a, b), _B.seq(c, d)),
-               _B.seq(_W.tens(a, c), _B.tens(b, d)), par)
-    derive(le("nu-wr", _W.tens(_B.seq(a, b), _B.seq(c, d)),
-              _B.seq(_B.tens(a, c), _W.tens(b, d)), par), "nu-bl")
-    derive(nu_wl, "nu-br")
-    derive(le("tau-sym", _W.id("X", "Y"), _B.seq(_W.sym("X", "Y"), _B.sym("Y", "X"))),
-           "gamma-sym")
-    derive(le("tau-sym-b", _W.id("X", "Y"), _B.seq(_B.sym("X", "Y"), _W.sym("Y", "X"))),
-           "gamma-sym-b")
-    derive(le("tens-id-black-lax", _W.tens(_B.id("X"), _B.id("Y")), _B.id("X", "Y")),
-           "tens-id-white-colax")
-    return ax
+_LAWS = """family structural  # a symmetric monoidal category with (co)monoids, in white
+seq-assoc : (seqw (seqw a b) c) = (seqw a (seqw b c)) with a : X -> Y, b : Y -> Z, c : Z -> W
+seq-unit-l : (seqw (idw X) a) = a with a : X -> Y
+seq-unit-r : (seqw a (idw Y)) = a with a : X -> Y
+tens-assoc : (tensw (tensw a b) c) = (tensw a (tensw b c))
+    with a : X1 -> Y1, b : X2 -> Y2, c : X3 -> Y3
+tens-unit-l : (tensw (idw 0) a) = a with a : X -> Y
+tens-unit-r : (tensw a (idw 0)) = a with a : X -> Y
+interchange : (seqw (tensw a b) (tensw c d)) = (tensw (seqw a c) (seqw b d))
+    with a : X1 -> Y1, b : X2 -> Y2, c : Y1 -> Z1, d : Y2 -> Z2
+tens-id : (tensw (idw X) (idw Y)) = (idw X+Y)
+sym-nat : (seqw (tensw a b) (symw Y1 Y2)) = (seqw (symw X1 X2) (tensw b a))
+    with a : X1 -> Y1, b : X2 -> Y2
+sym-inv : (seqw (symw X Y) (symw Y X)) = (idw X+Y)
+sym-unit-l : (symw 0 X) = (idw X)
+sym-unit-r : (symw X 0) = (idw X)
+sym-split-l : (symw X+Y Z) = (seqw (tensw (idw X) (symw Y Z)) (tensw (symw X Z) (idw Y)))
+sym-split-r : (symw X Y+Z) = (seqw (tensw (symw X Y) (idw Z)) (tensw (idw Y) (symw X Z)))
+copy-split : (copyw X+Y)
+    = (seqw (tensw (copyw X) (copyw Y)) (tensw (idw X) (tensw (symw X Y) (idw Y))))
+cocopy-split : (cocw X+Y)
+    = (seqw (tensw (idw X) (tensw (symw Y X) (idw Y))) (tensw (cocw X) (cocw Y)))
+discard-split : (dscw X+Y) = (tensw (dscw X) (dscw Y))
+codiscard-split : (codw X+Y) = (tensw (codw X) (codw Y))
+mirrors -b structural
+family cartesian  # Fig-1-style (co)monoid laws in white; their mirrors are cocartesian
+copy-as : (seqw (copyw X) (tensw (copyw X) (idw X))) = (seqw (copyw X) (tensw (idw X) (copyw X)))
+copy-un : (seqw (copyw X) (tensw (idw X) (dscw X))) = (idw X)
+copy-un-l : (seqw (copyw X) (tensw (dscw X) (idw X))) = (idw X)
+copy-co : (seqw (copyw X) (symw X X)) = (copyw X)
+cocopy-as : (seqw (tensw (cocw X) (idw X)) (cocw X)) = (seqw (tensw (idw X) (cocw X)) (cocw X))
+cocopy-un : (seqw (tensw (idw X) (codw X)) (cocw X)) = (idw X)
+cocopy-un-l : (seqw (tensw (codw X) (idw X)) (cocw X)) = (idw X)
+cocopy-co : (seqw (symw X X) (cocw X)) = (cocw X)
+special : (seqw (copyw X) (cocw X)) = (idw X)
+frob-l : (seqw (cocw X) (copyw X)) = (seqw (tensw (idw X) (copyw X)) (tensw (cocw X) (idw X)))
+frob-r : (seqw (cocw X) (copyw X)) = (seqw (tensw (copyw X) (idw X)) (tensw (idw X) (cocw X)))
+copy-nat : (seqw a (copyw Y)) <= (seqw (copyw X) (tensw a a)) with a : X -> Y
+discard-nat : (seqw a (dscw Y)) <= (dscw X) with a : X -> Y
+eta-copy : (idw X) <= (seqw (copyw X) (cocw X))
+eps-copy : (seqw (cocw X) (copyw X)) <= (idw X+X)
+eta-discard : (idw X) <= (seqw (dscw X) (codw X))
+eps-discard : (seqw (codw X) (dscw X)) <= (idw ())
+mirrors -b cocartesian
+family linear  # the linear distributivity laws
+delta-l : (seqw a (seqb b c)) <= (seqb (seqw a b) c) with a : X -> Y, b : Y -> Z, c : Z -> W
+delta-r = mirror delta-l
+nu-wl : (tensw (seqb a b) (seqb c d)) <= (seqb (tensw a c) (tensb b d))
+    with a : X1 -> Y1, b : Y1 -> Z1, c : X2 -> Y2, d : Y2 -> Z2
+nu-wr : (tensw (seqb a b) (seqb c d)) <= (seqb (tensb a c) (tensw b d))
+    with a : X1 -> Y1, b : Y1 -> Z1, c : X2 -> Y2, d : Y2 -> Z2
+nu-bl = mirror nu-wr
+nu-br = mirror nu-wl
+tau-sym : (idw X+Y) <= (seqb (symw X Y) (symb Y X))
+gamma-sym = mirror tau-sym
+tau-sym-b : (idw X+Y) <= (seqb (symb X Y) (symw Y X))
+gamma-sym-b = mirror tau-sym-b
+tens-id-black-lax : (tensw (idb X) (idb Y)) <= (idb X+Y)
+tens-id-white-colax = mirror tens-id-black-lax
+family fo  # each white constant a linear adjoint of its mirror; mixed Frobenius
+tau-copy : (idw X) <= (seqb (copyw X) (cocb X))
+gamma-copy : (seqw (cocb X) (copyw X)) <= (idb X+X)
+tau-copy-rev : (idw X+X) <= (seqb (cocb X) (copyw X))
+gamma-copy-rev : (seqw (copyw X) (cocb X)) <= (idb X)
+tau-discard : (idw X) <= (seqb (dscw X) (codb X))
+gamma-discard : (seqw (codb X) (dscw X)) <= (idb ())
+tau-discard-rev : (idw ()) <= (seqb (codb X) (dscw X))
+gamma-discard-rev : (seqw (dscw X) (codb X)) <= (idb X)
+tau-cocopy : (idw X+X) <= (seqb (cocw X) (copyb X))
+gamma-cocopy : (seqw (copyb X) (cocw X)) <= (idb X)
+tau-cocopy-rev : (idw X) <= (seqb (copyb X) (cocw X))
+gamma-cocopy-rev : (seqw (cocw X) (copyb X)) <= (idb X+X)
+tau-codiscard : (idw ()) <= (seqb (codw X) (dscb X))
+gamma-codiscard : (seqw (dscb X) (codw X)) <= (idb X)
+tau-codiscard-rev : (idw X) <= (seqb (dscb X) (codw X))
+gamma-codiscard-rev : (seqw (codw X) (dscb X)) <= (idb ())
+F-bw : (seqw (tensw (idw X) (copyw X)) (tensw (cocb X) (idw X)))
+    = (seqw (tensw (copyb X) (idw X)) (tensw (idw X) (cocw X)))
+F-bw2 : (seqw (tensw (idw X) (copyb X)) (tensw (cocw X) (idw X)))
+    = (seqw (tensw (copyw X) (idw X)) (tensw (idw X) (cocb X)))
+F-wb = mirror F-bw2
+F-wb2 = mirror F-bw
+family generator-adjoint  # a generator and its opposed box are linear adjoints
+gen-tau : (idw (dom r)) <= (seqb (gen r) (genop r))
+gen-gamma : (seqw (genop r) (gen r)) <= (idb (cod r))
+gen-tau-rev = mirror gen-gamma
+gen-gamma-rev = mirror gen-tau"""
 
 
-def _fo_axioms():
-    """Linear adjointness of the white constants to their black mirrors,
-    plus the mixed-colour Frobenius equalities, written in white; the black
-    ones, F-wb and F-wb2, are the mirrors of F-bw2 and F-bw."""
-    X, XX, O = ("X",), ("X", "X"), ()
-    pairs = [
-        ("copy", _W.copy("X"), _B.cocopy("X"), X, XX),
-        ("discard", _W.discard("X"), _B.codiscard("X"), X, O),
-        ("cocopy", _W.cocopy("X"), _B.copy("X"), XX, X),
-        ("codiscard", _W.codiscard("X"), _B.discard("X"), O, X),
-    ]
-    ax = []
-    for name, w, bl, dn, dm in pairs:
-        ax += [Axiom("tau-" + name, "fo", "le", _W.id(*dn), _B.seq(w, bl)),
-               Axiom("gamma-" + name, "fo", "le", _W.seq(bl, w), _B.id(*dm)),
-               Axiom("tau-" + name + "-rev", "fo", "le", _W.id(*dm), _B.seq(bl, w)),
-               Axiom("gamma-" + name + "-rev", "fo", "le", _W.seq(w, bl), _B.id(*dn))]
-
-    # mixed-colour Frobenius: the S-shaped composite with one dot of each
-    # colour equals the corresponding Z-shape
-    S, Tn, ID = _W.seq, _W.tens, _W.id
-    f_bw = Axiom("F-bw", "fo", "eq",
-                 S(Tn(ID("X"), _W.copy("X")), Tn(_B.cocopy("X"), ID("X"))),
-                 S(Tn(_B.copy("X"), ID("X")), Tn(ID("X"), _W.cocopy("X"))))
-    f_bw2 = Axiom("F-bw2", "fo", "eq",
-                  S(Tn(ID("X"), _B.copy("X")), Tn(_W.cocopy("X"), ID("X"))),
-                  S(Tn(_W.copy("X"), ID("X")), Tn(ID("X"), _B.cocopy("X"))))
-    return ax + [f_bw, f_bw2, _mirrored(f_bw2, "F-wb", "fo"), _mirrored(f_bw, "F-wb2", "fo")]
+def _objects(sx):
+    """The object expression at a number position: `()`, `(dom r)` or `(cod r)`
+    if it is a list, else names and naturals joined by `+`."""
+    if type(sx) is list:
+        return (tuple(atom[0] for atom in sx),) if sx else ()
+    return tuple(int(w) if w.isdigit() else w for w in sx.split("+"))
 
 
-def _generator_axioms():
-    """A generator and its opposed box are linear adjoints; gen-tau-rev and
-    gen-gamma-rev are the mirrors of gen-gamma and gen-tau."""
-    r, rop = PGenVar("r"), PGenVar("r", op=True)
-    dn, dm = ("dom", "r"), ("cod", "r")
-    tau = Axiom("gen-tau", "generator-adjoint", "le", _W.id(dn), _B.seq(r, rop))
-    gamma = Axiom("gen-gamma", "generator-adjoint", "le", _W.seq(rop, r), _B.id(dm))
-    return [tau, gamma, _mirrored(gamma, "gen-tau-rev", "generator-adjoint"),
-            _mirrored(tau, "gen-gamma-rev", "generator-adjoint")]
+def _pattern(sx):
+    """The pattern of a law side's s-expression."""
+    if type(sx) is tuple:
+        return PVar(sx[0])
+    head, args = sx[0][0], sx[1:]
+    kind = T.FORMS[head][1][0] if head in T.FORMS else "nat"  # a constant kind takes an arity
+    if kind == "term":
+        return PBin(head, *map(_pattern, args))
+    if kind == "name":
+        return PGenVar(args[0][0], head == "genop")
+    return PConstM(head, tuple(_objects(a if type(a) is list else a[0]) for a in args))
 
 
 @functools.cache
 def _axioms():
-    """The axiom tuple and the same axioms keyed by name, built once."""
-    ax = (_structural_axioms() + _comonoid_axioms() + _linear_axioms() + _fo_axioms()
-          + _generator_axioms())
+    """The axiom tuple and the same axioms keyed by name, read once from `_LAWS`."""
+    ax = []
+    text = "".join(("\n" if col == 1 else " ") + line for _, col, line in read_lines(_LAWS))
+    for line in text.splitlines()[1:]:
+        words = line.split()
+        if words[0] == "family":
+            family, start = words[1], len(ax)
+        elif words[0] == "mirrors":
+            ax += [_mirrored(x, x.name + words[1], words[2]) for x in ax[start:]]
+        elif words[1] == "=":
+            ax.append(_mirrored({x.name: x for x in ax}[words[3]], words[0], family))
+        else:  # NAME : LHS = RHS or NAME : LHS <= RHS, then the arrow types
+            law, _, arrows = line.partition(" with ")
+            tokens = list(T.tokenize(law))
+            lhs, pos = T.read_sexpr(tokens, 2)
+            rhs = T.read_sexpr(tokens, pos + 1)[0]
+            types = re.findall(r"(\w+) : (\S+) -> ([^,\s]+)", arrows)
+            ax.append(Axiom(words[0], family, {"=": "eq", "<=": "le"}[tokens[pos][0]],
+                            _pattern(lhs), _pattern(rhs),
+                            tuple((v, _objects(d), _objects(c)) for v, d, c in types)))
     by_name = {x.name: x for x in ax}
     assert len(by_name) == len(ax), "duplicate axiom name"
     return tuple(ax), by_name
@@ -582,13 +537,15 @@ def _parse_bindings(text, sig, line, col):
     """Read `NAME=ATOM` and `NAME=(...)` bindings, which start at (line, col); an
     atom is a natural number, a constant or a generator name."""
     tokens = list(T.tokenize(text, line, col))
-    out, pos = [], 0
+    out, pos = {}, 0
     while pos < len(tokens):
         tok, _, at = tokens[pos]
         pos += 1
         name, eq, atom = tok.partition("=")
         if not eq:
             raise ParseError(f"bad binding clause {text[at - col:]!r}")
+        if name in out:
+            raise ParseError(f"duplicate binding for {name!r}", line, at)
         if atom:
             value = T.natural(atom)
             if value is None:
@@ -603,8 +560,8 @@ def _parse_bindings(text, sig, line, col):
             value = T.build_term(sx, sig)
         else:
             raise ParseError(f"empty binding for {name!r}")
-        out.append((name, value))
-    return tuple(out)
+        out[name] = value
+    return tuple(out.items())
 
 
 # Every part is optional, so any line starting with `step` matches and the
@@ -783,9 +740,11 @@ def verify_axiom(axiom, k=2, trials=200, seed=0):
 
 
 def verify_axioms(k=2, trials=200, seed=0, family=None):
-    """Check every axiom against random instantiations in the relation model."""
+    """Check every axiom, or one family's, against random instances in the relation model."""
     axioms = axiom_db()
     if family is not None:
+        if family not in (families := dict.fromkeys(ax.family for ax in axioms)):
+            raise RewriteError(f"unknown family {family!r}; known families: {', '.join(families)}")
         axioms = [ax for ax in axioms if ax.family == family]
     return [verify_axiom(ax, k=k, trials=trials, seed=seed) for ax in axioms]
 

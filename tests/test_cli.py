@@ -169,6 +169,13 @@ def test_verify_axioms_and_determinism(files, capsys):
     assert capsys.readouterr().out == out1
 
 
+def test_verify_axioms_unknown_family_exits_2(capsys):
+    assert run(["verify-axioms", "--trials", "1", "--family", "bogus"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown family 'bogus'; known families: "
+                                   "structural, cartesian, cocartesian, linear, fo, "
+                                   "generator-adjoint\n")
+
+
 def test_spider(files, capsys):
     assert run(["spider", "(seqw copyw cocw)"]) == 0
     out = capsys.readouterr().out

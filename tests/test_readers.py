@@ -166,6 +166,17 @@ def test_object_bindings_read_ascii_digits_only(tmp_path, capsys):
         "rejected at step 1: object metavariable 'X' must be bound to a number\n", "")
 
 
+def test_duplicate_binding_exits_2(tmp_path, capsys):
+    """A name bound twice is refused, not read as its last value: with `X=1`
+    alone this step is accepted, with `X=7` alone it is rejected."""
+    sig, proof = tmp_path / "r.sig", tmp_path / "p.prf"
+    sig.write_text("sig R : 1 -> 1\n")
+    proof.write_text("prove (gen R) <= (seqw (idw 1) (gen R))\n"
+                     "step seq-unit-l at e dir r2l with X=7 X=1\nqed\n")
+    assert run(["check-proof", "--sig", str(sig), str(proof)]) == 2
+    assert capsys.readouterr() == ("", "error: 2:39: duplicate binding for 'X'\n")
+
+
 @pytest.mark.parametrize("clause, outcome_", [
     ("a= (gen R)", (("a", T.Gen("R")),)),
     ("a=(seqw (gen R)\n", "unbalanced parentheses in binding 'a'"),
@@ -175,6 +186,7 @@ def test_object_bindings_read_ascii_digits_only(tmp_path, capsys):
     ("junk X=1", "bad binding clause 'junk X=1'"),
     ("X =1", "bad binding clause 'X =1'"),
     ("X= 1", "empty binding for 'X'"),
+    ("X=1 X=2", "2:39: duplicate binding for 'X'"),
 ])
 def test_binding_grammar(clause, outcome_):
     """A binding is NAME=ATOM, or NAME= followed by one parenthesized term."""

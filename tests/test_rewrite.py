@@ -309,6 +309,14 @@ def test_verify_axioms_deterministic():
     assert all(r.family == "linear" for r in fam) and fam
 
 
+def test_verify_axioms_refuses_an_unknown_family():
+    with pytest.raises(T.DiagrelError) as e:
+        R.verify_axioms(trials=1, family="bogus")
+    assert str(e.value) == (
+        "unknown family 'bogus'; known families: %s" % ", ".join(
+            dict.fromkeys(ax.family for ax in R.axiom_db())))
+
+
 # --- spiders ---------------------------------------------------------------
 
 

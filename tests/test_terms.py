@@ -200,6 +200,11 @@ def test_signature_parse_fuzz(text):
     ("(idw x)", "1:6: expected number, got 'x'"),
     ("(top 1 -1)", "1:8: number must be non-negative"),
     ("(symw (1) 1)", "expected number, got a list"),
+    # the axiom database's pattern syntax is not term syntax
+    ("(seqw a b)", "1:7: unknown atom 'a'"),
+    ("(idw X+Y)", "1:6: expected number, got 'X+Y'"),
+    ("(idw ())", "expected number, got a list"),
+    ("(copyw X)", "1:2: unknown form 'copyw'"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(T.ParseError) as e:
