@@ -9,16 +9,16 @@ usual relational composition and the tensor is conjunctive.  The black half
 is computed as their De Morgan dual: R ;b S = ~(~R ; ~S) (a universally
 quantified disjunction), the black tensor likewise (disjunctive), and each
 black constant is the complement of its white mirror, in the one builder of
-the constants, `constant`.  A black kernel XORs
-the raw bitmasks with their spaces' full masks around the white loop, so it
-builds one relation, not four.  `evaluate` typechecks a term, then evaluates
-it through `evaluate_typed`, the entry for callers that already hold terms
-typechecked under a signature that types each generator as its relation.
-Evaluation is compositional and keeps no state: `evaluate_typed` applies each
-node's kernel to its children's values, one call per node, and hashes no
-term.  Only the constants, graphs of index maps, are cached per head, carrier
-and arity, in the one cache of `constant`, which `size_guard` empties when it
-changes MAX_BITS.
+the constants, `constant`.  The kernels work on raw bitmasks: `_kernel` fixes
+each to its operands' row counts and full masks, and a black one XORs with
+those masks around the white loop.  `compose_white` and the other relation
+operations wrap them.  `evaluate` typechecks a term, then evaluates it
+through `evaluate_typed`, the entry for typed terms, which compiles it into a
+`Program` and runs that once; model search, axiom verification and the proof
+spotcheck compile a term once and run it per interpretation.  No program is
+cached.  Only the constants, graphs of index maps, are cached per head,
+carrier and arity, in the one cache of `constant`, which `size_guard` empties
+when it changes MAX_BITS.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import contextlib
 import functools
 
 from .terms import (
-    MAX_ARITY, Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
-    ParseError, Record, SeqB, SeqW, SymB, SymW, TensB, TensW, Top, mirror_head,
-    read_lines, read_nat, slot_setters, typecheck,
+    BINARY, MAX_ARITY, UNARY, Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
+    ParseError, Record, SeqB, SeqW, SymB, SymW, TensB, TensW, Top, mirror_head, read_lines,
+    read_nat, slot_setters, typecheck,
 )
 
 MAX_BITS = 2 ** 30
@@ -113,10 +113,6 @@ class FinRelation(Record):
     def cols(self):
         return self.carrier ** self.cod_arity
 
-    @property
-    def ones(self):
-        return (1 << space_bits(self.carrier, self.dom_arity, self.cod_arity)) - 1
-
     def has(self, xs, ys):
         k, n, m = self.carrier, self.dom_arity, self.cod_arity
         if len(xs) != n or len(ys) != m:
@@ -154,14 +150,7 @@ def complement(a):
 
 
 def converse(a):
-    rows = _row_masks(a.bits, a.rows, a.cols)
-    out = []
-    for c in range(a.cols):
-        col = 0
-        for r in range(a.rows):
-            col |= (rows[r] >> c & 1) << r
-        out.append(col)
-    return FinRelation(a.carrier, a.cod_arity, a.dom_arity, _join_rows(out, a.rows))
+    return _apply(Dag, a, a)
 
 
 def union(a, b):
@@ -223,70 +212,111 @@ def _join_rows(rows, cols):
     return rows[0]
 
 
-def _compose_bits(a, b, black=False):
-    """The bits of the relational composition of a and b, or with `black` of
-    its De Morgan dual ~(~a ; ~b), on raw bitmasks XORed with full masks."""
-    abits, bbits = (a.bits ^ a.ones, b.bits ^ b.ones) if black else (a.bits, b.bits)
-    if a.carrier != b.carrier or a.cod_arity != b.dom_arity:
-        raise DiagrelError("composition type mismatch")
-    size = space_bits(a.carrier, a.dom_arity, b.cod_arity)
-    b_rows = _row_masks(bbits, b.rows, b.cols)
+def _compose_bits(x, y, rows, mid, cols):
+    """The relational composition of the bitmasks x (rows by mid) and y (mid
+    by cols): each row of x ORs together the rows of y its bits select."""
+    y_rows = _row_masks(y, mid, cols)
     out_rows = []
-    for row in _row_masks(abits, a.rows, a.cols):
+    for row in _row_masks(x, rows, mid):
         out = 0
         while row:
             low = row & -row
-            out |= b_rows[low.bit_length() - 1]
+            out |= y_rows[low.bit_length() - 1]
             row ^= low
         out_rows.append(out)
-    return _join_rows(out_rows, b.cols) ^ ((1 << size) - 1 if black else 0)
+    return _join_rows(out_rows, cols)
 
 
-def compose_white(a, b):
-    """{(x,z) | exists y. a(x,y) and b(y,z)}."""
-    return FinRelation(a.carrier, a.dom_arity, b.cod_arity, _compose_bits(a, b))
-
-
-def compose_black(a, b):
-    """{(x,z) | forall y. a(x,y) or b(y,z)}: the De Morgan dual ~(~a ; ~b) of
-    the white composition, on complemented raw bitmasks."""
-    return FinRelation(a.carrier, a.dom_arity, b.cod_arity, _compose_bits(a, b, True))
-
-
-def _tensor_bits(a, b, black=False):
-    """The bits of the conjunctive tensor of a and b, or with `black` of its
-    De Morgan dual ~(~a * ~b), by bitmask arithmetic: restride b's rows to the
-    result's column width, then for each row of a multiply by the spread of
-    its column mask (shifted copies land in disjoint blocks, so no carries)."""
-    abits, bbits = (a.bits ^ a.ones, b.bits ^ b.ones) if black else (a.bits, b.bits)
-    if a.carrier != b.carrier:
-        raise DiagrelError("tensor carrier mismatch")
-    size = space_bits(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity)
-    bcols, brows = b.cols, b.rows
-    tot = a.cols * bcols
-    restrided = _join_rows(_row_masks(bbits, brows, bcols), tot)
+def _tensor_bits(x, y, arows, acols, brows, bcols):
+    """The conjunctive tensor of the bitmasks x (arows by acols) and y (brows
+    by bcols): restride y's rows to the result's column width, then for each
+    row of x multiply by the spread of its column mask (shifted copies land in
+    disjoint blocks, so no carries)."""
+    tot = acols * bcols
+    restrided = _join_rows(_row_masks(y, brows, bcols), tot)
     out_blocks = []
-    for row in _row_masks(abits, a.rows, a.cols):
+    for row in _row_masks(x, arows, acols):
         spread = 0
         while row:
             low = row & -row
             spread |= 1 << ((low.bit_length() - 1) * bcols)
             row ^= low
         out_blocks.append(spread * restrided if spread else 0)
-    return _join_rows(out_blocks, brows * tot) ^ ((1 << size) - 1 if black else 0)
+    return _join_rows(out_blocks, brows * tot)
+
+
+def _converse_bits(x, rows, cols):
+    """The transpose of the bitmask x, `rows` rows of `cols` bits."""
+    masks = _row_masks(x, rows, cols)
+    out = []
+    for c in range(cols):
+        col = 0
+        for r in range(rows):
+            col |= (masks[r] >> c & 1) << r
+        out.append(col)
+    return _join_rows(out, rows)
+
+
+def _kernel(cls, k, s, t):
+    """The arities of a node of class `cls` at carrier k over operands of
+    arities s and t (t is s for a unary node), its space checked, and its
+    kernel on raw bitmasks, fixed to their row counts and full masks: a black
+    node is the De Morgan dual ~(~x op ~y) of its white mirror, and `GenOp`
+    the converse of the complement of its generator, its linear adjoint."""
+    (n, j), (i, m) = s, t
+    seq, black = cls in (SeqW, SeqB), cls in (SeqB, TensB)
+    if seq and j != i:
+        raise DiagrelError("composition type mismatch")
+    out = (n, m) if seq else (n + i, j + m) if cls in (TensW, TensB) \
+        else (j, n) if cls in (Dag, GenOp) else s
+    size = space_bits(k, *out)
+    if cls is Meet or cls is Join:
+        return out, int.__and__ if cls is Meet else int.__or__
+    full = (1 << size) - 1 if black or cls is Neg or cls is GenOp else 0
+    fa, fb = ((1 << k ** n * k ** j) - 1, (1 << k ** i * k ** m) - 1) if black else (0, 0)
+    rows, mid, brows, cols = k ** n, k ** j, k ** i, k ** m
+    if cls is Neg:
+        return out, lambda x, _: x ^ full
+    if cls is Dag or cls is GenOp:
+        return out, lambda x, _: _converse_bits(x ^ full, rows, mid)
+    if seq:
+        return out, lambda x, y: _compose_bits(x ^ fa, y ^ fb, rows, mid, cols) ^ full
+    return out, lambda x, y: _tensor_bits(x ^ fa, y ^ fb, rows, mid, brows, cols) ^ full
+
+
+def _apply(cls, a, b):
+    """A node of class `cls` over the relations a and b (b is a for a unary
+    node), by the kernel a program runs; a black one checks the spaces of its
+    operands first, as ~(~a op ~b) builds them."""
+    k, s, t = a.carrier, (a.dom_arity, a.cod_arity), (b.dom_arity, b.cod_arity)
+    if cls is SeqB or cls is TensB:
+        space_bits(k, *s), space_bits(k, *t)
+    if k != b.carrier:
+        raise DiagrelError("relations on different carriers")
+    (n, m), op = _kernel(cls, k, s, t)
+    return FinRelation(k, n, m, op(a.bits, b.bits))
+
+
+def compose_white(a, b):
+    """{(x,z) | exists y. a(x,y) and b(y,z)}."""
+    return _apply(SeqW, a, b)
+
+
+def compose_black(a, b):
+    """{(x,z) | forall y. a(x,y) or b(y,z)}: the De Morgan dual ~(~a ; ~b) of
+    the white composition, on complemented raw bitmasks."""
+    return _apply(SeqB, a, b)
 
 
 def tensor_white(a, b):
     """Conjunctive tensor."""
-    return FinRelation(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity,
-                       _tensor_bits(a, b))
+    return _apply(TensW, a, b)
 
 
 def tensor_black(a, b):
     """Disjunctive tensor: the De Morgan dual ~(~a * ~b) of the conjunctive
     one, on complemented raw bitmasks."""
-    return FinRelation(a.carrier, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity,
-                       _tensor_bits(a, b, True))
+    return _apply(TensB, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -377,45 +407,101 @@ def evaluate(t, interp):
 def evaluate_typed(t, interp):
     """`evaluate` without the typecheck: `t` must typecheck under a signature
     giving each generator the type of its relation in `interp`."""
-    # kernels are called by their module-level names, which perfbench wraps
-    k = interp.carrier
-    ev = evaluate_typed
+    rels = interp.assignment
+    prog = Program(interp.carrier, {name: (r.dom_arity, r.cod_arity) for name, r in rels.items()})
+    reg = prog.add(t)
+    prog.run([r.bits for r in rels.values()])
+    return prog.relation(reg)
+
+
+def _leaf(t, k):
+    """The relation of a leaf other than a generator at carrier k."""
     cls = type(t)
-    if cls is Gen:
-        return interp.assignment[t.name]
-    if cls is SeqW:
-        return compose_white(ev(t.t, interp), ev(t.u, interp))
-    if cls is SeqB:
-        return compose_black(ev(t.t, interp), ev(t.u, interp))
-    if cls is TensW:
-        return tensor_white(ev(t.t, interp), ev(t.u, interp))
-    if cls is TensB:
-        return tensor_black(ev(t.t, interp), ev(t.u, interp))
-    if cls is Meet:
-        return intersection(ev(t.t, interp), ev(t.u, interp))
-    if cls is Join:
-        return union(ev(t.t, interp), ev(t.u, interp))
-    if cls is Dag:
-        return converse(ev(t.t, interp))
-    if cls is Neg:
-        return complement(ev(t.t, interp))
     if cls is Const:
         return constant(t.kind, k, 1)
-    if cls is IdW:
-        return constant("idw", k, t.n)
-    if cls is IdB:
-        return constant("idb", k, t.n)
-    if cls is SymW:
-        return constant("symw", k, t.m, t.n)
-    if cls is SymB:
-        return constant("symb", k, t.m, t.n)
-    if cls is GenOp:
-        return linear_adjoint(interp.assignment[t.name])
-    if cls is Top:
-        return FinRelation.full(k, t.n, t.m)
-    if cls is Bot:
-        return FinRelation.empty(k, t.n, t.m)
+    if cls is IdW or cls is IdB:
+        return constant("idw" if cls is IdW else "idb", k, t.n)
+    if cls is SymW or cls is SymB:
+        return constant("symw" if cls is SymW else "symb", k, t.m, t.n)
+    if cls is Top or cls is Bot:
+        return FinRelation(k, t.n, t.m, (1 << space_bits(k, t.n, t.m)) - 1 if cls is Top else 0)
     raise DiagrelError(f"cannot evaluate {t!r}")
+
+
+class Program:
+    """Terms compiled at carrier k into one post-order list of instructions
+    over a register file of raw bitmasks, the generators' first (`generators`
+    maps each name to its arities, in register order).  A node of the same
+    class over the same registers, or an equal leaf, reuses a register; a node
+    with no generator below it is computed as it is compiled, so only nodes
+    that read a generator become instructions.  A program lives for the call
+    that compiles it."""
+
+    def __init__(self, k, generators):
+        self.k, self.shapes, self.code, self.checks = k, list(generators.values()), [], []
+        for n, m in self.shapes:
+            space_bits(k, n, m)
+        self.regs, self.live = [0] * len(self.shapes), set(range(len(self.shapes)))
+        # a register by class and operand registers, or by class and fields for a leaf
+        self.numbers = {(Gen, name): reg for reg, name in enumerate(generators)}
+
+    def add(self, t):
+        """Compile t from an explicit stack, each node after its operands, typed
+        from their arities and its space checked once; its register."""
+        numbers, regs, shapes, live, out, todo = \
+            self.numbers, self.regs, self.shapes, self.live, [], [t]
+        while todo:
+            t = todo.pop()
+            cls = type(t)
+            if cls in BINARY or cls in UNARY:
+                todo += ((t,), t.u, t.t) if cls in BINARY else ((t,), t.t)
+                continue
+            if cls is tuple:  # an inner node after its operands, whose registers end `out`
+                cls, b = type(t[0]), out.pop()
+                a = out.pop() if cls in BINARY else b
+            else:  # a leaf; an opposed box reads its generator's register
+                a = b = numbers[Gen, t.name] if cls is GenOp else None
+            key = (cls, t._key(t)) if a is None else (cls, a, b)
+            reg = numbers.get(key)
+            if reg is None:
+                reg = numbers[key] = len(regs)
+                if a is None:
+                    rel = _leaf(t, self.k)
+                    shape, value = (rel.dom_arity, rel.cod_arity), rel.bits
+                else:
+                    shape, op = _kernel(cls, self.k, shapes[a], shapes[b])
+                    if a in live or b in live:
+                        live.add(reg)
+                        self.code.append((op, reg, a, b))
+                    value = 0 if reg in live else op(regs[a], regs[b])
+                regs.append(value)
+                shapes.append(shape)
+            out.append(reg)
+        return out[0]
+
+    def check(self, lhs, rhs):
+        """Append the check that register lhs is included in register rhs."""
+        self.code.append((None, len(self.checks), lhs, rhs))
+        self.checks.append((lhs, rhs))
+
+    def run(self, values):
+        """Load the generators' bitmasks `values` and run: the index of the
+        first check that fails, or None."""
+        regs = self.regs
+        regs[:len(values)] = values
+        for op, dst, a, b in self.code:
+            if op is not None:
+                regs[dst] = op(regs[a], regs[b])
+            elif regs[a] & ~regs[b]:
+                return dst
+        return None
+
+    def relation(self, reg):
+        return FinRelation(self.k, *self.shapes[reg], self.regs[reg])
+
+    def witness(self, i):
+        """The counterexample pair of check i, which failed in the last run."""
+        return inclusion_witness(*map(self.relation, self.checks[i]))
 
 
 # ---------------------------------------------------------------------------

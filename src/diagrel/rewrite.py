@@ -28,9 +28,7 @@ import re
 from operator import attrgetter
 
 from . import terms as T
-from .finrel import (
-    FinRelation, Interpretation, evaluate_typed, inclusion_witness, space_bits,
-)
+from .finrel import FinRelation, Interpretation, Program, space_bits
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, Record, SeqB,
     SeqW, Signature, SymB, SymW, Term, desugar, format_position,
@@ -481,6 +479,8 @@ def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
                 raise RewriteError(f"arrow metavariable {name!r} must be bound to a term")
             if name in gens and type(value) is not str:
                 raise RewriteError(f"generator metavariable {name!r} must be bound to a generator")
+            if name not in objs | arrow_vars | gens:
+                raise RewriteError(f"{name!r} is not a metavariable of axiom {axiom.name}")
     spine = spine_at(t, step.position)
     binding = dict(step.bindings)
     if not match(spine[-1], sig, binding, types):
@@ -543,7 +543,7 @@ def _parse_bindings(text, sig, line, col):
         pos += 1
         name, eq, atom = tok.partition("=")
         if not eq:
-            raise ParseError(f"bad binding clause {text[at - col:]!r}")
+            raise ParseError(f"bad binding clause {text[at - col:]!r}", line, at)
         if name in out:
             raise ParseError(f"duplicate binding for {name!r}", line, at)
         if atom:
@@ -556,10 +556,10 @@ def _parse_bindings(text, sig, line, col):
             try:
                 sx, pos = T.read_sexpr(tokens, pos)
             except ParseError:
-                raise ParseError(f"unbalanced parentheses in binding {name!r}") from None
+                raise ParseError(f"unbalanced parentheses in binding {name!r}", line, at) from None
             value = T.build_term(sx, sig)
         else:
-            raise ParseError(f"empty binding for {name!r}")
+            raise ParseError(f"empty binding for {name!r}", line, at)
         out[name] = value
     return tuple(out.items())
 
@@ -658,14 +658,27 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
     would indicate a kernel bug.  Returns (ok, countermodel-or-None)."""
     check_trials(trials, k)
     lhs, rhs = script.lhs, script.rhs
-    typecheck(lhs, sig), typecheck(rhs, sig)  # every trial evaluates through the typed entry
+    typecheck(lhs, sig), typecheck(rhs, sig)  # so the claim compiles as a typed term
+    if not trials:
+        return True, None
+    prog = _program(sig, k, lhs, rhs)
     rng = random.Random(seed)
     for _ in range(trials):
         interp = random_interpretation(sig, k, rng)
-        witness = inclusion_witness(evaluate_typed(lhs, interp), evaluate_typed(rhs, interp))
-        if witness is not None:
-            return False, (interp, witness)
+        if prog.run([rel.bits for rel in interp.assignment.values()]) is not None:
+            return False, (interp, prog.witness(0))
     return True, None
+
+
+def _program(sig, k, lhs, rhs, kind="le"):
+    """The `Program` at carrier k of lhs <= rhs, and of rhs <= lhs for kind "eq";
+    its generators, and their space checks, in `random_interpretation`'s order."""
+    prog = Program(k, dict(sorted(sig.generators.items())))
+    lhs, rhs = prog.add(lhs), prog.add(rhs)
+    prog.check(lhs, rhs)
+    if kind == "eq":
+        prog.check(rhs, lhs)
+    return prog
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +694,11 @@ class AxiomReport(Record):
         return self.failures == 0
 
 
-def _instance(axiom, objs, gens, draws):
+def _instance(axiom, builders, objs, gens, draws):
     """(sig, lhs, rhs, binding) of `axiom` for the values drawn in a trial: one per
     object metavariable in `objs`, then two per generator metavariable in `gens`.
-    Both sides are typechecked under `sig` here, so trials evaluate them
-    through the typed entry."""
+    Both sides are built by `builders`, those of the axiom's sides, and
+    typechecked under `sig` here, so that they compile as typed terms."""
     binding = {**dict(zip(objs, draws)), **{g: "~" + g for g in gens}}
     arities = iter(draws[len(objs):])
     generators = {"~" + g: (next(arities), next(arities)) for g in gens}
@@ -696,8 +709,7 @@ def _instance(axiom, objs, gens, draws):
         generators["~" + name] = (n, m)
         binding[name] = Gen("~" + name)
     sig = Signature(generators)
-    lhs = instantiate(axiom.lhs, binding, sig)
-    rhs = instantiate(axiom.rhs, binding, sig)
+    lhs, rhs = (build(binding, sig) for build in builders)
     typecheck(lhs, sig)
     typecheck(rhs, sig)
     return sig, lhs, rhs, binding
@@ -705,11 +717,12 @@ def _instance(axiom, objs, gens, draws):
 
 def verify_axiom(axiom, k=2, trials=200, seed=0):
     """Check `axiom` on `trials` random instances at carrier k, each object and
-    generator arity drawn from 0..2.  Instances are built and typechecked once
-    per distinct drawn values (see `_instance`); each computed verdict draws a
-    fresh interpretation.  An instance whose signature has no generators has a
-    value that depends on the drawn values only, so its verdict is memoized too
-    (drawing it takes no random bits, so the stream is the same)."""
+    generator arity drawn from 0..2.  Instances are built, typechecked and
+    compiled once per distinct drawn values; each computed verdict draws a
+    fresh interpretation and runs the program.  An instance whose signature has
+    no generators has a value that depends on the drawn values only, so its
+    verdict is memoized too (drawing it takes no random bits, so the stream is
+    the same)."""
     check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
@@ -717,24 +730,23 @@ def verify_axiom(axiom, k=2, trials=200, seed=0):
     objs, _, gens = axiom.variables()
     objs, gens = sorted(objs), sorted(gens)
     instances, verdicts = {}, {}  # keyed by the drawn values
+    builders = _compiled(axiom.lhs)[1], _compiled(axiom.rhs)[1]
     for _ in range(trials):
         draws = tuple(rng.randint(0, 2) for _ in range(len(objs) + 2 * len(gens)))
         if draws not in instances:
-            instances[draws] = _instance(axiom, objs, gens, draws)
-        sig, lhs, rhs, binding = instances[draws]
+            sig, lhs, rhs, binding = instance = _instance(axiom, builders, objs, gens, draws)
+            instances[draws] = (*instance, _program(sig, k, lhs, rhs, axiom.kind))
+        sig, lhs, rhs, binding, prog = instances[draws]
         bad = verdicts.get(draws)
         if bad is None:
             interp = random_interpretation(sig, k, rng)
-            lv, rv = evaluate_typed(lhs, interp), evaluate_typed(rhs, interp)
-            witness = inclusion_witness(lv, rv)
-            if witness is None and axiom.kind == "eq":
-                witness = inclusion_witness(rv, lv)
-            bad = witness is not None
+            failed = prog.run([rel.bits for rel in interp.assignment.values()])
+            bad = failed is not None
             if not sig.generators:
                 verdicts[draws] = bad
             if bad and not counterexample:
                 counterexample = (f"binding={binding} lhs={print_term(lhs)} "
-                                  f"rhs={print_term(rhs)} witness={witness}")
+                                  f"rhs={print_term(rhs)} witness={prog.witness(failed)}")
         failures += bad
     return AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)
 

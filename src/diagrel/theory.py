@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finrel import (
-    FinRelation, Interpretation, evaluate, evaluate_typed, included, inclusion_witness,
-    space_bits,
-)
+from .finrel import FinRelation, Interpretation, Program, evaluate, inclusion_witness, space_bits
 from .terms import (
     DiagrelError, ParseError, Record, Signature, parse_inequality, read_lines, read_sig_line,
     typecheck,
@@ -90,7 +87,9 @@ def search_space(theory, k):
 
 def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
     """All interpretations over carrier k that model the theory, ordered
-    lexicographically by assignment bit-vectors."""
+    lexicographically by assignment bit-vectors.  Each axiom is compiled into
+    one `Program` when a candidate first reaches it, so a space is refused only
+    where evaluation reaches it; a candidate stops at its first failing axiom."""
     bits = search_space(theory, k)
     # 2^bits is built only when its exponent is no longer than the bound's
     if bits > bound.bit_length() or 1 << bits > bound:
@@ -98,17 +97,17 @@ def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
             f"search space of size 2^{bits} exceeds the bound {bound}")
     gens = theory.signature.generators
     names = sorted(gens)
+    prog = Program(k, {name: gens[name] for name in names})
     models = []
     for masks in itertools.product(*(range(1 << space_bits(k, *gens[n])) for n in names)):
-        assignment = {
-            name: FinRelation(k, *gens[name], b)
-            for name, b in zip(names, masks)
-        }
-        interp = Interpretation(theory.signature, k, assignment)
-        # typed entry: `Theory` typechecked the axioms; stop at the first failing one
-        if all(included(evaluate_typed(lhs, interp), evaluate_typed(rhs, interp))
-               for _, lhs, rhs in theory.axioms):
-            models.append(interp)
+        failed = prog.run(masks)
+        while failed is None and len(prog.checks) < len(theory.axioms):
+            _, lhs, rhs = theory.axioms[len(prog.checks)]
+            prog.check(prog.add(lhs), prog.add(rhs))
+            failed = prog.run(masks)
+        if failed is None:
+            models.append(Interpretation(theory.signature, k, {
+                name: FinRelation(k, *gens[name], b) for name, b in zip(names, masks)}))
     return models
 
 

@@ -222,10 +222,36 @@ def random_relation(rng, k, n, m):
     return F.FinRelation(k, n, m, rng.getrandbits(k ** n * k ** m))
 
 
+def naive_evaluate(t, interp):
+    """Oracle for `finrel.evaluate_typed`, which compiles a `finrel.Program`:
+    one recursive call per node, each node's relation operation applied to
+    its children's values, generator-free subterms included."""
+    k, ev, cls = interp.carrier, naive_evaluate, type(t)
+    if cls is T.Gen:
+        return interp.assignment[t.name]
+    if cls is T.GenOp:
+        return F.linear_adjoint(interp.assignment[t.name])
+    if cls in T.BINARY:
+        op = {T.SeqW: F.compose_white, T.SeqB: F.compose_black, T.TensW: F.tensor_white,
+              T.TensB: F.tensor_black, T.Meet: F.intersection, T.Join: F.union}[cls]
+        return op(ev(t.t, interp), ev(t.u, interp))
+    if cls is T.Dag or cls is T.Neg:
+        return (F.converse if cls is T.Dag else F.complement)(ev(t.t, interp))
+    if cls is T.Const:
+        return F.constant(t.kind, k, 1)
+    if cls in (T.IdW, T.IdB):
+        return F.constant("idw" if cls is T.IdW else "idb", k, t.n)
+    if cls in (T.SymW, T.SymB):
+        return F.constant("symw" if cls is T.SymW else "symb", k, t.m, t.n)
+    if cls in (T.Top, T.Bot):
+        return (F.FinRelation.full if cls is T.Top else F.FinRelation.empty)(k, t.n, t.m)
+    raise T.DiagrelError(f"cannot evaluate {t!r}")
+
+
 def desugared_evaluate(t, interp):
     """Oracle for `finrel.evaluate`: expand the sugar nodes into the primitive
-    calculus first, then evaluate the expansion."""
-    return F.evaluate(T.desugar(t, interp.signature), interp)
+    calculus first, then evaluate the expansion by `naive_evaluate`."""
+    return naive_evaluate(T.desugar(t, interp.signature), interp)
 
 
 _SWITCH = {T.Meet: T.Join, T.Join: T.Meet, T.Top: T.Bot, T.Bot: T.Top, **T.MIRROR}
@@ -692,6 +718,8 @@ def naive_apply_step(t, step, sig):
             raise R.RewriteError(f"arrow metavariable {name!r} must be bound to a term")
         if name in gens and type(value) is not str:
             raise R.RewriteError(f"generator metavariable {name!r} must be bound to a generator")
+        if name not in objs | arrows | gens:
+            raise R.RewriteError(f"{name!r} is not a metavariable of axiom {axiom.name}")
     src, dst = (axiom.lhs, axiom.rhs) if step.direction == "l2r" else (axiom.rhs, axiom.lhs)
     sub = naive_subterm_at(t, step.position)
     binding = naive_match_pattern(src, sub, sig, dict(step.bindings))
@@ -770,8 +798,8 @@ def naive_instance(axiom, rng, max_obj=2):
 
 def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
     """Oracle for `rewrite.verify_axiom`, its loop before instances were
-    memoized: a fresh instance every trial, evaluated by the checked
-    `finrel.evaluate`.  Only the verdict of an axiom without arrow or
+    memoized and compiled: a fresh instance every trial, evaluated by
+    `naive_evaluate`.  Only the verdict of an axiom without arrow or
     generator metavariables is reused, keyed by its object binding."""
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
@@ -786,8 +814,8 @@ def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
         if constant_axiom and key in seen:
             failures += seen[key]
             continue
-        lv = F.evaluate(lhs, interp)
-        rv = F.evaluate(rhs, interp)
+        lv = naive_evaluate(lhs, interp)
+        rv = naive_evaluate(rhs, interp)
         bad = not (F.included(lv, rv) and (axiom.kind == "le" or F.included(rv, lv)))
         if constant_axiom:
             seen[key] = bad
@@ -802,8 +830,8 @@ def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
 
 def naive_models(theory, k):
     """Oracle for `theory.enumerate_models`: every candidate interpretation in
-    lexicographic order, each axiom evaluated by the checked `finrel.evaluate`.
-    Returns the models' assignment bits."""
+    lexicographic order, each axiom evaluated by `naive_evaluate`.  Returns
+    the models' assignment bits."""
     gens = theory.signature.generators
     names = sorted(gens)
     sizes = [F.space_bits(k, *gens[n]) for n in names]
@@ -811,7 +839,7 @@ def naive_models(theory, k):
     for masks in itertools.product(*(range(1 << size) for size in sizes)):
         interp = F.Interpretation(theory.signature, k, {
             name: F.FinRelation(k, *gens[name], b) for name, b in zip(names, masks)})
-        if all(F.included(F.evaluate(lhs, interp), F.evaluate(rhs, interp))
+        if all(F.included(naive_evaluate(lhs, interp), naive_evaluate(rhs, interp))
                for _, lhs, rhs in theory.axioms):
             models.append(masks)
     return models

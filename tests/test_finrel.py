@@ -409,6 +409,45 @@ def test_direct_evaluation_matches_desugared():
     assert {(T.Gen, "P"), (T.GenOp, "P"), (T.Gen, "U"), (T.GenOp, "U")} <= seen
 
 
+def test_compiled_evaluation_matches_the_recursive_oracle():
+    """`evaluate` compiles a term into a `Program`; on random terms at k = 0..3
+    it agrees with the recursive evaluator of helpers.  The terms take every
+    form in both colours, the sugar, opposed boxes, the eight constants and
+    symmetries, and generators, identities, top and bottom at arity 0."""
+    sig = T.Signature({"R": (1, 1), "S": (2, 1), "U": (1, 0), "P": (0, 0)})
+    rng = random.Random(41)
+    seen = set()
+    for k in range(4):
+        for _ in range(150):
+            interp = F.Interpretation(sig, k, {
+                name: helpers.random_relation(rng, k, dn, dm)
+                for name, (dn, dm) in sig.generators.items()})
+            n, m = rng.randint(0, 2), rng.randint(0, 2)
+            t = helpers.random_term(rng, sig, n, m, 3)
+            if rng.random() < 0.5:  # random_term draws no constant or symmetry
+                t = T.SeqB(helpers.random_primitive(rng, sig, rng.randint(0, 2), n, 2), t)
+            for pos in T.positions(t):
+                node = T.subterm_at(t, pos)
+                seen.add((type(node), T.typecheck(node, sig) == (0, 0)))
+            assert F.evaluate(t, interp) == helpers.naive_evaluate(t, interp), T.print_term(t)
+    assert {cls for cls, _ in seen} == {cls for cls, _ in T.FORMS.values()} | {T.Const}
+    assert {(cls, True) for cls in (T.Gen, T.GenOp, T.IdW, T.IdB, T.Top, T.Bot)} <= seen
+
+
+def test_program_shares_equal_subterms_and_folds_constants():
+    """An equal subterm takes the register compiled before, and a subterm
+    without generators is computed at compile time: three instructions run."""
+    sig = T.Signature({"R": (1, 1)})
+    t = T.parse_term("(meet (seqw (gen R) (gen R)) (join (seqw (gen R) (gen R))"
+                     " (seqb (idw 1) (neg (top 1 1)))))", sig)
+    prog = F.Program(2, sig.generators)
+    reg = prog.add(t)
+    assert [len(prog.code), prog.add(T.SeqW(T.Gen("R"), T.Gen("R"))) in prog.live] == [3, True]
+    r = F.FinRelation(2, 1, 1, 0b0110)
+    prog.run([r.bits])
+    assert prog.relation(reg) == helpers.naive_evaluate(t, F.Interpretation(sig, 2, {"R": r}))
+
+
 def test_dag_evaluates_without_desugared_intermediates():
     # the desugared dagger of Q : 2 -> 2 passes through 6^12-bit relations
     sig = T.Signature({"Q": (2, 2)})

@@ -59,14 +59,16 @@ def outcome(reader, text):
      "bad position '0..1'"),
     ("proof", PROVE + "step seq-unit-l at 1. dir r2l\nqed", T.ParseError, "bad position '1.'"),
     ("proof", PROVE + "step seq-unit-l at .1 dir r2l\nqed", T.ParseError, "bad position '.1'"),
-    ("proof", STEP + "X=1 junk\nqed", T.ParseError, "bad binding clause 'junk'"),
-    ("proof", STEP + "X=1 Y\nqed", T.ParseError, "bad binding clause 'Y'"),
-    ("proof", STEP + "a=(gen R) (gen R)\nqed", T.ParseError, "bad binding clause '(gen R)'"),
-    ("proof", STEP + "a=(gen R))\nqed", T.ParseError, "bad binding clause ')'"),
-    ("proof", STEP + "a=(gen R\nqed", T.ParseError, "unbalanced parentheses in binding 'a'"),
+    ("proof", STEP + "X=1 junk\nqed", T.ParseError, "2:39: bad binding clause 'junk'"),
+    ("proof", STEP + "X=1 Y\nqed", T.ParseError, "2:39: bad binding clause 'Y'"),
+    ("proof", STEP + "a=(gen R) (gen R)\nqed", T.ParseError,
+     "2:45: bad binding clause '(gen R)'"),
+    ("proof", STEP + "a=(gen R))\nqed", T.ParseError, "2:44: bad binding clause ')'"),
+    ("proof", STEP + "a=(gen R\nqed", T.ParseError,
+     "2:35: unbalanced parentheses in binding 'a'"),
     ("proof", STEP + "a=(seqw (gen R) (gen R)\nqed", T.ParseError,
-     "unbalanced parentheses in binding 'a'"),
-    ("proof", STEP + "a=\nqed", T.ParseError, "empty binding for 'a'"),
+     "2:35: unbalanced parentheses in binding 'a'"),
+    ("proof", STEP + "a=\nqed", T.ParseError, "2:35: empty binding for 'a'"),
     ("proof", STEP + "X=-1\nqed", T.ParseError, "negative object binding for 'X'"),
     ("interp", "", T.ParseError, "unexpected end of interpretation file, expected 'carrier'"),
     ("interp", "carrier", T.ParseError, "unexpected end of interpretation file"),
@@ -177,15 +179,30 @@ def test_duplicate_binding_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: 2:39: duplicate binding for 'X'\n")
 
 
+def test_binding_of_a_name_outside_the_axiom_is_rejected(tmp_path, capsys):
+    """`Q` is no metavariable of seq-unit-l, so the step is refused, not
+    applied as if `with X=1` alone were given."""
+    sig, proof = tmp_path / "r.sig", tmp_path / "p.prf"
+    sig.write_text("sig R : 1 -> 1\n")
+    proof.write_text("prove (gen R) <= (seqw (idw 1) (gen R))\n"
+                     "step seq-unit-l at e dir r2l with X=1 Q=5\nqed\n")
+    assert run(["check-proof", "--sig", str(sig), str(proof)]) == 1
+    assert capsys.readouterr() == (
+        "rejected at step 1: 'Q' is not a metavariable of axiom seq-unit-l\n", "")
+
+
 @pytest.mark.parametrize("clause, outcome_", [
     ("a= (gen R)", (("a", T.Gen("R")),)),
-    ("a=(seqw (gen R)\n", "unbalanced parentheses in binding 'a'"),
+    ("a=(seqw (gen R)\n", "2:35: unbalanced parentheses in binding 'a'"),
+    ("X=1 a=(seqw (gen R)\n", "2:39: unbalanced parentheses in binding 'a'"),
     ("a=(gen R) X=0 r=R c=copyb", (("a", T.Gen("R")), ("X", 0), ("r", "R"),
                                    ("c", T.Const("copyb")))),
     ("X=3=4", (("X", "3=4"),)),
-    ("junk X=1", "bad binding clause 'junk X=1'"),
-    ("X =1", "bad binding clause 'X =1'"),
-    ("X= 1", "empty binding for 'X'"),
+    ("junk X=1", "2:35: bad binding clause 'junk X=1'"),
+    ("X=1 junk", "2:39: bad binding clause 'junk'"),
+    ("X =1", "2:35: bad binding clause 'X =1'"),
+    ("X= 1", "2:35: empty binding for 'X'"),
+    ("X=1 Y= 1", "2:39: empty binding for 'Y'"),
     ("X=1 X=2", "2:39: duplicate binding for 'X'"),
 ])
 def test_binding_grammar(clause, outcome_):

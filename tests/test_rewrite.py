@@ -674,7 +674,8 @@ def test_apply_step_matches_naive_on_every_axiom(axiom):
     applied = 0
     for _ in range(4):
         draws = tuple(rng.randint(0, 3) for _ in range(len(objs) + 2 * len(gens)))
-        inst_sig, lhs, rhs, binding = R._instance(axiom, objs, gens, draws)
+        builders = [R._compiled(side)[1] for side in (axiom.lhs, axiom.rhs)]
+        inst_sig, lhs, rhs, binding = R._instance(axiom, builders, objs, gens, draws)
         sig = T.Signature({**SIG.generators, **inst_sig.generators})
         for side, inst in ((axiom.lhs, lhs), (axiom.rhs, rhs)):
             assert inst == helpers.naive_instantiate(side, binding, sig)

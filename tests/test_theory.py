@@ -179,6 +179,30 @@ def test_enumerate_matches_naive_models(name, k):
     assert found == helpers.naive_models(th, k)
 
 
+_POLAR = """sig R : 1 -> 1
+sig P : 0 -> 1
+axiom n : (neg (gen R)) <= (seqb (genop R) (dag (gen R)))
+axiom t : (tensb (gen P) (idb 0)) <= (seqw (gen P) (join (gen R) (neg (idw 1))))
+axiom g : (seqw (gen P) (genop R)) <= (neg (seqb (gen P) (bot 1 1)))
+"""
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_enumerate_matches_naive_models_with_antitone_and_black_nodes(k):
+    """`neg` and `genop` are antitone, `seqb` and `tensb` black: the compiled
+    search keeps exactly the models of the recursive oracle (16 of 64 at k = 2)."""
+    th = TH.parse_theory(_POLAR)
+    found = [(m.assignment["P"].bits, m.assignment["R"].bits) for m in TH.enumerate_models(th, k)]
+    assert found == helpers.naive_models(th, k) and len(found) == (1, 3, 16)[k]
+
+
+def test_enumerate_models_builds_an_interpretation_per_model_only(monkeypatch):
+    """Candidates run on raw bitmasks: 6 interpretations for 512 candidates."""
+    built = helpers.count_calls(monkeypatch, F, "Interpretation")
+    assert len(TH.enumerate_models(TH.order_theory(), 3)) == 6
+    assert built == [6]
+
+
 def test_enumerate_models_typechecks_no_candidate(monkeypatch):
     th = TH.order_theory()
     calls = helpers.count_calls(monkeypatch, T, "typecheck")
