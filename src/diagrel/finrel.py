@@ -405,12 +405,10 @@ def evaluate(t, interp):
 
 
 def evaluate_typed(t, interp):
-    """`evaluate` without the typecheck: `t` must typecheck under a signature
-    giving each generator the type of its relation in `interp`."""
-    rels = interp.assignment
-    prog = Program(interp.carrier, {name: (r.dom_arity, r.cod_arity) for name, r in rels.items()})
+    """`evaluate` without the typecheck: `t` must typecheck under `interp.signature`."""
+    prog = Program(interp.carrier, interp.signature.generators)
     reg = prog.add(t)
-    prog.run([r.bits for r in rels.values()])
+    prog.run([interp.assignment[name].bits for name in prog.names])
     return prog.relation(reg)
 
 
@@ -430,20 +428,20 @@ def _leaf(t, k):
 
 class Program:
     """Terms compiled at carrier k into one post-order list of instructions
-    over a register file of raw bitmasks, the generators' first (`generators`
-    maps each name to its arities, in register order).  A node of the same
-    class over the same registers, or an equal leaf, reuses a register; a node
-    with no generator below it is computed as it is compiled, so only nodes
-    that read a generator become instructions.  A program lives for the call
-    that compiles it."""
+    over raw bitmask registers, first the generators' (`generators` maps each
+    name to its arities) in name order, in which the program draws, loads and
+    reads them back.  A node of the same class over the same registers, or an
+    equal leaf, reuses a register; a node with no generator below it is computed
+    as it is compiled, so only nodes that read a generator become instructions.
+    A program lives for the call that compiles it."""
 
     def __init__(self, k, generators):
-        self.k, self.shapes, self.code, self.checks = k, list(generators.values()), [], []
-        for n, m in self.shapes:
-            space_bits(k, n, m)
+        self.k, self.names, self.code, self.checks = k, sorted(generators), [], []
+        self.shapes = [generators[name] for name in self.names]
+        self.sizes = [space_bits(k, n, m) for n, m in self.shapes]
         self.regs, self.live = [0] * len(self.shapes), set(range(len(self.shapes)))
         # a register by class and operand registers, or by class and fields for a leaf
-        self.numbers = {(Gen, name): reg for reg, name in enumerate(generators)}
+        self.numbers = {(Gen, name): reg for reg, name in enumerate(self.names)}
 
     def add(self, t):
         """Compile t from an explicit stack, each node after its operands, typed
@@ -480,13 +478,19 @@ class Program:
         return out[0]
 
     def check(self, lhs, rhs):
-        """Append the check that register lhs is included in register rhs."""
+        """Append the check that register lhs, of rhs's type, is included in rhs."""
+        if self.shapes[lhs] != self.shapes[rhs]:
+            raise DiagrelError(f"sides typed {self.shapes[lhs]} vs {self.shapes[rhs]}")
         self.code.append((None, len(self.checks), lhs, rhs))
         self.checks.append((lhs, rhs))
 
+    def draw(self, rng):
+        """Random bitmasks for the generators: one `rng.getrandbits` call each."""
+        return [rng.getrandbits(size) for size in self.sizes]
+
     def run(self, values):
-        """Load the generators' bitmasks `values` and run: the index of the
-        first check that fails, or None."""
+        """Load the generators' bitmasks `values`, in register order, and run:
+        the index of the first check that fails, or None."""
         regs = self.regs
         regs[:len(values)] = values
         for op, dst, a, b in self.code:
@@ -498,6 +502,11 @@ class Program:
 
     def relation(self, reg):
         return FinRelation(self.k, *self.shapes[reg], self.regs[reg])
+
+    def interpretation(self, sig):
+        """The generators' bitmasks of the last run as an interpretation of sig."""
+        return Interpretation(sig, self.k, {
+            name: self.relation(reg) for reg, name in enumerate(self.names)})
 
     def witness(self, i):
         """The counterexample pair of check i, which failed in the last run."""

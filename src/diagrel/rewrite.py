@@ -28,7 +28,7 @@ import re
 from operator import attrgetter
 
 from . import terms as T
-from .finrel import FinRelation, Interpretation, Program, space_bits
+from .finrel import Program, space_bits
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, Record, SeqB,
     SeqW, Signature, SymB, SymW, Term, desugar, format_position,
@@ -551,7 +551,7 @@ def _parse_bindings(text, sig, line, col):
             if value is None:
                 value = T.Const(atom) if atom in T.CONSTANT_TYPES else atom
             elif value < 0:
-                raise ParseError(f"negative object binding for {name!r}")
+                raise ParseError(f"negative object binding for {name!r}", line, at)
         elif pos < len(tokens) and tokens[pos][0] == "(":
             try:
                 sx, pos = T.read_sexpr(tokens, pos)
@@ -638,14 +638,6 @@ def check_proof(script, sig=EMPTY_SIGNATURE):
     return Verdict(True)
 
 
-def random_interpretation(sig, k, rng):
-    assignment = {}
-    for name, (n, m) in sorted(sig.generators.items()):
-        size = space_bits(k, n, m)
-        assignment[name] = FinRelation(k, n, m, rng.getrandbits(size) if size else 0)
-    return Interpretation(sig, k, assignment)
-
-
 def check_trials(trials, k):
     """Refuse a negative trial count, or carrier size (by `space_bits`), before any work."""
     if trials < 0:
@@ -664,16 +656,14 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
     prog = _program(sig, k, lhs, rhs)
     rng = random.Random(seed)
     for _ in range(trials):
-        interp = random_interpretation(sig, k, rng)
-        if prog.run([rel.bits for rel in interp.assignment.values()]) is not None:
-            return False, (interp, prog.witness(0))
+        if prog.run(prog.draw(rng)) is not None:
+            return False, (prog.interpretation(sig), prog.witness(0))
     return True, None
 
 
 def _program(sig, k, lhs, rhs, kind="le"):
-    """The `Program` at carrier k of lhs <= rhs, and of rhs <= lhs for kind "eq";
-    its generators, and their space checks, in `random_interpretation`'s order."""
-    prog = Program(k, dict(sorted(sig.generators.items())))
+    """The `Program` at carrier k of lhs <= rhs, and of rhs <= lhs for kind "eq"."""
+    prog = Program(k, sig.generators)
     lhs, rhs = prog.add(lhs), prog.add(rhs)
     prog.check(lhs, rhs)
     if kind == "eq":
@@ -718,36 +708,29 @@ def _instance(axiom, builders, objs, gens, draws):
 def verify_axiom(axiom, k=2, trials=200, seed=0):
     """Check `axiom` on `trials` random instances at carrier k, each object and
     generator arity drawn from 0..2.  Instances are built, typechecked and
-    compiled once per distinct drawn values; each computed verdict draws a
-    fresh interpretation and runs the program.  An instance whose signature has
-    no generators has a value that depends on the drawn values only, so its
-    verdict is memoized too (drawing it takes no random bits, so the stream is
-    the same)."""
+    compiled once per distinct drawn values; each trial draws its generators'
+    bitmasks through the program and runs it.  An instance without generators
+    compiles to its checks alone, on constant registers, and draws no bits."""
     check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
     counterexample = ""
     objs, _, gens = axiom.variables()
     objs, gens = sorted(objs), sorted(gens)
-    instances, verdicts = {}, {}  # keyed by the drawn values
+    instances = {}  # keyed by the drawn values
     builders = _compiled(axiom.lhs)[1], _compiled(axiom.rhs)[1]
     for _ in range(trials):
         draws = tuple(rng.randint(0, 2) for _ in range(len(objs) + 2 * len(gens)))
         if draws not in instances:
-            sig, lhs, rhs, binding = instance = _instance(axiom, builders, objs, gens, draws)
-            instances[draws] = (*instance, _program(sig, k, lhs, rhs, axiom.kind))
-        sig, lhs, rhs, binding, prog = instances[draws]
-        bad = verdicts.get(draws)
-        if bad is None:
-            interp = random_interpretation(sig, k, rng)
-            failed = prog.run([rel.bits for rel in interp.assignment.values()])
-            bad = failed is not None
-            if not sig.generators:
-                verdicts[draws] = bad
-            if bad and not counterexample:
+            sig, lhs, rhs, binding = _instance(axiom, builders, objs, gens, draws)
+            instances[draws] = binding, lhs, rhs, _program(sig, k, lhs, rhs, axiom.kind)
+        binding, lhs, rhs, prog = instances[draws]
+        failed = prog.run(prog.draw(rng))
+        if failed is not None:
+            failures += 1
+            if not counterexample:
                 counterexample = (f"binding={binding} lhs={print_term(lhs)} "
                                   f"rhs={print_term(rhs)} witness={prog.witness(failed)}")
-        failures += bad
     return AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finrel import FinRelation, Interpretation, Program, evaluate, inclusion_witness, space_bits
+from .finrel import Program, evaluate, inclusion_witness, space_bits
 from .terms import (
     DiagrelError, ParseError, Record, Signature, parse_inequality, read_lines, read_sig_line,
     typecheck,
@@ -95,19 +95,16 @@ def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
     if bits > bound.bit_length() or 1 << bits > bound:
         raise DiagrelError(
             f"search space of size 2^{bits} exceeds the bound {bound}")
-    gens = theory.signature.generators
-    names = sorted(gens)
-    prog = Program(k, {name: gens[name] for name in names})
+    prog = Program(k, theory.signature.generators)
     models = []
-    for masks in itertools.product(*(range(1 << space_bits(k, *gens[n])) for n in names)):
+    for masks in itertools.product(*(range(1 << size) for size in prog.sizes)):
         failed = prog.run(masks)
         while failed is None and len(prog.checks) < len(theory.axioms):
             _, lhs, rhs = theory.axioms[len(prog.checks)]
             prog.check(prog.add(lhs), prog.add(rhs))
             failed = prog.run(masks)
         if failed is None:
-            models.append(Interpretation(theory.signature, k, {
-                name: FinRelation(k, *gens[name], b) for name, b in zip(names, masks)}))
+            models.append(prog.interpretation(theory.signature))
     return models
 
 

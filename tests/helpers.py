@@ -796,6 +796,16 @@ def naive_instance(axiom, rng, max_obj=2):
     return sig, lhs, naive_instantiate(axiom.rhs, binding, sig), binding
 
 
+def random_interpretation(sig, k, rng):
+    """Oracle for `finrel.Program.draw`: a random relation per generator, drawn
+    in name order, one `getrandbits` call per non-empty space."""
+    assignment = {}
+    for name, (n, m) in sorted(sig.generators.items()):
+        size = F.space_bits(k, n, m)
+        assignment[name] = F.FinRelation(k, n, m, rng.getrandbits(size) if size else 0)
+    return F.Interpretation(sig, k, assignment)
+
+
 def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
     """Oracle for `rewrite.verify_axiom`, its loop before instances were
     memoized and compiled: a fresh instance every trial, evaluated by
@@ -809,7 +819,7 @@ def naive_verify_axiom(axiom, k=2, trials=200, seed=0, max_obj=2):
     seen = {}
     for _ in range(trials):
         sig, lhs, rhs, binding = naive_instance(axiom, rng, max_obj)
-        interp = R.random_interpretation(sig, k, rng)
+        interp = random_interpretation(sig, k, rng)
         key = tuple(sorted((v, binding[v]) for v in objs))
         if constant_axiom and key in seen:
             failures += seen[key]

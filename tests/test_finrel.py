@@ -448,6 +448,19 @@ def test_program_shares_equal_subterms_and_folds_constants():
     assert prog.relation(reg) == helpers.naive_evaluate(t, F.Interpretation(sig, 2, {"R": r}))
 
 
+def test_program_draws_the_oracle_bits_in_name_order():
+    """`draw` takes the random bits `helpers.random_interpretation` takes, in
+    name order, for a signature declared out of it, at every carrier from 0
+    (empty spaces) up; `interpretation` reads them back as relations."""
+    sig = T.Signature.parse("sig S : 2 -> 1\nsig R : 1 -> 1\nsig P : 0 -> 0\n")
+    for k in range(4):
+        prog, rng, oracle = F.Program(k, sig.generators), random.Random(k), random.Random(k)
+        for _ in range(4):
+            prog.run(prog.draw(rng))
+            assert prog.interpretation(sig) == helpers.random_interpretation(sig, k, oracle)
+        assert rng.random() == oracle.random()
+
+
 def test_dag_evaluates_without_desugared_intermediates():
     # the desugared dagger of Q : 2 -> 2 passes through 6^12-bit relations
     sig = T.Signature({"Q": (2, 2)})

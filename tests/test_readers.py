@@ -69,7 +69,7 @@ def outcome(reader, text):
     ("proof", STEP + "a=(seqw (gen R) (gen R)\nqed", T.ParseError,
      "2:35: unbalanced parentheses in binding 'a'"),
     ("proof", STEP + "a=\nqed", T.ParseError, "2:35: empty binding for 'a'"),
-    ("proof", STEP + "X=-1\nqed", T.ParseError, "negative object binding for 'X'"),
+    ("proof", STEP + "X=-1\nqed", T.ParseError, "2:35: negative object binding for 'X'"),
     ("interp", "", T.ParseError, "unexpected end of interpretation file, expected 'carrier'"),
     ("interp", "carrier", T.ParseError, "unexpected end of interpretation file"),
     ("interp", "carier 2", T.ParseError, "1:1: expected 'carrier', got 'carier'"),
@@ -120,7 +120,7 @@ def test_doubly_negative_binding_exits_2(tmp_path, capsys):
     proof = tmp_path / "neg.prf"
     proof.write_text(PROVE + "step seq-unit-l at e dir l2r with X=--3\nqed\n")
     assert run(["check-proof", str(proof)]) == 2
-    assert capsys.readouterr() == ("", "error: negative object binding for 'X'\n")
+    assert capsys.readouterr() == ("", "error: 2:35: negative object binding for 'X'\n")
 
 
 # the numeral rule: a natural number is a token of ASCII decimal digits; a
@@ -152,7 +152,7 @@ def test_digits_behind_minus_signs_are_negative(numeral):
         ("sig", f"sig R : 1 -> {numeral}", "generator R: negative arity"),
         ("interp", f"carrier {numeral}", "1:1: carrier size must be non-negative"),
         ("theory", f"axiom a : (idw {numeral}) <= (idw 1)", "1:16: number must be non-negative"),
-        ("proof", STEP + f"X={numeral}\nqed", "negative object binding for 'X'"),
+        ("proof", STEP + f"X={numeral}\nqed", "2:35: negative object binding for 'X'"),
         ("proof", PROVE + f"step seq-unit-l at {numeral} dir l2r\nqed",
          f"bad position {numeral!r}"),
     ]:

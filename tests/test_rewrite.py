@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -121,7 +122,7 @@ def test_verify_axioms_typecheck_each_distinct_instance_once(monkeypatch):
         seen = set()
         for _ in range(trials):
             sig, lhs, rhs, _ = helpers.naive_instance(ax, rng)
-            R.random_interpretation(sig, k, rng)
+            helpers.random_interpretation(sig, k, rng)
             nodes = helpers.term_size(lhs) + helpers.term_size(rhs)
             per_trial_nodes += nodes
             key = (tuple(sorted(sig.generators.items())), lhs, rhs)
@@ -141,15 +142,18 @@ def test_verification_evaluates_through_the_typed_entry_only(monkeypatch):
     assert calls == [0]
 
 
-def test_verify_axiom_draws_an_interpretation_only_for_a_computed_verdict(monkeypatch):
-    """copy-as has no generator, so each of its 3 instances is decided once;
-    seq-assoc has arrow metavariables, so every trial draws."""
-    draws = helpers.count_calls(monkeypatch, R, "random_interpretation")
-    R.verify_axiom(R.axiom_by_name("copy-as"), k=2, trials=50, seed=0)
-    assert 0 < draws[0] <= 3
-    draws[0] = 0
+def test_verify_axiom_draws_through_the_program_once_per_trial(monkeypatch):
+    """seq-assoc has arrow metavariables, so each trial draws generators;
+    copy-as has none, so each of its programs holds its checks alone and
+    drawing for it takes no random bits."""
+    draw, drawn = F.Program.draw, []
+    monkeypatch.setattr(F.Program, "draw", lambda prog, rng: drawn.append(prog) or draw(prog, rng))
     R.verify_axiom(R.axiom_by_name("seq-assoc"), k=2, trials=50, seed=0)
-    assert draws == [50]
+    assert len(drawn) == 50
+    drawn.clear()
+    R.verify_axiom(R.axiom_by_name("copy-as"), k=2, trials=50, seed=0)
+    assert len(drawn) == 50 and 0 < len({id(prog) for prog in drawn}) <= 3
+    assert all(not prog.names and op is None for prog in drawn for op, *_ in prog.code)
 
 
 def test_negative_trials_are_rejected():
@@ -299,6 +303,34 @@ def test_spotcheck_flags_false_claim():
     script = R.parse_proof(text, SIG)
     ok, counter = R.semantic_spotcheck(script, SIG, trials=20, k=2, seed=0)
     assert not ok and counter is not None
+
+
+@pytest.mark.parametrize("claim, types", [
+    ("(idw 1) <= (top 2 2)", "(1, 1) vs (2, 2)"),
+    ("(gen R) <= (top 1 2)", "(1, 1) vs (1, 2)"),
+    ("(idw 1) <= (idw 2)", "(1, 1) vs (2, 2)"),
+])
+def test_spotcheck_refuses_sides_of_different_types(claim, types):
+    """`check_proof` refuses such a claim first; the spotcheck, called alone,
+    refuses it in `Program.check`, with the wording of `included`."""
+    script = R.parse_proof(f"prove {claim}\nqed\n", SIG)
+    with pytest.raises(T.DiagrelError, match=re.escape(f"sides typed {types}")):
+        R.semantic_spotcheck(script, SIG, trials=5, k=2, seed=0)
+
+
+def test_spotcheck_countermodel_reads_back_a_signature_out_of_name_order():
+    """The countermodel is the first oracle draw the claim fails in, re-evaluated
+    by the recursive evaluator, and gives the witness the spotcheck returned."""
+    sig = T.Signature.parse("sig S : 2 -> 1\nsig R : 1 -> 1\n")
+    script = R.parse_proof("prove (seqw (gen S) (gen R)) <= (gen S)\nqed\n", sig)
+    for seed in range(5):
+        ok, (interp, witness) = R.semantic_spotcheck(script, sig, trials=50, k=2, seed=seed)
+        rng, want = random.Random(seed), None
+        while want is None:
+            model = helpers.random_interpretation(sig, 2, rng)
+            want = F.inclusion_witness(*(helpers.naive_evaluate(t, model)
+                                         for t in (script.lhs, script.rhs)))
+        assert (ok, interp, witness) == (False, model, want)
 
 
 def test_verify_axioms_deterministic():

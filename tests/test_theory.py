@@ -74,6 +74,18 @@ def test_order_theory_model_counts(k, expect):
     assert expect == _naive_order_count(k)
 
 
+def test_enumerate_reads_back_a_signature_out_of_name_order():
+    th = TH.parse_theory("sig S : 2 -> 1\nsig R : 1 -> 1\n"
+                         "axiom a : (seqw (gen S) (gen R)) <= (gen S)\n"
+                         "axiom b : (idw 1) <= (gen R)\n")
+    assert list(th.signature.generators) == ["S", "R"]
+    for k in range(3):
+        models = TH.enumerate_models(th, k)
+        assert [(m.assignment["R"].bits, m.assignment["S"].bits) for m in models] \
+            == helpers.naive_models(th, k)
+        assert all(m.signature == th.signature for m in models)
+
+
 def test_enumerate_matches_naive_filter():
     th = TH.order_theory()
     k = 2
