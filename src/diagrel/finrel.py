@@ -11,14 +11,17 @@ quantified disjunction), the black tensor likewise (disjunctive), and each
 black constant is the complement of its white mirror, in the one builder of
 the constants, `constant`.  The kernels work on raw bitmasks: `_kernel` fixes
 each to its operands' row counts and full masks, and a black one XORs with
-those masks around the white loop.  `compose_white` and the other relation
-operations wrap them.  `evaluate` typechecks a term, then evaluates it
-through `evaluate_typed`, the entry for typed terms, which compiles it into a
+those masks around the white loop.  They split a bitmask into row masks and
+join rows back by direct shifts for a block of up to SHIFT_ROWS rows, and
+halve a wider one.  `compose_white` and the other relation operations wrap
+them.  `evaluate` typechecks a term, then evaluates it through
+`evaluate_typed`, the entry for typed terms, which compiles it into a
 `Program` and runs that once; model search, axiom verification and the proof
 spotcheck compile a term once and run it per interpretation.  No program is
-cached.  Only the constants, graphs of index maps, are cached per head,
-carrier and arity, in the one cache of `constant`, which `size_guard` empties
-when it changes MAX_BITS.
+cached.  Each kernel is cached per class, carrier and operand arities, in the
+cache of `_kernel`, and each constant, a graph of an index map, per head,
+carrier and arity, in the cache of `constant`; both passed their space check
+under the current guard, so `size_guard` empties them when it changes MAX_BITS.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from .terms import (
 )
 
 MAX_BITS = 2 ** 30
+# the widest block of rows that _row_masks and _join_rows split and join by direct
+# shifts: the narrowest that times as 32 or 64 on the 81-row tensors of perfbench's
+# kernel grid and in verify-axioms at k = 2 (4 is slower on both)
+SHIFT_ROWS = 16
 
 
 class SizeLimit(DiagrelError):
@@ -186,30 +193,26 @@ def inclusion_witness(a, b):
 
 
 def _row_masks(bits, nrows, cols):
-    """Split `bits` into `nrows` row masks of `cols` bits by halving, so the
-    cost stays near-linear in the total bit count even for thousands of rows."""
-    def split(bits, nrows):
-        if nrows <= 1:
-            return [bits] if nrows else []
-        half = nrows // 2
-        cut = half * cols
-        return split(bits & ((1 << cut) - 1), half) + split(bits >> cut, nrows - half)
-
-    return split(bits, nrows)
+    """Split `bits` into `nrows` row masks of `cols` bits: a block of up to
+    SHIFT_ROWS rows by one shift per row, a wider one by halving, so the cost
+    stays near-linear in the total bit count even for thousands of rows."""
+    if nrows <= SHIFT_ROWS:
+        mask = (1 << cols) - 1
+        return [bits >> r * cols & mask for r in range(nrows)]
+    half = nrows // 2
+    low, high = bits & ((1 << half * cols) - 1), bits >> half * cols
+    return _row_masks(low, half, cols) + _row_masks(high, nrows - half, cols)
 
 
 def _join_rows(rows, cols):
-    """Inverse of _row_masks, also by halving."""
-    if not rows:
-        return 0
-    width = cols
-    while len(rows) > 1:
-        joined = [rows[i] | (rows[i + 1] << width) for i in range(0, len(rows) - 1, 2)]
-        if len(rows) % 2:
-            joined.append(rows[-1])
-        rows = joined
-        width *= 2
-    return rows[0]
+    """Inverse of _row_masks, with the same blocks: shift-or, or halving."""
+    if len(rows) <= SHIFT_ROWS:
+        bits = 0
+        for row in reversed(rows):
+            bits = bits << cols | row
+        return bits
+    half = len(rows) // 2
+    return _join_rows(rows[:half], cols) | _join_rows(rows[half:], cols) << half * cols
 
 
 def _compose_bits(x, y, rows, mid, cols):
@@ -257,6 +260,7 @@ def _converse_bits(x, rows, cols):
     return _join_rows(out, rows)
 
 
+@functools.cache
 def _kernel(cls, k, s, t):
     """The arities of a node of class `cls` at carrier k over operands of
     arities s and t (t is s for a unary node), its space checked, and its

@@ -650,7 +650,9 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
     would indicate a kernel bug.  Returns (ok, countermodel-or-None)."""
     check_trials(trials, k)
     lhs, rhs = script.lhs, script.rhs
-    typecheck(lhs, sig), typecheck(rhs, sig)  # so the claim compiles as a typed term
+    types = typecheck(lhs, sig), typecheck(rhs, sig)  # so the claim compiles as a typed term
+    if types[0] != types[1]:  # `Program.check`'s refusal, also when nothing is compiled
+        raise DiagrelError("sides typed {} vs {}".format(*types))
     if not trials:
         return True, None
     prog = _program(sig, k, lhs, rhs)

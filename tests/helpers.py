@@ -153,6 +153,11 @@ def pairs(rel):
                 yield (F.decode(k, rel.dom_arity, r), F.decode(k, rel.cod_arity, c))
 
 
+def naive_row_masks(bits, nrows, cols):
+    """The `nrows` row masks of `cols` bits in `bits`, one shift per row."""
+    return [bits >> r * cols & (1 << cols) - 1 for r in range(nrows)]
+
+
 def naive_compose_white(a, b):
     out = []
     for xs, ys in pairs(a):

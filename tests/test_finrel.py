@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagrel import terms as T
 from diagrel import finrel as F
+from diagrel import theory as TH
 
 import helpers
 
@@ -160,6 +161,24 @@ def test_a_changed_guard_empties_every_finrel_cache():
         assert F.constant.cache_info().currsize == len(CONSTANT_HEADS) == 12
     with F.size_guard(F.MAX_BITS + 1):
         assert [n for n, cache in caches.items() if cache.cache_info().currsize] == []
+
+
+def test_a_cached_kernel_still_meets_a_narrower_guard():
+    """A kernel cached under the default guard passed its space check there; a
+    narrower guard still refuses its node, with the message of its space."""
+    sig = T.Signature.parse("sig R : 1 -> 1\n")
+    interp = F.Interpretation(sig, 2, {"R": F.FinRelation(2, 1, 1, 0b1011)})
+    # the 2 -> 2 tensor is the only node past 8 bits: the result is 2 -> 0
+    t = T.parse_term("(seqw (tensw (gen R) (gen R)) (top 2 0))")
+    thy = TH.parse_theory("sig R : 1 -> 1\naxiom t : (tensw (gen R) (gen R)) <= "
+                          "(tensw (gen R) (gen R))\n")
+    assert F.evaluate(t, interp) == helpers.naive_evaluate(t, interp)
+    assert len(TH.enumerate_models(thy, 2)) == 16
+    assert F._kernel.cache_info().currsize > 0
+    with F.size_guard(8):
+        for call in (lambda: F.evaluate(t, interp), lambda: TH.enumerate_models(thy, 2)):
+            with pytest.raises(F.SizeLimit, match=r"^relation space 2\^4 exceeds 8 bits$"):
+                call()
 
 
 def test_evaluating_a_constant_fills_a_cache_the_bench_reads():
@@ -639,6 +658,46 @@ def test_black_kernels_match_naive_at_every_small_shape():
             else:
                 with pytest.raises(T.DiagrelError, match="composition type mismatch"):
                     F.compose_black(a, b)
+
+
+def test_kernels_match_naive_on_row_counts_past_the_shift_block():
+    """Row counts of 16 to 128 cross SHIFT_ROWS, on either operand and in the
+    result, so the halving branch of the row split and join meets the naive
+    kernels too."""
+    assert 16 <= F.SHIFT_ROWS < 64
+    rng = random.Random(8)
+    for k, big in ((2, 4), (2, 5), (2, 6), (4, 3)):
+        for small in (0, 1):
+            for s, t in (((big, small), (small, 1)), ((1, big), (big, small)),
+                         ((small, big), (big, 1))):
+                a, b = (helpers.random_relation(rng, k, *shape) for shape in (s, t))
+                for op in ("compose_white", "compose_black", "tensor_white", "tensor_black"):
+                    assert getattr(F, op)(a, b) == getattr(helpers, "naive_" + op)(a, b), \
+                        (op, k, s, t)
+                assert F.converse(a) == helpers.naive_converse(a), (k, s)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 3, 17])
+def test_row_masks_match_naive_and_join_rows_inverts_them(cols):
+    """At every row count from 0 to 70, on both sides of SHIFT_ROWS."""
+    assert F.SHIFT_ROWS < 70
+    rng = random.Random(cols)
+    for nrows in range(71):
+        bits = rng.getrandbits(nrows * cols)
+        rows = F._row_masks(bits, nrows, cols)
+        assert rows == helpers.naive_row_masks(bits, nrows, cols), nrows
+        assert F._join_rows(rows, cols) == bits, nrows
+        rows = [rng.getrandbits(cols) for _ in range(nrows)]
+        assert F._row_masks(F._join_rows(rows, cols), nrows, cols) == rows, nrows
+
+
+def test_row_masks_and_join_rows_round_trip_at_4096_rows():
+    rng = random.Random(4096)
+    for cols in (1, 3, 17):
+        bits = rng.getrandbits(4096 * cols)
+        rows = F._row_masks(bits, 4096, cols)
+        assert rows == helpers.naive_row_masks(bits, 4096, cols)
+        assert F._join_rows(rows, cols) == bits
 
 
 def _outcome(fn, *args):

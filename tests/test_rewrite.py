@@ -312,10 +312,11 @@ def test_spotcheck_flags_false_claim():
 ])
 def test_spotcheck_refuses_sides_of_different_types(claim, types):
     """`check_proof` refuses such a claim first; the spotcheck, called alone,
-    refuses it in `Program.check`, with the wording of `included`."""
+    refuses it with the wording of `Program.check`, also with no trials to run."""
     script = R.parse_proof(f"prove {claim}\nqed\n", SIG)
-    with pytest.raises(T.DiagrelError, match=re.escape(f"sides typed {types}")):
-        R.semantic_spotcheck(script, SIG, trials=5, k=2, seed=0)
+    for trials in (5, 0):
+        with pytest.raises(T.DiagrelError, match=re.escape(f"sides typed {types}")):
+            R.semantic_spotcheck(script, SIG, trials=trials, k=2, seed=0)
 
 
 def test_spotcheck_countermodel_reads_back_a_signature_out_of_name_order():
