@@ -13,7 +13,7 @@ import sys
 
 from . import doctrine as D
 from . import finrel, rewrite, theory as theory_mod
-from .finrel import evaluate, evaluate_typed, inclusion_witness, parse_interpretation
+from .finrel import evaluate, inclusion_witness, parse_interpretation
 from .terms import DiagrelError, Signature, desugar, parse_term, print_term, typecheck
 
 
@@ -68,7 +68,7 @@ def _cmd_included(args):
     lhs, rhs = _term_arg(args.lhs, sig), _term_arg(args.rhs, sig)
     if (ty1 := typecheck(lhs, sig)) != (ty2 := typecheck(rhs, sig)):
         raise DiagrelError(f"sides typed {ty1} vs {ty2}")  # before either is evaluated
-    witness = inclusion_witness(evaluate_typed(lhs, interp), evaluate_typed(rhs, interp))
+    witness = inclusion_witness(evaluate(lhs, interp), evaluate(rhs, interp))
     print("included" if witness is None else f"not included: witness {witness}")
     return 0 if witness is None else 1
 

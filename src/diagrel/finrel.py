@@ -14,8 +14,8 @@ each to its operands' row counts and full masks, and a black one XORs with
 those masks around the white loop.  They split a bitmask into row masks and
 join rows back by direct shifts for a block of up to SHIFT_ROWS rows, and
 halve a wider one.  `compose_white` and the other relation operations wrap
-them.  `evaluate` typechecks a term, then evaluates it through
-`evaluate_typed`, the entry for typed terms, which compiles it into a
+them.  `evaluate` typechecks a term, which costs one slot read on a term
+already typed under the interpretation's signature, then compiles it into a
 `Program` and runs that once; model search, axiom verification and the proof
 spotcheck compile a term once and run it per interpretation.  No program is
 cached.  Each kernel is cached per class, carrier and operand arities, in the
@@ -405,11 +405,6 @@ def evaluate(t, interp):
     relation model.  The derived constructors are evaluated directly, as the
     Boolean operations and the converse they denote in relations."""
     typecheck(t, interp.signature)
-    return evaluate_typed(t, interp)
-
-
-def evaluate_typed(t, interp):
-    """`evaluate` without the typecheck: `t` must typecheck under `interp.signature`."""
     prog = Program(interp.carrier, interp.signature.generators)
     reg = prog.add(t)
     prog.run([interp.assignment[name].bits for name in prog.names])

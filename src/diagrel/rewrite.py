@@ -145,13 +145,13 @@ def _solver(expr):
 
 @functools.cache
 def _compiled(p):
-    """p compiled into a matcher `match(t, sig, b, types)`, which extends the
+    """p compiled into a matcher `match(t, sig, b)`, which extends the
     binding b and says whether t is an instance of p, and a builder `build(b, sig)`."""
     cls = type(p)
     if cls is PVar:
         name = p.name
 
-        def match(t, sig, b, types):
+        def match(t, sig, b):
             bound = b.setdefault(name, t)
             return bound is t or bound == t
 
@@ -164,7 +164,7 @@ def _compiled(p):
     elif cls is PGenVar:
         var, node = p.var, GenOp if p.op else Gen
 
-        def match(t, sig, b, types):
+        def match(t, sig, b):
             return type(t) is node and b.setdefault(var, t.name) == t.name
 
         def build(b, sig):
@@ -177,8 +177,8 @@ def _compiled(p):
         node = T.FORMS[p.op][0]
         (match_l, build_l), (match_r, build_r) = _compiled(p.l), _compiled(p.r)
 
-        def match(t, sig, b, types):
-            return type(t) is node and match_l(t.t, sig, b, types) and match_r(t.u, sig, b, types)
+        def match(t, sig, b):
+            return type(t) is node and match_l(t.t, sig, b) and match_r(t.u, sig, b)
 
         def build(b, sig):
             return node(build_l(b, sig), build_r(b, sig))
@@ -193,10 +193,10 @@ def _compiled(p):
         if p.kind in ("symw", "symb"):
             solve_n = _solver(objs[1])
 
-            def match(t, sig, b, types):
+            def match(t, sig, b):
                 return type(t) is ctor and solve(t.m, b, sig) and solve_n(t.n, b, sig)
         elif p.kind in ("idw", "idb") and not any(type(i) is tuple for i in objs[0]):
-            def match(t, sig, b, types):
+            def match(t, sig, b):
                 return type(t) is ctor and t.n >= 0 and solve(t.n, b, sig)
         else:
             # a (co)monoid family, or an identity at a generator's arity (whose
@@ -205,9 +205,9 @@ def _compiled(p):
             roots = [type(ctor(arity)) for arity in range(3)]
             by_cod, square = p.kind[:3] in ("coc", "cod"), p.kind in ("idw", "idb")
 
-            def match(t, sig, b, types):
+            def match(t, sig, b):
                 try:
-                    n, m = typecheck(t, sig, types=types)
+                    n, m = typecheck(t, sig)
                 except DiagrelError:
                     return False
                 arity = m if by_cod else n
@@ -223,10 +223,10 @@ def instantiate(p, binding, sig=EMPTY_SIGNATURE):
     return _compiled(p)[1](binding, sig)
 
 
-def match_pattern(p, t, sig=EMPTY_SIGNATURE, binding=None, types=None):
+def match_pattern(p, t, sig=EMPTY_SIGNATURE, binding=None):
     """Syntactic matching: bindings σ with instantiate(p, σ) = t, or None."""
     b = dict(binding) if binding else {}
-    return b if _compiled(p)[0](t, sig, b, types) else None
+    return b if _compiled(p)[0](t, sig, b) else None
 
 
 def pattern_variables(p, objs, arrows, gens):
@@ -464,11 +464,10 @@ def _rule(name, direction):
     return axiom, _compiled(src)[0], _compiled(dst)[1], arrows
 
 
-def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
+def apply_step(t, step, sig=EMPTY_SIGNATURE):
     """Apply one rewrite step to t; raises RewriteError when it is invalid.
-    One walk to the position serves the match and the rebuild; `types` is a
-    `typecheck` memo for the match, the arrow types and the replacement,
-    which bind the object metavariables the match left unbound, in one pass."""
+    One walk to the position serves the match and the rebuild; the arrow
+    types bind the object metavariables the match left unbound."""
     axiom, match, build, arrows = _rule(step.axiom, step.direction)
     if step.bindings:
         objs, arrow_vars, gens = axiom.variables()
@@ -483,13 +482,13 @@ def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
                 raise RewriteError(f"{name!r} is not a metavariable of axiom {axiom.name}")
     spine = spine_at(t, step.position)
     binding = dict(step.bindings)
-    if not match(spine[-1], sig, binding, types):
+    if not match(spine[-1], sig, binding):
         raise RewriteError(
             f"axiom {axiom.name} ({step.direction}) does not match at "
             f"{format_position(step.position)}")
     for name, solve_dom, solve_cod in arrows:
         if isinstance(binding.get(name), Term):
-            n, m = typecheck(binding[name], sig, types=types)
+            n, m = typecheck(binding[name], sig)
             if not (solve_dom(n, binding, sig) and solve_cod(m, binding, sig)):
                 raise RewriteError(
                     f"arrow {name!r} bound to a term of type {(n, m)} "
@@ -498,7 +497,7 @@ def apply_step(t, step, sig=EMPTY_SIGNATURE, types=None):
         repl = build(binding, sig)
     except UnboundMetavariable as e:
         raise RewriteError(f"{e}; supply it with an explicit `with` binding") from None
-    return replace_at(t, step.position, repl, sig, types, spine)
+    return replace_at(t, step.position, repl, sig, spine)
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +614,19 @@ def parse_proof(text, sig):
 
 def check_proof(script, sig=EMPTY_SIGNATURE):
     """Validate an increasing rewrite chain from claim lhs to claim rhs.
-    The claim and the steps share one `typecheck` memo for this call and
-    `sig`: desugaring reads the claim's pass, and an untouched subtree is typed once."""
-    types = {}
+    Each node keeps its type under `sig`, so desugaring reads the claim's
+    pass, and an untouched subtree is typed once."""
     try:
-        ty1 = typecheck(script.lhs, sig, types=types)
-        ty2 = typecheck(script.rhs, sig, types=types)
+        ty1 = typecheck(script.lhs, sig)
+        ty2 = typecheck(script.rhs, sig)
     except DiagrelError as e:
         return Verdict(False, -1, f"claim does not typecheck: {e}")
     if ty1 != ty2:
         return Verdict(False, -1, f"claim types differ: {ty1} vs {ty2}")
-    cur, goal = desugar(script.lhs, sig, types), desugar(script.rhs, sig, types)
+    cur, goal = desugar(script.lhs, sig), desugar(script.rhs, sig)
     for idx, step in enumerate(script.steps):
         try:
-            cur = apply_step(cur, step, sig, types)
+            cur = apply_step(cur, step, sig)
         except DiagrelError as e:
             return Verdict(False, idx, str(e))
     if cur != goal:

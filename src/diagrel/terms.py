@@ -6,7 +6,9 @@ composition and tensor, plus generator boxes and their opposed boxes.
 Derived constructors (dagger, negation, meet, join, top, bottom) are sugar
 nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them,
 by one `typecheck` pass, for the proof kernel (`rewrite.check_proof`,
-`rewrite.spider_normalize`) and for `diagrel desugar`.
+`rewrite.spider_normalize`) and for `diagrel desugar`.  A node keeps the
+type `typecheck` gives it, in its slot `_ty` (no field), with the signature
+object it was given under, and is read back only under that same object.
 
 The s-expression syntax is declared once, in `FORMS`: each head with its
 node class and argument kinds.  The eight constants are bare atoms.  The
@@ -72,8 +74,8 @@ def format_position(path):
 
 
 class Record:
-    """An immutable record: its fields are the slots of its class and bases,
-    in `_fields` order, and `_defaults` fills those `__init__` may omit.
+    """An immutable record: its fields are the slots of its class and bases but
+    those named `_*`, in `_fields` order; `_defaults` fills those `__init__` may omit.
     Records of one class are `==` when their `_key(record)`s (all fields, or
     one value for one field) are, and `hash` agrees.  A class that checks its
     fields or is built often writes its own `__init__` over `slot_setters`."""
@@ -83,7 +85,7 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for base in reversed(cls.__mro__)
-                            for name in vars(base).get("__slots__", ()))
+                            for name in vars(base).get("__slots__", ()) if name[0] != "_")
         if "_key" not in vars(cls) and cls._fields:
             cls._key = attrgetter(*cls._fields)
 
@@ -117,12 +119,12 @@ class Record:
 
 
 def slot_setters(cls):
-    """The `__set__` of each slot that `cls` declares, in order."""
-    return [getattr(cls, name).__set__ for name in cls.__slots__]
+    """The `__set__` of each field that `cls` declares, in order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__ if name[0] != "_"]
 
 
 class Signature(Record):
-    """Map from generator names to (arity, coarity)."""
+    """Map from generator names to (arity, coarity), copied from the map given."""
 
     __slots__ = ("generators",)
 
@@ -130,7 +132,7 @@ class Signature(Record):
         for name, (n, m) in generators.items():
             if n < 0 or m < 0:
                 raise DiagrelError(f"generator {name}: negative arity")
-        super().__init__(generators)
+        super().__init__(dict(generators))
 
     def type_of(self, name):
         try:
@@ -202,7 +204,7 @@ class Term(Record):
 
 
 class _Nat:
-    __slots__ = ("n",)
+    __slots__ = ("n", "_ty")
 
     def __init__(self, n):
         _SET_NAT(self, n)
@@ -212,7 +214,7 @@ class _Nat:
 
 
 class _Sym:
-    __slots__ = ("m", "n")
+    __slots__ = ("m", "n", "_ty")
 
     def __init__(self, m, n):
         _SET_SYM_M(self, m)
@@ -223,7 +225,7 @@ class _Sym:
 
 
 class _Box:
-    __slots__ = ("n", "m")
+    __slots__ = ("n", "m", "_ty")
 
     def __init__(self, n, m):
         _SET_BOX_N(self, n)
@@ -231,7 +233,7 @@ class _Box:
 
 
 class _Name:
-    __slots__ = ("name",)
+    __slots__ = ("name", "_ty")
 
     def __init__(self, name):
         _SET_NAME(self, name)
@@ -241,14 +243,14 @@ class _Name:
 
 
 class _Unary:
-    __slots__ = ("t",)
+    __slots__ = ("t", "_ty")
 
     def __init__(self, t):
         _SET_UNARY(self, t)
 
 
 class _Binary:
-    __slots__ = ("t", "u")
+    __slots__ = ("t", "u", "_ty")
 
     def __init__(self, t, u):
         _SET_T(self, t)
@@ -290,7 +292,7 @@ CONSTANT_TYPES.update({mirror_head(kind): ty for kind, ty in CONSTANT_TYPES.item
 
 
 class Const(Term):
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "_ty")
 
     def __init__(self, kind):
         if kind not in CONSTANT_TYPES:
@@ -360,19 +362,22 @@ def subterm_at(t, path):
     return spine_at(t, path)[-1]
 
 
-def replace_at(t, path, u, sig, types=None, spine=None):
+def replace_at(t, path, u, sig, spine=None):
     """Replace the subterm at `path` by `u`, which must have the same type
-    under `sig` as the subterm it replaces, so the result stays well-typed.
-    `types` is a `typecheck` memo; `spine` is `spine_at(t, path)` if the
-    caller has it.  The result shares every subtree off the spine with t."""
+    under `sig` as the subterm it replaces, so the result stays well-typed
+    and each rebuilt node keeps the type under `sig` of the node it replaces.
+    `spine` is `spine_at(t, path)` if the caller has it.  The result shares
+    every subtree off the spine with t."""
     spine = spine or spine_at(t, path)
-    old_ty = typecheck(spine[-1], sig, types=types)
-    new_ty = typecheck(u, sig, types=types)
+    old_ty = typecheck(spine[-1], sig)
+    new_ty = typecheck(u, sig)
     if old_ty != new_ty:
         raise TypeMismatch(f"replacement type {new_ty} differs from {old_ty}", path)
     for node, step in zip(reversed(spine[:-1]), reversed(path)):
         cls = type(node)
         u = cls(node.t, u) if step else cls(u, node.u) if cls in BINARY else cls(u)
+        if (held := getattr(node, "_ty", None)) and held[0] is sig:
+            object.__setattr__(u, "_ty", held)
     return u
 
 
@@ -388,25 +393,24 @@ def positions(t):
 # typing
 
 
-def typecheck(t, sig, _path=(), types=None):
+def typecheck(t, sig, _path=()):
     """Return (dom, cod) or raise TypeMismatch / unknown generator.
 
-    `types` is an optional memo for one `sig`, from `id(node)` to `(type,
-    node)`: each entry keeps its node alive, so no id is reused while the
-    memo lives.  Recursion goes through this module-level name."""
-    hit = types and types.get(id(t))
-    if hit:
-        return hit[0]
+    The type is kept on the node, with the signature object it was found
+    under, and read back only under that same object.  Recursion goes
+    through this module-level name."""
+    if (held := getattr(t, "_ty", None)) and held[0] is sig:
+        return held[1]
     cls = type(t)
     if cls is SeqW or cls is SeqB:
-        n1, m1 = typecheck(t.t, sig, _path + (0,), types)
-        n2, m2 = typecheck(t.u, sig, _path + (1,), types)
+        n1, m1 = typecheck(t.t, sig, _path + (0,))
+        n2, m2 = typecheck(t.u, sig, _path + (1,))
         if m1 != n2:
             raise TypeMismatch(f"cod {m1} ≠ dom {n2}", _path)
         ty = (n1, m2)
     elif cls is TensW or cls is TensB:
-        n1, m1 = typecheck(t.t, sig, _path + (0,), types)
-        n2, m2 = typecheck(t.u, sig, _path + (1,), types)
+        n1, m1 = typecheck(t.t, sig, _path + (0,))
+        n2, m2 = typecheck(t.u, sig, _path + (1,))
         ty = (n1 + n2, m1 + m2)
     elif cls is Gen or cls is GenOp:
         n, m = sig.type_of(t.name)
@@ -422,12 +426,12 @@ def typecheck(t, sig, _path=(), types=None):
             raise TypeMismatch("negative symmetry arity", _path)
         ty = (t.m + t.n, t.n + t.m)
     elif cls is Meet or cls is Join:
-        ty = typecheck(t.t, sig, _path + (0,), types)
-        ty2 = typecheck(t.u, sig, _path + (1,), types)
+        ty = typecheck(t.t, sig, _path + (0,))
+        ty2 = typecheck(t.u, sig, _path + (1,))
         if ty != ty2:
             raise TypeMismatch(f"branch types {ty} ≠ {ty2}", _path)
     elif cls is Dag or cls is Neg:
-        n, m = typecheck(t.t, sig, _path + (0,), types)
+        n, m = typecheck(t.t, sig, _path + (0,))
         ty = (m, n) if cls is Dag else (n, m)
     elif cls is Top or cls is Bot:
         if t.n < 0 or t.m < 0:
@@ -435,8 +439,7 @@ def typecheck(t, sig, _path=(), types=None):
         ty = (t.n, t.m)
     else:
         raise DiagrelError(f"not a term: {t!r}")
-    if types is not None:
-        types[id(t)] = (ty, t)
+    object.__setattr__(t, "_ty", (sig, ty))
     return ty
 
 
@@ -676,18 +679,21 @@ def _negate_prim(t, sig):
     raise DiagrelError(f"not primitive: {t!r}")
 
 
-def desugar(t, sig=EMPTY_SIGNATURE, types=None):
+def desugar(t, sig=EMPTY_SIGNATURE):
     """Expand all sugar nodes into the primitive calculus, reading each arity
-    from one `typecheck` pass into `types`; a sugar-free subtree is kept."""
-    types = {} if types is None else types
-    typecheck(t, sig, types=types)
+    from the nodes after one `typecheck` pass; a sugar-free subtree is kept."""
+    typecheck(t, sig)
+
+    def type_of(t):  # the type t holds under sig, typed again if it holds another's
+        held = getattr(t, "_ty", None)
+        return held[1] if held and held[0] is sig else typecheck(t, sig)
 
     def expand(t):
         cls = type(t)
         if cls in BINARY:
             a, b = expand(t.t), expand(t.u)
             if cls is Meet or cls is Join:
-                n, m = types[id(t)][0]
+                n, m = type_of(t)
                 if cls is Meet:
                     return SeqW(macro("copyw", n), SeqW(TensW(a, b), macro("cocw", m)))
                 return SeqB(macro("copyb", n), SeqB(TensB(a, b), macro("cocb", m)))
@@ -697,7 +703,7 @@ def desugar(t, sig=EMPTY_SIGNATURE, types=None):
         if cls is Bot:
             return SeqB(macro("dscb", t.n), macro("codb", t.m))
         if cls is Dag:  # the conjugate of the expanded body, at the body's type
-            return _dag_expansion(expand(t.t), *types[id(t.t)][0])
+            return _dag_expansion(expand(t.t), *type_of(t.t))
         if cls is Neg:
             return _negate_prim(expand(t.t), sig)
         return t

@@ -228,7 +228,7 @@ def random_relation(rng, k, n, m):
 
 
 def naive_evaluate(t, interp):
-    """Oracle for `finrel.evaluate_typed`, which compiles a `finrel.Program`:
+    """Oracle for `finrel.evaluate`, which compiles a `finrel.Program`:
     one recursive call per node, each node's relation operation applied to
     its children's values, generator-free subterms included."""
     k, ev, cls = interp.carrier, naive_evaluate, type(t)

@@ -91,11 +91,11 @@ def test_eval_prints_relation(files, capsys):
 
 
 def test_included_types_both_sides_before_evaluating_either(files, capsys, monkeypatch):
-    evaluated = helpers.count_calls(monkeypatch, F, "evaluate_typed")
+    compiled = helpers.count_calls(monkeypatch, F, "Program")
     assert run(["included", "--sig", files["sig"], "--interp", files["interp"],
                 "(gen R)", "(gen S)"]) == 2
     assert capsys.readouterr() == ("", "error: sides typed (1, 1) vs (2, 1)\n")
-    assert evaluated == [0]
+    assert compiled == [0]
 
 
 def test_eval_requires_interp(files, capsys):
@@ -147,6 +147,17 @@ def test_check_proof(files, capsys):
     bad.write_bytes(b"prove (idw 1) <= \xff\n")
     assert run(["check-proof", "--sig", files["sig"], str(bad)]) == 2
     assert "can't decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claim, reason", [
+    ("(idw 1) <= (idw 2)", "claim types differ: (1, 1) vs (2, 2)"),
+    ("(seqw (idw 1) (idw 2)) <= (idw 1)", "claim does not typecheck: at ε: cod 1 ≠ dom 2"),
+])
+def test_check_proof_prints_the_refusal_of_an_ill_typed_claim(files, capsys, claim, reason):
+    prf = files["dir"] / "claim.prf"
+    prf.write_text(f"prove {claim}\nqed\n")
+    assert run(["check-proof", "--sig", files["sig"], str(prf)]) == 1
+    assert capsys.readouterr() == (f"rejected at claim: {reason}\n", "")
 
 
 def test_options_do_not_carry_over_between_runs(files, capsys):

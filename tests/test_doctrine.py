@@ -226,7 +226,8 @@ def test_relp_tensor_agrees_with_finrel_at_small_carriers():
             for _ in range(3):
                 r = helpers.random_relation(rng, k, n1, m1)
                 s = helpers.random_relation(rng, k, n2, m2)
-                (phi, X1, Y1), (psi, X2, Y2) = D.relation_to_predicate(r), D.relation_to_predicate(s)
+                (phi, X1, Y1), (psi, X2, Y2) = \
+                    D.relation_to_predicate(r), D.relation_to_predicate(s)
                 t = D.relp_tensor(phi, psi, X1, Y1, X2, Y2)
                 assert F.equal(D.predicate_to_relation(t, k, n1 + n2, m1 + m2),
                                F.tensor_white(r, s)), (k, n1, m1, n2, m2)

@@ -127,7 +127,8 @@ def test_pinned_reprs():
     assert repr(T.Dag(T.Meet(T.Gen("R"), T.Top(2, 0)))) \
         == "Dag(t=Meet(t=Gen(name='R'), u=Top(n=2, m=0)))"
     assert repr(T.SymB(1, 2)) == "SymB(m=1, n=2)"
-    assert repr(F.FinRelation(2, 1, 1, 5)) == "FinRelation(carrier=2, dom_arity=1, cod_arity=1, bits=5)"
+    assert repr(F.FinRelation(2, 1, 1, 5)) \
+        == "FinRelation(carrier=2, dom_arity=1, cod_arity=1, bits=5)"
     assert repr(R.Verdict(True)) == "Verdict(accepted=True, step_index=-1, reason='')"
 
 

@@ -305,6 +305,15 @@ def test_spotcheck_flags_false_claim():
     assert not ok and counter is not None
 
 
+@pytest.mark.parametrize("claim, reason", [
+    ("(idw 1) <= (idw 2)", "claim types differ: (1, 1) vs (2, 2)"),
+    ("(seqw (idw 1) (idw 2)) <= (idw 1)", "claim does not typecheck: at ε: cod 1 ≠ dom 2"),
+])
+def test_check_proof_refuses_an_ill_typed_claim(claim, reason):
+    script = R.parse_proof(f"prove {claim}\nqed\n", SIG)
+    assert R.check_proof(script, SIG) == R.Verdict(False, -1, reason)
+
+
 @pytest.mark.parametrize("claim, types", [
     ("(idw 1) <= (top 2 2)", "(1, 1) vs (2, 2)"),
     ("(gen R) <= (top 1 2)", "(1, 1) vs (1, 2)"),
@@ -618,6 +627,30 @@ def test_check_proof_types_each_node_about_once(monkeypatch):
     assert calls <= 10 * (helpers.term_size(start) + len(steps)), calls
 
 
+def test_a_rewritten_root_is_typed_from_its_own_slot(monkeypatch):
+    """Each node `apply_step` rebuilds on the spine keeps the type under the
+    signature of the node it replaces, so the new root is typed in one call."""
+    t = T.parse_term("(tensw (gen S) (seqw (idw 1) (gen R)))", SIG)
+    assert T.typecheck(t, SIG) == (3, 2)
+    new = R.apply_step(t, R.Step("seq-unit-l", (1,), "l2r"), SIG)
+    assert new == T.parse_term("(tensw (gen S) (gen R))", SIG)
+    calls = helpers.count_calls(monkeypatch, T, "typecheck")
+    assert T.typecheck(new, SIG) == (3, 2)
+    assert calls == [1]
+
+
+def test_a_rebuilt_node_keeps_no_type_held_under_another_signature():
+    """Under s2 the replacement does not typecheck, though the node it
+    replaces did; the rebuilt root is typed afresh there."""
+    s2 = T.Signature({"R": (2, 2)})
+    t = T.Dag(T.Gen("R"))
+    assert T.typecheck(t, s2) == (2, 2)
+    new = R.apply_step(t, R.Step("seq-unit-l", (0,), "r2l"), SIG)
+    assert new == T.parse_term("(dag (seqw (idw 1) (gen R)))", SIG)
+    with pytest.raises(T.TypeMismatch, match="at 0: cod 1 ≠ dom 2"):
+        T.typecheck(new, s2)
+
+
 SYMMETRY_PROOFS = ("""
 prove (seqw (symw 1 1) (tensw (idw 1) (gen R))) <= (seqw (symw 1 1) (tensw (idw 1) (gen R)))
 step sym-nat at e dir r2l
@@ -723,12 +756,12 @@ def test_apply_step_matches_naive_on_every_axiom(axiom):
             for at in [pos] + elsewhere:
                 sub = T.subterm_at(t, at)
                 for b in ({}, part):
-                    assert _outcome(R.match_pattern, side, sub, sig, b, {}) \
+                    assert _outcome(R.match_pattern, side, sub, sig, b) \
                         == _outcome(helpers.naive_match_pattern, side, sub, sig, b)
             for bindings in _binding_variants(rng, axiom, binding):
                 for at in [pos] + elsewhere:
                     step = R.Step(axiom.name, at, direction, bindings)
-                    got = _outcome(R.apply_step, t, step, sig, {})
+                    got = _outcome(R.apply_step, t, step, sig)
                     assert got == _outcome(helpers.naive_apply_step, t, step, sig), step
                     applied += isinstance(got, T.Term)
             if direction == "l2r" or axiom.kind == "eq":

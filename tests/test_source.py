@@ -2,12 +2,15 @@ import ast
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "diagrel"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "diagrel"
 
 
 def test_source_lines_fit_99_columns():
-    """The convention the axiom table keeps too, checked without a linter."""
-    long = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+    """The convention the axiom table keeps too, in the program and in its
+    tests, checked without a linter."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    long = [f"{path.relative_to(ROOT)}:{n}" for path in paths
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > 99]
     assert long == []

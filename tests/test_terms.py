@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,17 @@ from diagrel import finrel as F
 import helpers
 
 SIG = T.Signature({"R": (1, 1), "S": (2, 1), "P": (0, 2)})
+
+
+def test_signature_owns_a_copy_of_its_generator_map():
+    """So the type a node holds under a signature cannot go stale."""
+    gens = {"R": (1, 2)}
+    sig = T.Signature(gens)
+    t = T.Dag(T.Gen("R"))
+    assert T.typecheck(t, sig) == (2, 1)
+    gens["R"] = (2, 2)
+    assert sig.generators == {"R": (1, 2)}
+    assert T.typecheck(t, sig) == T.typecheck(T.Dag(T.Gen("R")), sig) == (2, 1)
 
 
 def test_signature_parse():
@@ -43,6 +56,24 @@ def test_typecheck_errors_carry_position():
     with pytest.raises(T.TypeMismatch) as e:
         T.typecheck(T.SeqW(T.Gen("R"), T.Gen("S")), SIG)
     assert e.value.position == ()
+
+
+@pytest.mark.parametrize("term, position, message", [
+    (T.IdW(-1), (), "negative identity arity"),
+    (T.SeqW(T.IdW(0), T.IdB(-1)), (1,), "negative identity arity"),
+    (T.SymW(-1, 0), (), "negative symmetry arity"),
+    (T.SymB(0, -1), (), "negative symmetry arity"),
+    (T.Top(-1, 0), (), "negative arity"),
+    (T.TensW(T.Bot(0, 1), T.Bot(0, -1)), (1,), "negative arity"),
+], ids=repr)
+def test_typecheck_refuses_negative_arities(term, position, message):
+    """Only an API caller reaches these: the readers refuse a negative numeral
+    first.  A node that raised holds no type, so typing it again raises again."""
+    for _ in range(2):
+        with pytest.raises(T.TypeMismatch) as e:
+            T.typecheck(term, SIG)
+        assert str(e.value) == f"at {T.format_position(position)}: {message}"
+        assert e.value.position == position
 
 
 def test_dagger_reverses_type_negation_preserves():
@@ -302,6 +333,50 @@ def test_desugar_removes_sugar():
         d = T.desugar(t, SIG)
         assert T.typecheck(d, SIG) == T.typecheck(t, SIG)
         assert not any(isinstance(T.subterm_at(d, p), sugar) for p in T.positions(d))
+
+
+def test_a_node_is_typed_afresh_under_another_signature():
+    t = T.SeqW(T.Gen("R"), T.IdW(1))
+    assert T.typecheck(t, T.Signature({"R": (1, 1)})) == (1, 1)
+    assert T.typecheck(t, T.Signature({"R": (2, 1)})) == (2, 1)
+    with pytest.raises(T.DiagrelError, match="unknown generator 'R'"):
+        T.typecheck(t, T.EMPTY_SIGNATURE)
+    with pytest.raises(T.DiagrelError, match="unknown generator 'R'"):
+        T.typecheck(t.t, T.EMPTY_SIGNATURE)
+
+
+def test_desugar_reads_each_arity_under_its_own_signature():
+    """Desugaring under s1 starts at a root typed under s1 whose body holds
+    its type under s2: the body's arity is read under s1 all the same."""
+    s1, s2 = T.Signature({"R": (1, 2)}), T.Signature({"R": (2, 1)})
+    r = T.Gen("R")
+    t = T.Dag(r)
+    assert T.typecheck(t, s1) == (2, 1)
+    assert T.typecheck(r, s2) == (2, 1)
+    assert T.desugar(t, s1) == T.desugar(T.Dag(T.Gen("R")), s1)
+    assert T.typecheck(T.desugar(t, s1), s1) == (2, 1)
+
+
+#: the fields of every term class, which a node's type is not one of
+TERM_FIELDS = {
+    "IdW": ("n",), "IdB": ("n",), "SymW": ("m", "n"), "SymB": ("m", "n"),
+    "Gen": ("name",), "GenOp": ("name",), "SeqW": ("t", "u"), "SeqB": ("t", "u"),
+    "TensW": ("t", "u"), "TensB": ("t", "u"), "Meet": ("t", "u"), "Join": ("t", "u"),
+    "Dag": ("t",), "Neg": ("t",), "Top": ("n", "m"), "Bot": ("n", "m"), "Const": ("kind",),
+}
+
+
+def test_a_typed_node_is_the_record_a_fresh_one_is():
+    """The type a node holds is no field: repr, ==, hash, copy and pickle
+    ignore it."""
+    assert {type(t).__name__: type(t)._fields for t in PINNED_SYNTAX} == TERM_FIELDS
+    for text in PINNED_SYNTAX.values():
+        typed, fresh = T.parse_term(text, SIG), T.parse_term(text, SIG)
+        T.typecheck(typed, SIG)
+        assert repr(typed) == repr(fresh) and typed == fresh and hash(typed) == hash(fresh)
+        assert pickle.dumps(typed) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(typed)) == copy.copy(typed) == copy.deepcopy(typed) \
+            == fresh
 
 
 def _nested_dags(depth):
