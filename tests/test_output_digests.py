@@ -43,6 +43,16 @@ def _verify_axioms(d):
             yield common
 
 
+def _guarded_verify_axioms(d):
+    # every guard refuses at k >= 2, so this pins the message and the order of a
+    # refusal by a space the size guard bounds
+    for k in range(4):
+        for bits in ("2", "8", "64"):
+            common = ["verify-axioms", "--size", str(k), "--max-bits", bits]
+            yield common + ["--machine"]
+            yield common
+
+
 def _models_and_proofs(d):
     order = [line for line in theory.ORDER_THEORY_TEXT.splitlines() if line.startswith(
         ("axiom reflexive", "axiom transitive", "axiom antisymmetric"))]
@@ -82,8 +92,9 @@ def _desugar_macros(d):
     (_desugar_and_spider, "d59a47a00a4027a71e534356ab8d143e1aafdd766ff8881deca47fbb456d27e1"),
     (_constants, "246cd390d9b71084823404ae5c9f27cf11705192673db9e5793deb0889384563"),
     (_desugar_macros, "789fbe632388b154d086a3f3864a314f675b384faf1c19fdace1eb8e3e4a3e75"),
+    (_guarded_verify_axioms, "3adb23d289a768e98614fe4c230fa771eef1cd2ffe31e9ddb23d75428165d5cf"),
 ], ids=["verify-axioms", "find-models-and-check-proof", "desugar-and-spider", "eval-constants",
-        "desugar-macros"])
+        "desugar-macros", "verify-axioms-guarded"])
 def test_output_is_byte_identical(tmp_path, capsys, commands, digest):
     h = hashlib.sha256()
     for argv in commands(tmp_path):
