@@ -16,11 +16,11 @@ join rows back by direct shifts for a block of up to SHIFT_ROWS rows, and
 halve a wider one.  `compose_white` and the other relation operations wrap
 them.  `evaluate` typechecks a term, which costs one slot read on a term
 already typed under the interpretation's signature, then compiles it into a
-`Program` and runs that once; model search, axiom verification and the proof
-spotcheck compile a term once and run it per interpretation.  No program is
-cached.  Each kernel is cached per class, carrier and operand arities, in the
-cache of `_kernel`, and each constant, a graph of an index map, per head,
-carrier and arity, in the cache of `constant`; both passed their space check
+`Program` and runs that once; model search and the proof spotcheck compile a
+term, and axiom verification an instance straight from its axiom's patterns,
+once and run it per interpretation.  No program is cached.  Each kernel is
+cached per class, carrier and operand arities (`_kernel`), and each constant
+per head, carrier and arities (`constant`); both passed their space check
 under the current guard, so `size_guard` empties them when it changes MAX_BITS.
 """
 
@@ -30,9 +30,9 @@ import contextlib
 import functools
 
 from .terms import (
-    BINARY, MAX_ARITY, UNARY, Bot, Const, Dag, DiagrelError, Gen, GenOp, IdB, IdW, Join, Meet, Neg,
-    ParseError, Record, SeqB, SeqW, SymB, SymW, TensB, TensW, Top, mirror_head, read_lines,
-    read_nat, slot_setters, typecheck,
+    BINARY, FORMS, MAX_ARITY, UNARY, Const, Dag, DiagrelError, Gen, GenOp, Join, Meet, Neg,
+    ParseError, Record, SeqB, SeqW, TensB, TensW, mirror_head, read_lines, read_nat,
+    slot_setters, typecheck,
 )
 
 MAX_BITS = 2 ** 30
@@ -53,6 +53,8 @@ def space_bits(k, n, m):
     bit count is at most 1 at any arity."""
     if k < 0:
         raise DiagrelError("carrier size must be non-negative")
+    if n < 0 or m < 0:
+        raise DiagrelError(f"negative arity {min(n, m)}")
     if k > 1 and (n + m) * (k.bit_length() - 1) > MAX_BITS.bit_length() \
             or (size := (k ** n) * (k ** m)) > MAX_BITS:
         raise SizeLimit(f"relation space {k}^{n + m} exceeds {MAX_BITS} bits")
@@ -271,6 +273,8 @@ def _kernel(cls, k, s, t):
     seq, black = cls in (SeqW, SeqB), cls in (SeqB, TensB)
     if seq and j != i:
         raise DiagrelError("composition type mismatch")
+    if (cls is Meet or cls is Join) and s != t:
+        raise DiagrelError(f"branch types {s} ≠ {t}")
     out = (n, m) if seq else (n + i, j + m) if cls in (TensW, TensB) \
         else (j, n) if cls in (Dag, GenOp) else s
     size = space_bits(k, *out)
@@ -347,10 +351,14 @@ _GRAPHS = {
 
 @functools.cache
 def constant(head, k, *arities):
-    """The constant `head` (a form head `idw`, `symw`, their black mirrors, or
-    a constant kind) at carrier k and the arities of its term: a white one is
-    the graph of its index map, cocopy and codiscard are the converses of copy
-    and discard, and a black one is the complement of its white mirror."""
+    """The constant `head` (a form head `idw`, `symw`, their black mirrors, `top`,
+    `bot`, or a constant kind at n for its n-ary `terms.macro`) at carrier k and
+    its arities: a white one is the graph of its index map, cocopy and codiscard
+    are the converses of copy and discard, a black one the complement of its mirror."""
+    if min(arities) < 0:  # the two arities of a symmetry sum to its dom and cod
+        raise DiagrelError(f"negative arity {min(arities)}")
+    if head == "top" or head == "bot":
+        return FinRelation(k, *arities, (1 << space_bits(k, *arities)) - 1 if head == "top" else 0)
     if head[-1] == "b":
         return complement(constant(mirror_head(head), k, *arities))
     if head in ("cocw", "codw"):
@@ -411,70 +419,71 @@ def evaluate(t, interp):
     return prog.relation(reg)
 
 
-def _leaf(t, k):
-    """The relation of a leaf other than a generator at carrier k."""
-    cls = type(t)
-    if cls is Const:
-        return constant(t.kind, k, 1)
-    if cls is IdW or cls is IdB:
-        return constant("idw" if cls is IdW else "idb", k, t.n)
-    if cls is SymW or cls is SymB:
-        return constant("symw" if cls is SymW else "symb", k, t.m, t.n)
-    if cls is Top or cls is Bot:
-        return FinRelation(k, t.n, t.m, (1 << space_bits(k, t.n, t.m)) - 1 if cls is Top else 0)
-    raise DiagrelError(f"cannot evaluate {t!r}")
+# a leaf class with natural-number fields -> the head of the constant it denotes
+_HEADS = {cls: head for head, (cls, kinds) in FORMS.items() if kinds[0] == "nat"}
 
 
 class Program:
     """Terms compiled at carrier k into one post-order list of instructions
     over raw bitmask registers, first the generators' (`generators` maps each
     name to its arities) in name order, in which the program draws, loads and
-    reads them back.  A node of the same class over the same registers, or an
-    equal leaf, reuses a register; a node with no generator below it is computed
-    as it is compiled, so only nodes that read a generator become instructions.
-    A program lives for the call that compiles it."""
+    reads them back.  `add` compiles a term by `node` and `constant`, which also
+    compile one that is never built, from patterns.  A node of the same class over
+    the same registers, or a constant of the same head and arities, reuses a register;
+    a node with no generator below it is computed as it is compiled, so only nodes
+    that read a generator become instructions.  A program lives for one call."""
 
     def __init__(self, k, generators):
         self.k, self.names, self.code, self.checks = k, sorted(generators), [], []
         self.shapes = [generators[name] for name in self.names]
         self.sizes = [space_bits(k, n, m) for n, m in self.shapes]
         self.regs, self.live = [0] * len(self.shapes), set(range(len(self.shapes)))
-        # a register by class and operand registers, or by class and fields for a leaf
+        # a register by class and operand registers, by generator, or by head and arities
         self.numbers = {(Gen, name): reg for reg, name in enumerate(self.names)}
 
     def add(self, t):
-        """Compile t from an explicit stack, each node after its operands, typed
-        from their arities and its space checked once; its register."""
-        numbers, regs, shapes, live, out, todo = \
-            self.numbers, self.regs, self.shapes, self.live, [], [t]
+        """Compile t from an explicit stack, each node after its operands; its register."""
+        out, todo = [], [t]
         while todo:
             t = todo.pop()
             cls = type(t)
             if cls in BINARY or cls in UNARY:
                 todo += ((t,), t.u, t.t) if cls in BINARY else ((t,), t.t)
-                continue
-            if cls is tuple:  # an inner node after its operands, whose registers end `out`
+            elif cls is tuple:  # an inner node after its operands, whose registers end `out`
                 cls, b = type(t[0]), out.pop()
-                a = out.pop() if cls in BINARY else b
-            else:  # a leaf; an opposed box reads its generator's register
-                a = b = numbers[Gen, t.name] if cls is GenOp else None
-            key = (cls, t._key(t)) if a is None else (cls, a, b)
-            reg = numbers.get(key)
-            if reg is None:
-                reg = numbers[key] = len(regs)
-                if a is None:
-                    rel = _leaf(t, self.k)
-                    shape, value = (rel.dom_arity, rel.cod_arity), rel.bits
-                else:
-                    shape, op = _kernel(cls, self.k, shapes[a], shapes[b])
-                    if a in live or b in live:
-                        live.add(reg)
-                        self.code.append((op, reg, a, b))
-                    value = 0 if reg in live else op(regs[a], regs[b])
-                regs.append(value)
-                shapes.append(shape)
-            out.append(reg)
+                out.append(self.node(cls, out.pop() if cls in BINARY else b, b))
+            elif cls is Gen or cls is GenOp:  # an opposed box is a node over its generator
+                reg = self.numbers[Gen, t.name]
+                out.append(reg if cls is Gen else self.node(GenOp, reg, reg))
+            elif cls is Const:
+                out.append(self.constant(t.kind, 1))
+            else:  # a leaf whose fields are the arities of the constant it denotes
+                out.append(self.constant(_HEADS[cls], *(getattr(t, f) for f in t._fields)))
         return out[0]
+
+    def node(self, cls, a, b):
+        """The register of a node of class `cls` over the registers a and b (b is a
+        for a unary node), typed and its space checked by `_kernel`."""
+        reg = self.numbers.get(key := (cls, a, b))
+        if reg is None:
+            shape, op = _kernel(cls, self.k, self.shapes[a], self.shapes[b])
+            reg = self.numbers[key] = len(self.regs)
+            if a in self.live or b in self.live:
+                self.live.add(reg)
+                self.code.append((op, reg, a, b))
+            self.regs.append(0 if reg in self.live else op(self.regs[a], self.regs[b]))
+            self.shapes.append(shape)
+        return reg
+
+    def constant(self, head, *arities):
+        """The register of `constant(head, k, *arities)`, one lookup of its cache."""
+        reg = self.numbers.get(key := (head, arities))
+        if reg is None:
+            rel = constant(head, self.k, *arities)
+            reg = self.numbers[key] = len(self.regs)
+            self.regs.append(rel.bits)
+            self.shapes.append((rel.dom_arity, rel.cod_arity))
+        return reg
 
     def check(self, lhs, rhs):
         """Append the check that register lhs, of rhs's type, is included in rhs."""

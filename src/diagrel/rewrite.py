@@ -146,7 +146,10 @@ def _solver(expr):
 @functools.cache
 def _compiled(p):
     """p compiled into a matcher `match(t, sig, b)`, which extends the
-    binding b and says whether t is an instance of p, and a builder `build(b, sig)`."""
+    binding b and says whether t is an instance of p, a builder `build(b, sig)`,
+    and an emitter `emit(b, sig, prog)`, which compiles the instance into the
+    `finrel.Program` prog, unbuilt, and returns its register; a (co)monoid
+    family's n-ary comb is one constant register."""
     cls = type(p)
     if cls is PVar:
         name = p.name
@@ -175,13 +178,16 @@ def _compiled(p):
             return node(b[var])
     elif cls is PBin:
         node = T.FORMS[p.op][0]
-        (match_l, build_l), (match_r, build_r) = _compiled(p.l), _compiled(p.r)
+        (match_l, build_l, emit_l), (match_r, build_r, emit_r) = _compiled(p.l), _compiled(p.r)
 
         def match(t, sig, b):
             return type(t) is node and match_l(t.t, sig, b) and match_r(t.u, sig, b)
 
         def build(b, sig):
             return node(build_l(b, sig), build_r(b, sig))
+
+        def emit(b, sig, prog):
+            return prog.node(node, emit_l(b, sig, prog), emit_r(b, sig, prog))
     elif cls is PConstM:
         # a (co)monoid family is a `terms.macro`, an identity or symmetry its form
         ctor = T.FORMS[p.kind][0] if p.kind in T.FORMS else functools.partial(T.macro, p.kind)
@@ -189,6 +195,9 @@ def _compiled(p):
 
         def build(b, sig):
             return ctor(*[_expr_value(e, b, sig) for e in objs])
+
+        def emit(b, sig, prog):
+            return prog.constant(p.kind, *[_expr_value(e, b, sig) for e in objs])
 
         if p.kind in ("symw", "symb"):
             solve_n = _solver(objs[1])
@@ -215,7 +224,10 @@ def _compiled(p):
                         and type(t) is roots[min(arity, 2)] and build(b, sig) == t)
     else:
         raise RewriteError(f"not a pattern: {p!r}")
-    return match, build
+    if cls is PVar or cls is PGenVar:
+        def emit(b, sig, prog):
+            return prog.add(build(b, sig))
+    return match, build, emit
 
 
 def instantiate(p, binding, sig=EMPTY_SIGNATURE):
@@ -653,22 +665,13 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
         raise DiagrelError("sides typed {} vs {}".format(*types))
     if not trials:
         return True, None
-    prog = _program(sig, k, lhs, rhs)
+    prog = Program(k, sig.generators)
+    prog.check(prog.add(lhs), prog.add(rhs))
     rng = random.Random(seed)
     for _ in range(trials):
         if prog.run(prog.draw(rng)) is not None:
             return False, (prog.interpretation(sig), prog.witness(0))
     return True, None
-
-
-def _program(sig, k, lhs, rhs, kind="le"):
-    """The `Program` at carrier k of lhs <= rhs, and of rhs <= lhs for kind "eq"."""
-    prog = Program(k, sig.generators)
-    lhs, rhs = prog.add(lhs), prog.add(rhs)
-    prog.check(lhs, rhs)
-    if kind == "eq":
-        prog.check(rhs, lhs)
-    return prog
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +687,10 @@ class AxiomReport(Record):
         return self.failures == 0
 
 
-def _instance(axiom, builders, objs, gens, draws):
-    """(sig, lhs, rhs, binding) of `axiom` for the values drawn in a trial: one per
-    object metavariable in `objs`, then two per generator metavariable in `gens`.
-    Both sides are built by `builders`, those of the axiom's sides, and
-    typechecked under `sig` here, so that they compile as typed terms."""
+def _instance(axiom, objs, gens, draws):
+    """(sig, binding) of `axiom` for the values drawn in a trial: one per object
+    metavariable in `objs`, then two per generator metavariable in `gens`; each
+    arrow metavariable is bound to a fresh generator of its declared type."""
     binding = {**dict(zip(objs, draws)), **{g: "~" + g for g in gens}}
     arities = iter(draws[len(objs):])
     generators = {"~" + g: (next(arities), next(arities)) for g in gens}
@@ -698,18 +700,15 @@ def _instance(axiom, builders, objs, gens, draws):
         m = _expr_value(ce, binding, sig_partial)
         generators["~" + name] = (n, m)
         binding[name] = Gen("~" + name)
-    sig = Signature(generators)
-    lhs, rhs = (build(binding, sig) for build in builders)
-    typecheck(lhs, sig)
-    typecheck(rhs, sig)
-    return sig, lhs, rhs, binding
+    return Signature(generators), binding
 
 
 def verify_axiom(axiom, k=2, trials=200, seed=0):
     """Check `axiom` on `trials` random instances at carrier k, each object and
-    generator arity drawn from 0..2.  Instances are built, typechecked and
-    compiled once per distinct drawn values; each trial draws its generators'
-    bitmasks through the program and runs it.  An instance without generators
+    generator arity drawn from 0..2.  Per distinct drawn values, both sides are
+    compiled from the axiom's patterns into one program, which types each node:
+    no instance is built (the first counterexample prints one) or typechecked.
+    Each trial runs it on the bitmasks it draws.  An instance without generators
     compiles to its checks alone, on constant registers, and draws no bits."""
     check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
@@ -718,17 +717,23 @@ def verify_axiom(axiom, k=2, trials=200, seed=0):
     objs, _, gens = axiom.variables()
     objs, gens = sorted(objs), sorted(gens)
     instances = {}  # keyed by the drawn values
-    builders = _compiled(axiom.lhs)[1], _compiled(axiom.rhs)[1]
+    (_, build_l, emit_l), (_, build_r, emit_r) = _compiled(axiom.lhs), _compiled(axiom.rhs)
     for _ in range(trials):
         draws = tuple(rng.randint(0, 2) for _ in range(len(objs) + 2 * len(gens)))
         if draws not in instances:
-            sig, lhs, rhs, binding = _instance(axiom, builders, objs, gens, draws)
-            instances[draws] = binding, lhs, rhs, _program(sig, k, lhs, rhs, axiom.kind)
-        binding, lhs, rhs, prog = instances[draws]
+            sig, binding = _instance(axiom, objs, gens, draws)
+            prog = Program(k, sig.generators)
+            lhs, rhs = emit_l(binding, sig, prog), emit_r(binding, sig, prog)
+            prog.check(lhs, rhs)
+            if axiom.kind == "eq":
+                prog.check(rhs, lhs)
+            instances[draws] = sig, binding, prog
+        sig, binding, prog = instances[draws]
         failed = prog.run(prog.draw(rng))
         if failed is not None:
             failures += 1
             if not counterexample:
+                lhs, rhs = build_l(binding, sig), build_r(binding, sig)
                 counterexample = (f"binding={binding} lhs={print_term(lhs)} "
                                   f"rhs={print_term(rhs)} witness={prog.witness(failed)}")
     return AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)

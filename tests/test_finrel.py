@@ -77,6 +77,20 @@ def test_space_bits_bounds_the_total_arity():
         F.space_bits(2, 65, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: F.space_bits(2, -1, -1),
+    lambda: F.Program(2, {}).add(T.IdW(-1)),
+    lambda: F.constant("copyw", 2, -1),
+    lambda: F.Program(2, {}).add(T.SymW(-1, 2)),
+], ids=["space_bits", "program", "constant", "symmetry"])
+def test_negative_arities_are_refused(call):
+    """A negative arity is refused by name, not read as a fractional bit count
+    (k ** -1) that a later shift or range chokes on, also in a symmetry whose
+    two arities sum to a natural dom and cod."""
+    with pytest.raises(T.DiagrelError, match="^negative arity -1$"):
+        call()
+
+
 def test_from_pairs_and_has():
     r = F.FinRelation.from_pairs(3, 1, 2, [((0,), (1, 2)), ((2,), (0, 0))])
     assert r.has((0,), (1, 2)) and r.has((2,), (0, 0))
@@ -465,6 +479,39 @@ def test_program_shares_equal_subterms_and_folds_constants():
     r = F.FinRelation(2, 1, 1, 0b0110)
     prog.run([r.bits])
     assert prog.relation(reg) == helpers.naive_evaluate(t, F.Interpretation(sig, 2, {"R": r}))
+
+
+@pytest.mark.parametrize("cls", [T.Meet, T.Join])
+def test_program_refuses_a_meet_or_join_of_different_types(cls):
+    """A program types each node it compiles, so it refuses every node
+    `typecheck` refuses, with `typecheck`'s wording."""
+    with pytest.raises(T.DiagrelError, match=r"^branch types \(1, 1\) ≠ \(2, 2\)$"):
+        F.Program(2, {}).add(cls(T.IdW(1), T.IdW(2)))
+
+
+def test_direct_constants_denote_their_combs():
+    """`constant(kind, k, n)` is the relation of the n-ary comb `terms.macro(kind, n)`
+    for each (co)copy and (co)discard kind of both colours, carrier 0 included.
+    A guard one bit too small refuses the constant, naming its own space, and
+    the comb too; the comb names the same space unless it compiles a wider
+    shuffle first, as (co)cocopy's at n = 3 does."""
+    for kind in sorted(T.CONSTANT_TYPES):
+        for k in range(4):
+            interp = F.Interpretation(T.EMPTY_SIGNATURE, k, {})
+            for n in range(4):
+                comb = T.macro(kind, n)
+                want = helpers.naive_evaluate(comb, interp)
+                prog = F.Program(k, {})
+                assert F.constant(kind, k, n) == prog.relation(prog.constant(kind, n)) == want
+                if k < 2:  # every space is at most one bit: no guard lies between two
+                    continue
+                dom, cod = T.typecheck(comb, T.EMPTY_SIGNATURE)
+                with F.size_guard(F.space_bits(k, dom, cod) - 1):
+                    got = _outcome(F.Program(k, {}).constant, kind, n)
+                    by_comb = _outcome(F.Program(k, {}).add, comb)
+                assert got == f"relation space {k}^{dom + cod} exceeds {k ** (dom + cod) - 1} bits"
+                wider = kind[:3] == "coc" and n == 3
+                assert (by_comb != got) == wider and isinstance(by_comb, str), (kind, k, n)
 
 
 def test_program_draws_the_oracle_bits_in_name_order():

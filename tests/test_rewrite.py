@@ -112,31 +112,33 @@ def test_verify_axioms_match_naive_oracle(k, seeds, trials):
             assert not got[-1].ok and not got[-2].ok
 
 
-def test_verify_axioms_typecheck_each_distinct_instance_once(monkeypatch):
-    """`typecheck` node-calls are bounded by the nodes of the distinct
-    instances drawn, not by the number of trials."""
+def test_verify_axioms_compile_each_distinct_draw_vector_once(monkeypatch):
+    """Each axiom constructs one `finrel.Program` per distinct vector of drawn
+    object and generator arities, not one per trial, and compiles it from the
+    axiom's patterns without typechecking an instance."""
     k, trials, seed = 2, 60, 5
-    distinct_nodes = per_trial_nodes = 0
+    distinct = 0
     for ax in R.axiom_db():
         rng = random.Random((ax.name, k, seed).__repr__())
+        objs = sorted(ax.variables()[0])
         seen = set()
         for _ in range(trials):
-            sig, lhs, rhs, _ = helpers.naive_instance(ax, rng)
+            sig, _, _, binding = helpers.naive_instance(ax, rng)
             helpers.random_interpretation(sig, k, rng)
-            nodes = helpers.term_size(lhs) + helpers.term_size(rhs)
-            per_trial_nodes += nodes
-            key = (tuple(sorted(sig.generators.items())), lhs, rhs)
-            if key not in seen:
-                seen.add(key)
-                distinct_nodes += nodes
-    calls = helpers.count_calls(monkeypatch, T, "typecheck")
+            seen.add((tuple(binding[v] for v in objs), tuple(sorted(sig.generators.items()))))
+        distinct += len(seen)
+    init, built = F.Program.__init__, []
+    monkeypatch.setattr(F.Program, "__init__",
+                        lambda prog, *args: built.append(prog) or init(prog, *args))
+    typed = helpers.count_calls(monkeypatch, T, "typecheck")
     R.verify_axioms(k=k, trials=trials, seed=seed)
-    assert 0 < calls[0] <= distinct_nodes < per_trial_nodes // 2
+    assert len(built) == distinct < trials * len(R.axiom_db()) // 2
+    assert typed == [0]
 
 
 def test_verification_evaluates_through_the_typed_entry_only(monkeypatch):
-    """Instances are typechecked where they are built, so no trial calls the
-    checked `evaluate`."""
+    """Instances are compiled from the axiom's patterns into programs, so no
+    trial calls the checked `evaluate`."""
     calls = helpers.count_calls(monkeypatch, F, "evaluate")
     R.verify_axioms(k=2, trials=13, seed=0)
     assert calls == [0]
@@ -740,8 +742,8 @@ def test_apply_step_matches_naive_on_every_axiom(axiom):
     applied = 0
     for _ in range(4):
         draws = tuple(rng.randint(0, 3) for _ in range(len(objs) + 2 * len(gens)))
-        builders = [R._compiled(side)[1] for side in (axiom.lhs, axiom.rhs)]
-        inst_sig, lhs, rhs, binding = R._instance(axiom, builders, objs, gens, draws)
+        inst_sig, binding = R._instance(axiom, objs, gens, draws)
+        lhs, rhs = (R.instantiate(side, binding, inst_sig) for side in (axiom.lhs, axiom.rhs))
         sig = T.Signature({**SIG.generators, **inst_sig.generators})
         for side, inst in ((axiom.lhs, lhs), (axiom.rhs, rhs)):
             assert inst == helpers.naive_instantiate(side, binding, sig)
