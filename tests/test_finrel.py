@@ -494,7 +494,7 @@ def test_direct_constants_denote_their_combs():
     for each (co)copy and (co)discard kind of both colours, carrier 0 included.
     A guard one bit too small refuses the constant, naming its own space, and
     the comb too; the comb names the same space unless it compiles a wider
-    shuffle first, as (co)cocopy's at n = 3 does."""
+    shuffle first, as cocopy's of either colour does at n = 3."""
     for kind in sorted(T.CONSTANT_TYPES):
         for k in range(4):
             interp = F.Interpretation(T.EMPTY_SIGNATURE, k, {})
