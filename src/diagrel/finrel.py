@@ -9,19 +9,20 @@ usual relational composition and the tensor is conjunctive.  The black half
 is computed as their De Morgan dual: R ;b S = ~(~R ; ~S) (a universally
 quantified disjunction), the black tensor likewise (disjunctive), and each
 black constant is the complement of its white mirror, in the one builder of
-the constants, `constant`.  The kernels work on raw bitmasks: `_kernel` fixes
-each to its operands' row counts and full masks, and a black one XORs with
-those masks around the white loop.  They split a bitmask into row masks and
-join rows back by direct shifts for a block of up to SHIFT_ROWS rows, and
-halve a wider one.  `compose_white` and the other relation operations wrap
-them.  `evaluate` typechecks a term, which costs one slot read on a term
-already typed under the interpretation's signature, then compiles it into a
-`Program` and runs that once; model search and the proof spotcheck compile a
-term, and axiom verification an instance straight from its axiom's patterns,
-once and run it per interpretation.  No program is cached.  Each kernel is
-cached per class, carrier and operand arities (`_kernel`), and each constant
-per head, carrier and arities (`constant`); both passed their space check
-under the current guard, so `size_guard` empties them when it changes MAX_BITS.
+the constants, `constant`.  The kernels work on raw bitmasks: `_kernel` types
+a node by `terms.node_type`, the rule `typecheck` types by, and fixes its kernel
+to the operands' row counts and full masks; a black one XORs with those masks
+around the white loop.  They split a bitmask into row masks and join rows back
+by direct shifts for a block of up to SHIFT_ROWS rows, and halve a wider one.
+`compose_white` and the other relation operations wrap them.  `evaluate`
+typechecks a term, which costs one slot read on a term already typed under the
+interpretation's signature, then compiles it into a `Program` and runs that
+once; model search and the proof spotcheck compile a term, and axiom
+verification an instance straight from its axiom's patterns, once and run it
+per interpretation.  No program is cached.  Each kernel is cached per class,
+carrier and operand arities (`_kernel`), and each constant per head, carrier
+and arities (`constant`); both passed their space check under the current
+guard, so `size_guard` empties them when it changes MAX_BITS.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 
 from .terms import (
     BINARY, FORMS, MAX_ARITY, UNARY, Const, Dag, DiagrelError, Gen, GenOp, Join, Meet, Neg,
-    ParseError, Record, SeqB, SeqW, TensB, TensW, mirror_head, read_lines, read_nat,
+    ParseError, Record, SeqB, SeqW, TensB, TensW, mirror_head, node_type, read_lines, read_nat,
     slot_setters, typecheck,
 )
 
@@ -264,30 +265,24 @@ def _converse_bits(x, rows, cols):
 
 @functools.cache
 def _kernel(cls, k, s, t):
-    """The arities of a node of class `cls` at carrier k over operands of
-    arities s and t (t is s for a unary node), its space checked, and its
-    kernel on raw bitmasks, fixed to their row counts and full masks: a black
-    node is the De Morgan dual ~(~x op ~y) of its white mirror, and `GenOp`
-    the converse of the complement of its generator, its linear adjoint."""
-    (n, j), (i, m) = s, t
-    seq, black = cls in (SeqW, SeqB), cls in (SeqB, TensB)
-    if seq and j != i:
-        raise DiagrelError("composition type mismatch")
-    if (cls is Meet or cls is Join) and s != t:
-        raise DiagrelError(f"branch types {s} ≠ {t}")
-    out = (n, m) if seq else (n + i, j + m) if cls in (TensW, TensB) \
-        else (j, n) if cls in (Dag, GenOp) else s
+    """The type `terms.node_type` gives a node of class `cls` over operands
+    typed s and t (t is s for a unary node), its space checked at carrier k,
+    and its kernel on raw bitmasks, fixed to the operands' row counts and full masks:
+    a black node is the De Morgan dual ~(~x op ~y) of its white mirror, and
+    `GenOp` the converse of the complement of its generator, its linear adjoint."""
+    out = node_type(cls, s, t)
     size = space_bits(k, *out)
     if cls is Meet or cls is Join:
         return out, int.__and__ if cls is Meet else int.__or__
+    rows, mid, brows, cols = (k ** arity for arity in (*s, *t))
+    black = cls is SeqB or cls is TensB
     full = (1 << size) - 1 if black or cls is Neg or cls is GenOp else 0
-    fa, fb = ((1 << k ** n * k ** j) - 1, (1 << k ** i * k ** m) - 1) if black else (0, 0)
-    rows, mid, brows, cols = k ** n, k ** j, k ** i, k ** m
+    fa, fb = ((1 << rows * mid) - 1, (1 << brows * cols) - 1) if black else (0, 0)
     if cls is Neg:
         return out, lambda x, _: x ^ full
     if cls is Dag or cls is GenOp:
         return out, lambda x, _: _converse_bits(x ^ full, rows, mid)
-    if seq:
+    if cls is SeqW or cls is SeqB:
         return out, lambda x, y: _compose_bits(x ^ fa, y ^ fb, rows, mid, cols) ^ full
     return out, lambda x, y: _tensor_bits(x ^ fa, y ^ fb, rows, mid, brows, cols) ^ full
 
@@ -453,12 +448,15 @@ class Program:
                 cls, b = type(t[0]), out.pop()
                 out.append(self.node(cls, out.pop() if cls in BINARY else b, b))
             elif cls is Gen or cls is GenOp:  # an opposed box is a node over its generator
-                reg = self.numbers[Gen, t.name]
+                if (reg := self.numbers.get((Gen, t.name))) is None:
+                    raise DiagrelError(f"unknown generator {t.name!r}")
                 out.append(reg if cls is Gen else self.node(GenOp, reg, reg))
             elif cls is Const:
                 out.append(self.constant(t.kind, 1))
-            else:  # a leaf whose fields are the arities of the constant it denotes
+            elif cls in _HEADS:  # a leaf whose fields are the arities of the constant it denotes
                 out.append(self.constant(_HEADS[cls], *(getattr(t, f) for f in t._fields)))
+            else:
+                raise DiagrelError(f"not a term: {t!r}")
         return out[0]
 
     def node(self, cls, a, b):

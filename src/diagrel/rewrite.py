@@ -693,14 +693,13 @@ def _instance(axiom, objs, gens, draws):
     arrow metavariable is bound to a fresh generator of its declared type."""
     binding = {**dict(zip(objs, draws)), **{g: "~" + g for g in gens}}
     arities = iter(draws[len(objs):])
-    generators = {"~" + g: (next(arities), next(arities)) for g in gens}
-    sig_partial = Signature(generators)
+    sig = Signature({"~" + g: (next(arities), next(arities)) for g in gens})
     for name, de, ce in axiom.arrows:
-        n = _expr_value(de, binding, sig_partial)
-        m = _expr_value(ce, binding, sig_partial)
-        generators["~" + name] = (n, m)
+        n = _expr_value(de, binding, sig)
+        m = _expr_value(ce, binding, sig)
+        sig.generators["~" + name] = (n, m)  # no term is typed under sig yet
         binding[name] = Gen("~" + name)
-    return Signature(generators), binding
+    return sig, binding
 
 
 def verify_axiom(axiom, k=2, trials=200, seed=0):

@@ -197,10 +197,19 @@ class Term(Record):
                 a, b = a.t, b.t
         return True
 
-    __hash__ = Record.__hash__  # a class that defines `__eq__` loses the inherited hash
+    def __hash__(self):
+        """The hash of each node's class, and each leaf's key, from a loop over an
+        explicit stack, so that equal terms at any depth hash alike."""
+        keys, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            kids = children(t)
+            stack += kids
+            keys.append(type(t) if kids else (type(t), t._key(t)))
+        return hash(tuple(keys))
 
 
-# the layouts: the slots, constructor and (where it is hot) hash of one node shape
+# the layouts: the slots and constructor of one node shape
 
 
 class _Nat:
@@ -209,9 +218,6 @@ class _Nat:
     def __init__(self, n):
         _SET_NAT(self, n)
 
-    def __hash__(self):
-        return hash((self.n,))
-
 
 class _Sym:
     __slots__ = ("m", "n", "_ty")
@@ -219,9 +225,6 @@ class _Sym:
     def __init__(self, m, n):
         _SET_SYM_M(self, m)
         _SET_SYM_N(self, n)
-
-    def __hash__(self):
-        return hash((self.m, self.n))
 
 
 class _Box:
@@ -238,9 +241,6 @@ class _Name:
     def __init__(self, name):
         _SET_NAME(self, name)
 
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class _Unary:
     __slots__ = ("t", "_ty")
@@ -255,9 +255,6 @@ class _Binary:
     def __init__(self, t, u):
         _SET_T(self, t)
         _SET_U(self, u)
-
-    def __hash__(self):
-        return hash((self.t, self.u))
 
 
 def _nodes(layout, *names):
@@ -393,6 +390,22 @@ def positions(t):
 # typing
 
 
+def node_type(cls, s, t):
+    """The type of an inner node of class `cls`, or of an opposed box, over
+    operands typed s and t (t is s for a unary node or a box, over its
+    generator's type), or a DiagrelError in `typecheck`'s words, no position."""
+    (n, j), (i, m) = s, t
+    if cls is SeqW or cls is SeqB:
+        if j != i:
+            raise DiagrelError(f"cod {j} ≠ dom {i}")
+        return n, m
+    if cls is TensW or cls is TensB:
+        return n + i, j + m
+    if (cls is Meet or cls is Join) and s != t:
+        raise DiagrelError(f"branch types {s} ≠ {t}")
+    return (j, n) if cls is Dag or cls is GenOp else s
+
+
 def typecheck(t, sig, _path=()):
     """Return (dom, cod) or raise TypeMismatch / unknown generator.
 
@@ -402,16 +415,13 @@ def typecheck(t, sig, _path=()):
     if (held := getattr(t, "_ty", None)) and held[0] is sig:
         return held[1]
     cls = type(t)
-    if cls is SeqW or cls is SeqB:
-        n1, m1 = typecheck(t.t, sig, _path + (0,))
-        n2, m2 = typecheck(t.u, sig, _path + (1,))
-        if m1 != n2:
-            raise TypeMismatch(f"cod {m1} ≠ dom {n2}", _path)
-        ty = (n1, m2)
-    elif cls is TensW or cls is TensB:
-        n1, m1 = typecheck(t.t, sig, _path + (0,))
-        n2, m2 = typecheck(t.u, sig, _path + (1,))
-        ty = (n1 + n2, m1 + m2)
+    if cls in BINARY or cls in UNARY:
+        s = typecheck(t.t, sig, _path + (0,))
+        u = typecheck(t.u, sig, _path + (1,)) if cls in BINARY else s
+        try:
+            ty = node_type(cls, s, u)
+        except DiagrelError as e:
+            raise TypeMismatch(str(e), _path) from None
     elif cls is Gen or cls is GenOp:
         n, m = sig.type_of(t.name)
         ty = (n, m) if cls is Gen else (m, n)
@@ -425,14 +435,6 @@ def typecheck(t, sig, _path=()):
         if t.m < 0 or t.n < 0:
             raise TypeMismatch("negative symmetry arity", _path)
         ty = (t.m + t.n, t.n + t.m)
-    elif cls is Meet or cls is Join:
-        ty = typecheck(t.t, sig, _path + (0,))
-        ty2 = typecheck(t.u, sig, _path + (1,))
-        if ty != ty2:
-            raise TypeMismatch(f"branch types {ty} ≠ {ty2}", _path)
-    elif cls is Dag or cls is Neg:
-        n, m = typecheck(t.t, sig, _path + (0,))
-        ty = (m, n) if cls is Dag else (n, m)
     elif cls is Top or cls is Bot:
         if t.n < 0 or t.m < 0:
             raise TypeMismatch("negative arity", _path)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -489,6 +490,60 @@ def test_program_refuses_a_meet_or_join_of_different_types(cls):
         F.Program(2, {}).add(cls(T.IdW(1), T.IdW(2)))
 
 
+@pytest.mark.parametrize("term", [T.Gen("R"), T.GenOp("R"), T.Dag(T.GenOp("R")), 42],
+                         ids=repr)
+def test_program_refuses_what_it_cannot_compile(term):
+    """An unknown generator or a non-term is refused in `typecheck`'s words."""
+    with pytest.raises(T.DiagrelError) as want:
+        T.typecheck(term, T.EMPTY_SIGNATURE)
+    assert str(want.value) in ("unknown generator 'R'", "not a term: 42")
+    with pytest.raises(T.DiagrelError, match=f"^{re.escape(str(want.value))}$"):
+        F.Program(2, {}).add(term)
+
+
+def test_program_types_every_node_as_typecheck_does():
+    """Both typers type each node of random terms (both colours, the sugar,
+    constants, symmetries and generators) alike, and both refuse a composition,
+    meet or join with one operand of another type, in the same words but for
+    `typecheck`'s position."""
+    rng = random.Random(23)
+    refused = {T.SeqW: 0, T.SeqB: 0, T.Meet: 0, T.Join: 0}
+    for k in range(3):
+        for _ in range(150):
+            sig = helpers.random_signature(rng)
+            n, m = rng.randint(0, 2), rng.randint(0, 2)
+            t = helpers.random_term(rng, sig, n, m, rng.randint(0, 3))
+            if rng.random() < 0.5:  # random_term draws no constant or symmetry
+                t = T.SeqB(helpers.random_primitive(rng, sig, rng.randint(0, 2), n, 2), t)
+            prog = F.Program(k, sig.generators)
+            for pos in T.positions(t):
+                node = T.subterm_at(t, pos)
+                assert prog.shapes[prog.add(node)] == T.typecheck(node, sig), T.print_term(node)
+            inner = [pos for pos in T.positions(t) if type(T.subterm_at(t, pos)) in refused]
+            if not inner:
+                continue
+            pos = rng.choice(inner)
+            node = T.subterm_at(t, pos)
+            side = rng.randint(0, 1)
+            dom, cod = T.typecheck(T.children(node)[side], sig)
+            if type(node) in (T.SeqW, T.SeqB):  # the boundary the other operand meets
+                other = (dom, cod + 1) if side == 0 else (dom + 1, cod)
+            else:
+                other = rng.choice([ty for ty in itertools.product(range(3), repeat=2)
+                                    if ty != (dom, cod)])
+            kids = list(T.children(node))
+            kids[side] = helpers.random_term(rng, sig, *other, 2)
+            bad = helpers.naive_splice(t, pos, type(node)(*kids))
+            with pytest.raises(T.TypeMismatch) as want:
+                T.typecheck(bad, sig)
+            assert want.value.position == pos
+            with pytest.raises(T.DiagrelError) as got:
+                F.Program(k, sig.generators).add(bad)
+            assert str(got.value) == re.sub(r"^at [^:]*: ", "", str(want.value))
+            refused[type(node)] += 1
+    assert min(refused.values()) > 20, refused
+
+
 def test_direct_constants_denote_their_combs():
     """`constant(kind, k, n)` is the relation of the n-ary comb `terms.macro(kind, n)`
     for each (co)copy and (co)discard kind of both colours, carrier 0 included.
@@ -703,7 +758,7 @@ def test_black_kernels_match_naive_at_every_small_shape():
             if j == j2:
                 assert F.equal(F.compose_black(a, b), helpers.naive_compose_black(a, b))
             else:
-                with pytest.raises(T.DiagrelError, match="composition type mismatch"):
+                with pytest.raises(T.DiagrelError, match=f"^cod {j} ≠ dom {j2}$"):
                     F.compose_black(a, b)
 
 

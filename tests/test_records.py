@@ -204,6 +204,19 @@ def test_term_equality_at_any_depth():
     assert chain(deep, T.Gen("R")) != chain(deep - 1, T.Gen("R"))
 
 
+def test_term_hash_at_any_depth():
+    """A 5,000-level chain, deep in both the t and the u children, hashes, and
+    an equal chain built apart hashes alike."""
+    def chain():
+        t = T.Gen("R")
+        for i in range(5000):
+            t = T.Dag(t) if i % 2 else T.SeqW(T.IdW(1), t)
+        return t
+
+    a, b = chain(), chain()
+    assert a is not b and hash(a) == hash(b)
+
+
 # ---------------------------------------------------------------------------
 # import
 

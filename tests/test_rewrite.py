@@ -136,6 +136,27 @@ def test_verify_axioms_compile_each_distinct_draw_vector_once(monkeypatch):
     assert typed == [0]
 
 
+def test_verify_axioms_build_one_signature_per_distinct_draw_vector(monkeypatch):
+    """`_instance` builds one `Signature` per program; an arrow type that names
+    a generator metavariable's arity is evaluated against the arity drawn."""
+    sig_init, prog_init, sigs, progs = T.Signature.__init__, F.Program.__init__, [], []
+    monkeypatch.setattr(T.Signature, "__init__",
+                        lambda sig, *args: sigs.append(sig) or sig_init(sig, *args))
+    monkeypatch.setattr(F.Program, "__init__",
+                        lambda prog, *args: progs.append(prog) or prog_init(prog, *args))
+    R.verify_axioms(k=2, trials=60, seed=5)
+    assert len(sigs) == len(progs) > 0
+    monkeypatch.undo()
+    lhs, rhs = (R._pattern(T.read_sexpr(list(T.tokenize(text)), 0)[0])
+                for text in ("(seqw (idw (dom r)) a)", "a"))
+    axiom = R.Axiom("unit-at-dom", "test", "eq", lhs, rhs, (("a", (("dom", "r"),), ("X",)),))
+    assert axiom.variables() == ({"X"}, {"a"}, {"r"})
+    sig, binding = R._instance(axiom, ["X"], ["r"], (1, 2, 0))
+    assert sig.generators == {"~r": (2, 0), "~a": (2, 1)}
+    assert binding == {"X": 1, "r": "~r", "a": T.Gen("~a")}
+    assert R.verify_axiom(axiom, k=2, trials=20).ok
+
+
 def test_verification_evaluates_through_the_typed_entry_only(monkeypatch):
     """Instances are compiled from the axiom's patterns into programs, so no
     trial calls the checked `evaluate`."""
