@@ -32,8 +32,8 @@ import functools
 
 from .terms import (
     BINARY, FORMS, MAX_ARITY, UNARY, Const, Dag, DiagrelError, Gen, GenOp, Join, Meet, Neg,
-    ParseError, Record, SeqB, SeqW, TensB, TensW, mirror_head, node_type, read_lines, read_nat,
-    slot_setters, typecheck,
+    ParseError, Record, SeqB, SeqW, TensB, TensW, mirror_head, natural, node_type, read_lines,
+    read_nat, slot_setters, typecheck,
 )
 
 MAX_BITS = 2 ** 30
@@ -128,17 +128,6 @@ class FinRelation(Record):
         if len(xs) != n or len(ys) != m:
             raise DiagrelError(f"pair arity mismatch for relation {n}->{m}")
         return bool(self.bits >> (encode(k, xs) * self.cols + encode(k, ys)) & 1)
-
-    @staticmethod
-    def from_pairs(k, n, m, pairs):
-        space_bits(k, n, m)  # before k ** m is built or a pair is read
-        bits = 0
-        cols = k ** m
-        for xs, ys in pairs:
-            if len(xs) != n or len(ys) != m:
-                raise DiagrelError(f"pair arity mismatch for relation {n}->{m}")
-            bits |= 1 << (encode(k, xs) * cols + encode(k, ys))
-        return FinRelation(k, n, m, bits)
 
     @staticmethod
     def empty(k, n, m):
@@ -416,6 +405,7 @@ def evaluate(t, interp):
 
 # a leaf class with natural-number fields -> the head of the constant it denotes
 _HEADS = {cls: head for head, (cls, kinds) in FORMS.items() if kinds[0] == "nat"}
+_AFTER = object()  # `Program.add`'s stack marker: the node below it is compiled next
 
 
 class Program:
@@ -443,9 +433,9 @@ class Program:
             t = todo.pop()
             cls = type(t)
             if cls in BINARY or cls in UNARY:
-                todo += ((t,), t.u, t.t) if cls in BINARY else ((t,), t.t)
-            elif cls is tuple:  # an inner node after its operands, whose registers end `out`
-                cls, b = type(t[0]), out.pop()
+                todo += (t, _AFTER, t.u, t.t) if cls in BINARY else (t, _AFTER, t.t)
+            elif t is _AFTER:  # the node below it, after its operands, whose registers end `out`
+                cls, b = type(todo.pop()), out.pop()
                 out.append(self.node(cls, out.pop() if cls in BINARY else b, b))
             elif cls is Gen or cls is GenOp:  # an opposed box is a node over its generator
                 if (reg := self.numbers.get((Gen, t.name))) is None:
@@ -524,14 +514,20 @@ class Program:
 
 
 def parse_interpretation(text, sig):
-    """Parse an interpretation file (see `terms` for the format)."""
+    """Parse an interpretation file (see `terms` for the format): its tokens by
+    one `split`, then each block by strided slices.  A block's pairs, of
+    w = n + m + 3 tokens each, must hold `(`, `;` and `)` at fixed offsets and
+    natural numbers inside the carrier between them; each distinct row and
+    column label is then encoded once.  Any other block is read again token by
+    token, in file order, only to raise the error of a token reader."""
+    if "#" in text:  # cut each line at its comment, at every boundary `read_lines` knows
+        text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
     text = text.replace("{", " { ").replace("}", " } ").replace("(", " ( ") \
         .replace(")", " ) ").replace(";", " ; ")
-    toks, lines = [], []
-    for lineno, _, line in read_lines(text):
-        toks += (frags := line.split())
-        lines += [lineno] * len(frags)
-    toks.append("")
+    toks = text.split() + ["", "}"]  # "" ends the file; the "}" after it ends a block search
+
+    def line(pos):  # the line of toks[pos], found only for an error
+        return [lineno for lineno, _, code in read_lines(text) for _ in code.split()][pos]
 
     def take(pos, expect=None):
         tok = toks[pos]
@@ -539,48 +535,60 @@ def parse_interpretation(text, sig):
             raise ParseError(f"unexpected end of interpretation file"
                              + (f", expected {expect!r}" if expect else ""))
         if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, got {tok!r}", lines[pos], 1)
+            raise ParseError(f"expected {expect!r}, got {tok!r}", line(pos), 1)
         return tok
 
     def nat(pos, what):
-        return read_nat(take(pos), what, lines[pos], 1)
+        v = natural(take(pos))
+        return v if v is not None and v >= 0 else read_nat(toks[pos], what, line(pos), 1)
 
     take(0, "carrier")
     k = nat(1, "carrier size")
     assignment = {}
-    entry_values = {}  # each distinct tuple entry is read once
     pos = 2
     while toks[pos]:
         take(pos, "rel")
-        name, line = take(pos + 1), lines[pos + 1]
+        name, pos = take(pos + 1), pos + 1  # errors on the block are reported at its name
         if name not in sig.generators:
-            raise ParseError(f"unknown generator {name!r}", line, 1)
+            raise ParseError(f"unknown generator {name!r}", line(pos), 1)
         if name in assignment:
-            raise ParseError(f"duplicate relation for {name!r}", line, 1)
-        n, m = nat(pos + 2, "arity"), nat(pos + 3, "coarity")
+            raise ParseError(f"duplicate relation for {name!r}", line(pos), 1)
+        n, m = nat(pos + 1, "arity"), nat(pos + 2, "coarity")
         if (n, m) != sig.generators[name]:
             raise ParseError(f"relation {name} declared {n}->{m}, signature says "
-                             "{}->{}".format(*sig.generators[name]), line, 1)
-        take(pos + 4, "{")
-        pos += 5
-        pairs = []
-        while (tok := toks[pos]) != "}":
-            if tok != "(":
-                take(pos, "(")
-            pair = [[], []]
-            for entries, stop in zip(pair, ";)"):
-                pos += 1
-                while (tok := toks[pos]) != stop:
-                    if tok not in entry_values:
-                        entry_values[tok] = nat(pos, "tuple entry")
-                    entries.append(entry_values[tok])
-                    pos += 1
-            pos += 1
-            if len(pair[0]) != n or len(pair[1]) != m:
-                raise ParseError(f"tuple arity mismatch in relation {name}", line, 1)
-            pairs.append(pair)
-        pos += 1
-        assignment[name] = FinRelation.from_pairs(k, n, m, pairs)
+                             "{}->{}".format(*sig.generators[name]), line(pos), 1)
+        take(pos + 3, "{")
+        start, end, w = pos + 4, toks.index("}", pos + 4), n + m + 3
+        count, rest = divmod(end - start, w)
+        rows = list(zip(*(toks[start + 1 + i:end:w] for i in range(n)))) or [()] * count
+        cols = list(zip(*(toks[start + n + 2 + j:end:w] for j in range(m)))) or [()] * count
+        labels = {*rows, *cols}
+        value = {tok: natural(tok) for label in labels for tok in label}
+        if rest or [toks[i:end:w] for i in (start, start + n + 1, start + w - 1)] \
+                != [[c] * count for c in "(;)"] \
+                or not all(v is not None and 0 <= v < k for v in value.values()):
+            i, values = start, []  # read the pairs in file order, then their values: it raises
+            while toks[i] != "}":
+                take(i, "(")
+                pair = [[], []]
+                for entries, stop in zip(pair, ";)"):
+                    i += 1
+                    while toks[i] != stop:
+                        entries.append(nat(i, "tuple entry"))
+                        i += 1
+                i += 1
+                if len(pair[0]) != n or len(pair[1]) != m:
+                    raise ParseError(f"tuple arity mismatch in relation {name}", line(pos), 1)
+                values += pair[0] + pair[1]
+            space_bits(k, n, m)
+            encode(k, values)  # at the first value outside the carrier
+        space_bits(k, n, m)  # before k ** m is built
+        width, bits = k ** m, 0
+        at = {label: encode(k, map(value.get, label)) for label in labels}
+        for row, col in zip(rows, cols):
+            bits |= 1 << at[row] * width + at[col]
+        assignment[name] = FinRelation(k, n, m, bits)
+        pos = end + 1
     return Interpretation(sig, k, assignment)
 
 

@@ -153,6 +153,20 @@ def pairs(rel):
                 yield (F.decode(k, rel.dom_arity, r), F.decode(k, rel.cod_arity, c))
 
 
+def from_pairs(k, n, m, items):
+    """The relation X^n -> X^m at carrier k holding `items`, each a pair of
+    tuples encoded by `finrel.encode`; the space is checked before k ** m is
+    built or a pair is read."""
+    F.space_bits(k, n, m)
+    bits = 0
+    cols = k ** m
+    for xs, ys in items:
+        if len(xs) != n or len(ys) != m:
+            raise T.DiagrelError(f"pair arity mismatch for relation {n}->{m}")
+        bits |= 1 << (F.encode(k, xs) * cols + F.encode(k, ys))
+    return F.FinRelation(k, n, m, bits)
+
+
 def naive_row_masks(bits, nrows, cols):
     """The `nrows` row masks of `cols` bits in `bits`, one shift per row."""
     return [bits >> r * cols & (1 << cols) - 1 for r in range(nrows)]
@@ -164,7 +178,7 @@ def naive_compose_white(a, b):
         for ys2, zs in pairs(b):
             if ys == ys2:
                 out.append((xs, zs))
-    return F.FinRelation.from_pairs(a.carrier, a.dom_arity, b.cod_arity, out)
+    return from_pairs(a.carrier, a.dom_arity, b.cod_arity, out)
 
 
 def naive_compose_black(a, b):
@@ -184,8 +198,7 @@ def naive_tensor_white(a, b):
     for xa, ya in pairs(a):
         for xb, yb in pairs(b):
             out.append((xa + xb, ya + yb))
-    return F.FinRelation.from_pairs(k, a.dom_arity + b.dom_arity,
-                                    a.cod_arity + b.cod_arity, out)
+    return from_pairs(k, a.dom_arity + b.dom_arity, a.cod_arity + b.cod_arity, out)
 
 
 def naive_tensor_black(a, b):
@@ -206,12 +219,12 @@ def naive_tensor_black(a, b):
 def naive_graph(k, n, m, f):
     """The relation X^n -> X^m relating each n-tuple t to the m-tuple f(t),
     by enumerating the tuples and encoding each pair."""
-    return F.FinRelation.from_pairs(
+    return from_pairs(
         k, n, m, ((t, f(t)) for t in itertools.product(range(k), repeat=n)))
 
 
 def naive_converse(a):
-    return F.FinRelation.from_pairs(
+    return from_pairs(
         a.carrier, a.cod_arity, a.dom_arity,
         [(ys, xs) for xs, ys in pairs(a)])
 
@@ -342,7 +355,7 @@ def naive_parse_interpretation(text, sig):
                 raise T.ParseError(f"tuple arity mismatch in relation {name}", line, 1)
             block.append((tuple(xs), tuple(ys)))
         take("}")
-        assignment[name] = F.FinRelation.from_pairs(k, n, m, block)
+        assignment[name] = from_pairs(k, n, m, block)
     return F.Interpretation(sig, k, assignment)
 
 
@@ -411,7 +424,7 @@ def spider_relation(form, k):
                 pairs.append((xs, ys))
     if k == 0 and form.closed:
         pairs = []  # a closed component has no value to take
-    rel = F.FinRelation.from_pairs(k, form.n, form.m, pairs)
+    rel = from_pairs(k, form.n, form.m, pairs)
     return rel if form.colour == "w" else F.complement(rel)
 
 

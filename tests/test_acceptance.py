@@ -56,7 +56,7 @@ def test_criterion_2_negation_is_complement():
 
 def test_criterion_3_maps_and_comap_laws():
     k = 2
-    funcs = [F.FinRelation.from_pairs(k, 1, 1, [((x,), (f[x],)) for x in range(k)])
+    funcs = [helpers.from_pairs(k, 1, 1, [((x,), (f[x],)) for x in range(k)])
              for f in itertools.product(range(k), repeat=k)]
     rels = [F.FinRelation(k, 1, 1, b) for b in range(1 << k * k)]
     bad = 0

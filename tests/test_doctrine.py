@@ -329,7 +329,7 @@ def test_comprehensive_diagonals():
 
 
 def test_tabulation_checks():
-    r = F.FinRelation.from_pairs(3, 1, 0, [((0,), ()), ((2,), ())])
+    r = helpers.from_pairs(3, 1, 0, [((0,), ()), ((2,), ())])
     Xr, incl, report = D.tabulation(r)
     assert Xr.size == 2
     assert report["ii_dagger_id"] and report["idagger_bang_r"]

@@ -47,7 +47,7 @@ def test_from_pairs_checks_the_size_guard_before_reading_pairs(monkeypatch):
 
     monkeypatch.setattr(F, "MAX_BITS", 64)
     with pytest.raises(F.SizeLimit):
-        F.FinRelation.from_pairs(2, 1, 7, untouched())
+        helpers.from_pairs(2, 1, 7, untouched())
 
 
 def test_space_bits_decides_at_the_exact_bound(monkeypatch):
@@ -93,7 +93,7 @@ def test_negative_arities_are_refused(call):
 
 
 def test_from_pairs_and_has():
-    r = F.FinRelation.from_pairs(3, 1, 2, [((0,), (1, 2)), ((2,), (0, 0))])
+    r = helpers.from_pairs(3, 1, 2, [((0,), (1, 2)), ((2,), (0, 0))])
     assert r.has((0,), (1, 2)) and r.has((2,), (0, 0))
     assert not r.has((0,), (0, 0))
     assert sorted(helpers.pairs(r)) == [((0,), (1, 2)), ((2,), (0, 0))]
@@ -288,8 +288,8 @@ def test_constants_arity_n_are_tensor_shuffles():
 
 
 def test_inclusion_and_witness():
-    a = F.FinRelation.from_pairs(2, 1, 1, [((0,), (0,))])
-    b = F.FinRelation.from_pairs(2, 1, 1, [((0,), (0,)), ((1,), (1,))])
+    a = helpers.from_pairs(2, 1, 1, [((0,), (0,))])
+    b = helpers.from_pairs(2, 1, 1, [((0,), (0,)), ((1,), (1,))])
     assert F.included(a, b) and not F.included(b, a)
     assert F.inclusion_witness(a, b) is None
     w = F.inclusion_witness(b, a)
@@ -332,7 +332,7 @@ def test_interpretation_validation():
 
 def test_evaluate_generators_and_op():
     sig = T.Signature({"R": (1, 1)})
-    r = F.FinRelation.from_pairs(2, 1, 1, [((0,), (1,))])
+    r = helpers.from_pairs(2, 1, 1, [((0,), (1,))])
     interp = F.Interpretation(sig, 2, {"R": r})
     assert F.equal(F.evaluate(T.Gen("R"), interp), r)
     # the opposite generator denotes the linear adjoint: complement of converse
@@ -404,7 +404,7 @@ def test_table1_dagger_laws_random():
 def test_extensional_equality_of_maps():
     # for maps t1, t2 : X -> Y: t1 ; t2† = top implies t1 = t2
     k = 2
-    funcs = [F.FinRelation.from_pairs(k, 1, 1, [((x,), (f[x],)) for x in range(k)])
+    funcs = [helpers.from_pairs(k, 1, 1, [((x,), (f[x],)) for x in range(k)])
              for f in itertools.product(range(k), repeat=k)]
     for t1 in funcs:
         for t2 in funcs:
@@ -415,7 +415,7 @@ def test_extensional_equality_of_maps():
 def test_interpretation_parse_print_roundtrip():
     sig = T.Signature({"R": (1, 2)})
     interp = F.Interpretation(sig, 2, {
-        "R": F.FinRelation.from_pairs(2, 1, 2, [((0,), (1, 1)), ((1,), (0, 1))])})
+        "R": helpers.from_pairs(2, 1, 2, [((0,), (1, 1)), ((1,), (0, 1))])})
     text = F.print_interpretation(interp)
     back = F.parse_interpretation(text, sig)
     assert back.carrier == 2 and F.equal(back.assignment["R"], interp.assignment["R"])
@@ -490,13 +490,14 @@ def test_program_refuses_a_meet_or_join_of_different_types(cls):
         F.Program(2, {}).add(cls(T.IdW(1), T.IdW(2)))
 
 
-@pytest.mark.parametrize("term", [T.Gen("R"), T.GenOp("R"), T.Dag(T.GenOp("R")), 42],
-                         ids=repr)
+@pytest.mark.parametrize("term", [T.Gen("R"), T.GenOp("R"), T.Dag(T.GenOp("R")), 42,
+                                  (T.IdW(1),), ()], ids=repr)
 def test_program_refuses_what_it_cannot_compile(term):
-    """An unknown generator or a non-term is refused in `typecheck`'s words."""
+    """An unknown generator or a non-term, a tuple included, is refused in
+    `typecheck`'s words."""
     with pytest.raises(T.DiagrelError) as want:
         T.typecheck(term, T.EMPTY_SIGNATURE)
-    assert str(want.value) in ("unknown generator 'R'", "not a term: 42")
+    assert str(want.value) in ("unknown generator 'R'", f"not a term: {term!r}")
     with pytest.raises(T.DiagrelError, match=f"^{re.escape(str(want.value))}$"):
         F.Program(2, {}).add(term)
 
@@ -697,6 +698,60 @@ def test_every_unexpected_end_is_reported_as_before():
         "unexpected end of interpretation file, expected '{'",
         "unexpected end of interpretation file, expected '('",
     }
+
+
+# every line boundary `str.splitlines` knows; the API reader sees raw text (only
+# `cli._read` opens files in text mode, which turns "\r" into "\n")
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+def test_a_comment_ends_at_every_line_boundary(brk):
+    """A `#` comment ends at the boundary, so the block after it is read, and
+    an error after it is reported on the boundary's next line."""
+    text = f"carrier 2 # c{brk}rel R 1 1 {{ (0 ; 1) }}{brk}rel S 2 1 {{\t(1 0 ; 1) }}"
+    interp = F.parse_interpretation(text, FUZZ_SIG)
+    assert interp == helpers.naive_parse_interpretation(text, FUZZ_SIG)
+    assert interp.assignment["R"] == helpers.from_pairs(2, 1, 1, [((0,), (1,))])
+    for bad in (text.replace("(1 0", "(1 x"), text + f"{brk}# c{brk}rel"):
+        outcome = helpers.parse_outcome(F.parse_interpretation, bad, FUZZ_SIG)
+        assert outcome == helpers.parse_outcome(helpers.naive_parse_interpretation, bad,
+                                                FUZZ_SIG)
+        assert outcome[2] in (3, None), outcome
+
+
+def test_a_valid_block_reads_each_distinct_label_once(monkeypatch):
+    """A valid block is read by slices, not token by token: one numeral read
+    for the carrier, two for each block's arities, and one for each entry of
+    each distinct row or column label: R's 9 pairs have the 3 labels 0, 1, 2,
+    and S's 27 pairs the 9 rows 0 0 .. 2 2 and the same 3 columns."""
+    interp = F.Interpretation(FUZZ_SIG, 3, {"R": F.FinRelation.full(3, 1, 1),
+                                            "S": F.FinRelation.full(3, 2, 1)})
+    read = helpers.count_calls(monkeypatch, F, "natural")
+    assert F.parse_interpretation(F.print_interpretation(interp), FUZZ_SIG) == interp
+    assert read == [1 + (2 + 3) + (2 + 9 * 2 + 3)]
+
+
+@st.composite
+def rejoined_interpretation(draw):
+    """A printed interpretation whose tokens are joined again by blanks, tabs,
+    line boundaries and comments, so that pairs share a line or one pair spans
+    several, with at most one token replaced by a wrong one."""
+    words = draw(helpers.interpretation_texts(FUZZ_SIG)).split()
+    if draw(st.booleans()):
+        words[draw(st.integers(0, len(words) - 1))] = draw(
+            st.sampled_from(["x", "5", "-1", "(", ")", ";", "}", "rel"]))
+    seps = st.sampled_from([" ", "\t", *LINE_BREAKS, *(f" # c{brk}" for brk in LINE_BREAKS)])
+    return "".join(word + draw(seps) for word in words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rejoined_interpretation())
+def test_parse_interpretation_matches_naive_reader_across_line_boundaries(text):
+    """The same interpretation, or the same error class, message and line."""
+    assert helpers.parse_outcome(F.parse_interpretation, text, FUZZ_SIG) == \
+        helpers.parse_outcome(helpers.naive_parse_interpretation, text, FUZZ_SIG)
 
 
 SHAPES = [(k, n, m) for k in range(4) for n in range(3) for m in range(3)]

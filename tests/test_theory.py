@@ -24,7 +24,7 @@ def test_parse_theory():
 
 def test_order_theory_example_model():
     th = TH.order_theory()
-    r = F.FinRelation.from_pairs(2, 1, 1, [((0,), (0,)), ((1,), (1,)), ((0,), (1,))])
+    r = helpers.from_pairs(2, 1, 1, [((0,), (0,)), ((1,), (1,)), ((0,), (1,))])
     interp = F.Interpretation(th.signature, 2, {"R": r})
     assert TH.check_model(th, interp).is_model
 
