@@ -160,73 +160,63 @@ def _cmd_doctrine(args):
         for key, val in report.items():
             print(f"{key}: {str(val).lower()}")
         return 0 if all(report.values()) else 1
-    if args.action == "ruc":
-        X, Y = D.FinSetObj(args.size), D.FinSetObj(args.size)
-        phi = D.Predicate.from_members(D.prod(X, Y), args.members)
-        f = D.ruc_witness(phi, X, Y)
-        if f is None:
-            print("none (not entire)")
-            return 1
-        print(D.print_morphism(f))
-        return 0
-    raise DiagrelError(f"unknown doctrine action {args.action!r}")
+    X, Y = D.FinSetObj(args.size), D.FinSetObj(args.size)  # ruc
+    phi = D.Predicate.from_members(D.prod(X, Y), args.members)
+    f = D.ruc_witness(phi, X, Y)
+    if f is None:
+        print("none (not entire)")
+        return 1
+    print(D.print_morphism(f))
+    return 0
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and shared by every `run`:
-    parsing leaves no state in it, and no caller may modify it."""
+    parsing leaves no state in it, and no caller may modify it.  Each argument
+    is one argparse Action, declared once on a holder parser and added as it
+    is to every subcommand that takes it."""
     top = argparse.ArgumentParser(
         prog="diagrel",
         description="Two-coloured diagram calculus: typechecking, relation "
                     "semantics, proof checking, model finding.")
     sub = top.add_subparsers(dest="command", required=True)
+    arg = argparse.ArgumentParser(add_help=False).add_argument
 
-    def option(*names, **kwargs):
-        """A parent parser holding one option; the subcommands that inherit it
-        share its one argparse Action."""
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(*names, **kwargs)
-        return parent
+    # every subcommand but doctrine takes --max-bits; doctrine's --size is its own
+    limits = arg("--max-bits", type=int, help="relation size guard in bits (default 2^30)")
+    sig = arg("--sig", help="signature file (`sig NAME : N -> M` lines)")
+    interp = arg("--interp", help="interpretation file")
+    machine = arg("--machine", action="store_true")
+    size = arg("--size", type=int, default=2)
+    trials = arg("--trials", type=int, default=argparse.SUPPRESS)  # set per subcommand
+    seed = arg("--seed", type=int, default=0)
+    term, theory = arg("term"), arg("theory", help="theory file")
 
-    # every subcommand but doctrine inherits --max-bits; doctrine's --size is its own
-    limits = option("--max-bits", type=int, help="relation size guard in bits (default 2^30)")
-    sig = option("--sig", help="signature file (`sig NAME : N -> M` lines)")
-    interp = option("--interp", help="interpretation file")
-    machine = option("--machine", action="store_true")
-    size = option("--size", type=int, default=2)
-    trials = option("--trials", type=int)
-    seed = option("--seed", type=int, default=0)
+    def command(name, fn, summary, *actions, **defaults):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn, **defaults)  # first, so no shared action's default changes
+        for action in (limits, *actions):
+            p._add_action(action)  # as `parents=` adds each inherited action
 
-    def command(name, fn, summary, *options, **defaults):
-        p = sub.add_parser(name, help=summary, parents=[limits, *options])
-        p.set_defaults(fn=fn, **defaults)
-        return p
-
-    command("typecheck", _cmd_typecheck, "type a term", sig).add_argument("term")
-    command("desugar", _cmd_desugar, "expand derived constructors", sig).add_argument("term")
-    command("eval", _cmd_eval, "evaluate a term as a finite relation", sig,
-            interp).add_argument("term")
-    p = command("included", _cmd_included, "test semantic inclusion of two terms", sig, interp)
-    p.add_argument("lhs")
-    p.add_argument("rhs")
+    command("typecheck", _cmd_typecheck, "type a term", sig, term)
+    command("desugar", _cmd_desugar, "expand derived constructors", sig, term)
+    command("eval", _cmd_eval, "evaluate a term as a finite relation", sig, interp, term)
+    command("included", _cmd_included, "test semantic inclusion of two terms", sig, interp,
+            arg("lhs"), arg("rhs"))
     command("check-model", _cmd_check_model, "check an interpretation against a theory",
-            interp, machine).add_argument("theory", help="theory file")
+            interp, machine, theory)
     command("find-models", _cmd_find_models, "enumerate models at a carrier size", size,
-            option("--max-space", type=int, default=theory_mod.DEFAULT_SEARCH_BOUND),
-            machine).add_argument("theory", help="theory file")
+            arg("--max-space", type=int, default=theory_mod.DEFAULT_SEARCH_BOUND),
+            machine, theory)
     command("check-proof", _cmd_check_proof, "validate a proof script", sig,
-            option("--spotcheck", action="store_true",
-                   help="also test the claim on random interpretations"),
-            size, trials, seed, trials=50).add_argument("proof", help="proof file")
+            arg("--spotcheck", action="store_true",
+                help="also test the claim on random interpretations"),
+            size, trials, seed, arg("proof", help="proof file"), trials=50)
     command("verify-axioms", _cmd_verify_axioms,
             "check the axiom database against the relation model", size, trials, seed,
-            option("--family", help="check only the axioms of this family"),
-            machine, trials=200)
-    # set_defaults wrote each subcommand's --trials default into the shared
-    # action as well; suppress it there, so that each subcommand's own applies
-    trials.set_defaults(trials=argparse.SUPPRESS)
-    command("spider", _cmd_spider, "normalize a Frobenius-fragment term", sig).add_argument("term")
+            arg("--family", help="check only the axioms of this family"), machine, trials=200)
+    command("spider", _cmd_spider, "normalize a Frobenius-fragment term", sig, term)
 
     p = sub.add_parser("doctrine", help="powerset-doctrine utilities")
     p.add_argument("action", choices=["comprehension", "ruc"])

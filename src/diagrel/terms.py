@@ -449,6 +449,13 @@ def typecheck(t, sig, _path=()):
 # printing / parsing
 
 
+class _Text(str):
+    """A text piece on `print_term`'s stack, told apart from a `str` field."""
+
+
+_CLOSE, _SPACE = _Text(")"), _Text(" ")
+
+
 def print_term(t):
     """The s-expression of t, written from an explicit stack of subterms and
     text pieces, so that it prints every term `desugar` builds, at any depth."""
@@ -456,17 +463,17 @@ def print_term(t):
     while stack:
         t = stack.pop()
         cls = type(t)
-        if cls is str or cls is Const:
-            out.append(t if cls is str else t.kind)
+        if cls is _Text or cls is Const:
+            out.append(t if cls is _Text else t.kind)
             continue
         if cls not in _SYNTAX:
             raise DiagrelError(f"not a term: {t!r}")
         head, kind, names = _SYNTAX[cls]
         if kind == "term":  # "(head", then " " and each subterm, then ")"
             out.append("(" + head)
-            stack.append(")")
+            stack.append(_CLOSE)
             for name in reversed(names):
-                stack += (getattr(t, name), " ")
+                stack += (getattr(t, name), _SPACE)
         else:
             out.append(f"({head} {' '.join(str(getattr(t, f)) for f in names)})")
     return "".join(out)
@@ -608,8 +615,8 @@ def parse_inequality(text, sig=None, line=1, col=1):
 # ---------------------------------------------------------------------------
 # arity-indexed macros: the n-ary (co)copy and (co)discard of both colours,
 # each a left-nested comb of its unary constant built by a loop, memoized:
-# terms are immutable, and the proof kernel and axiom verification build the
-# same macros over and over
+# terms are immutable, and the proof kernel and `desugar` build the same
+# macros over and over
 
 
 def check_arity(n):

@@ -324,6 +324,75 @@ def test_shared_options_keep_each_subcommand_default():
     assert parse(["doctrine", "ruc", "--size", "3"]).size == 3
 
 
+def test_build_parser_builds_twelve_parsers_at_most(monkeypatch):
+    """The top parser, one per subcommand and one holder of the options'
+    Actions: no parser wraps a single option."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.__wrapped__()
+    assert 0 < len(built) <= 12
+
+
+_HELP = ("-h/--help", "help", argparse.SUPPRESS, None, "show this help message and exit")
+_MAX_BITS = ("--max-bits", "max_bits", None, "int", "relation size guard in bits (default 2^30)")
+_SIG = ("--sig", "sig", None, None, "signature file (`sig NAME : N -> M` lines)")
+_INTERP = ("--interp", "interp", None, None, "interpretation file")
+_MACHINE = ("--machine", "machine", False, None, None)
+_SIZE = ("--size", "size", 2, "int", None)
+_TRIALS = ("--trials", "trials", argparse.SUPPRESS, "int", None)
+_SEED = ("--seed", "seed", 0, "int", None)
+_TERM = ("term", "term", None, None, None)
+_THEORY = ("theory", "theory", None, None, "theory file")
+
+# each parser's actions in help order: name, dest, default, type, help[, choices]
+_ACTION_TABLES = {
+    None: [("command", "command", None, None, None,
+            ["typecheck", "desugar", "eval", "included", "check-model", "find-models",
+             "check-proof", "verify-axioms", "spider", "doctrine"]), _HELP],
+    "typecheck": [_TERM, _HELP, _MAX_BITS, _SIG],
+    "desugar": [_TERM, _HELP, _MAX_BITS, _SIG],
+    "eval": [_TERM, _HELP, _MAX_BITS, _SIG, _INTERP],
+    "included": [("lhs", "lhs", None, None, None), ("rhs", "rhs", None, None, None),
+                 _HELP, _MAX_BITS, _SIG, _INTERP],
+    "check-model": [_THEORY, _HELP, _MAX_BITS, _INTERP, _MACHINE],
+    "find-models": [_THEORY, _HELP, _MAX_BITS, _SIZE,
+                    ("--max-space", "max_space", 2 ** 24, "int", None), _MACHINE],
+    "check-proof": [("proof", "proof", None, None, "proof file"), _HELP, _MAX_BITS, _SIG,
+                    ("--spotcheck", "spotcheck", False, None,
+                     "also test the claim on random interpretations"),
+                    _SIZE, _TRIALS, _SEED],
+    "verify-axioms": [_HELP, _MAX_BITS, _SIZE, _TRIALS, _SEED,
+                      ("--family", "family", None, None,
+                       "check only the axioms of this family"), _MACHINE],
+    "spider": [_TERM, _HELP, _MAX_BITS, _SIG],
+    "doctrine": [("action", "action", None, None, None, ["comprehension", "ruc"]),
+                 ("members", "members", None, "int", "member indices of the predicate"),
+                 _HELP, ("--size", "size", None, "int",
+                         "object size (for ruc: both object sizes)")],
+}
+
+
+def test_each_parser_keeps_its_actions_in_help_order():
+    """The top parser and every subcommand list these actions, in this order,
+    with these settings; pinned field by field, as help layout varies with the
+    Python version."""
+    def table(parser):
+        return [("/".join(a.option_strings) or a.dest, a.dest, a.default,
+                 a.type and a.type.__name__, a.help)
+                + ((list(a.choices),) if a.choices is not None else ())
+                for group in parser._action_groups for a in group._group_actions]
+
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert {None: table(top)} | {name: table(p) for name, p in sub.choices.items()} \
+        == _ACTION_TABLES
+
+
 def test_max_bits_accepted_by_each_command(files, capsys):
     for argv in (["typecheck", "(idw 1)"], ["desugar", "(top 1 1)"],
                  ["spider", "(idw 1)"], ["verify-axioms", "--size", "1",

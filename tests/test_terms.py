@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,19 @@ def test_print_term_prints_any_depth():
     for _ in range(20000):
         t = T.Dag(t)
     assert T.print_term(t) == "(dag " * 20000 + "(gen R)" + ")" * 20000
+
+
+@pytest.mark.parametrize("t, message", [
+    ("abc", "not a term: 'abc'"),
+    (T.SeqW("(gen R)", T.IdW(1)), "not a term: '(gen R)'"),
+    (T.Neg(")"), "not a term: ')'"),
+])
+def test_print_term_refuses_a_string_as_typecheck_does(t, message):
+    """A `str` is no term, wherever it sits, though the printer's own text
+    pieces are strings."""
+    for refuse in (T.print_term, lambda t: T.typecheck(t, SIG)):
+        with pytest.raises(T.DiagrelError, match=f"^{re.escape(message)}$"):
+            refuse(t)
 
 
 def test_every_term_class_has_one_form():
