@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+from operator import and_, invert, or_
 
 from .terms import (
     BINARY, FORMS, MAX_ARITY, UNARY, Const, Dag, DiagrelError, Gen, GenOp, Join, Meet, Neg,
@@ -41,6 +42,8 @@ MAX_BITS = 2 ** 30
 # shifts: the narrowest that times as 32 or 64 on the 81-row tensors of perfbench's
 # kernel grid and in verify-axioms at k = 2 (4 is slower on both)
 SHIFT_ROWS = 16
+# the most bytes one register of a `Lanes` run may take, about 8 + lanes / 8 per pair
+LANE_BYTES = 2 ** 22
 
 
 class SizeLimit(DiagrelError):
@@ -276,6 +279,44 @@ def _kernel(cls, k, s, t):
     return out, lambda x, y: _tensor_bits(x ^ fa, y ^ fb, rows, mid, brows, cols) ^ full
 
 
+@functools.cache
+def _lane_kernel(cls, k, s, t):
+    """The type `_kernel` gives a node of class `cls` over operands typed s and
+    t, and its kernel on lane registers, each a list of one integer per pair
+    with one bit per candidate, and the all-lanes mask: white composition ORs
+    over the middle index the ANDs of its operands' pairs, the white tensor ANDs
+    one pair of each operand, converse permutes the pairs, `neg` XORs with the
+    all-lanes mask, `GenOp` is the converse of the complement, and a black node
+    the De Morgan dual ~(~x op ~y) of its white mirror."""
+    out = _kernel(cls, k, s, t)[0]
+    if cls is Meet or cls is Join:
+        return out, lambda xs, ys, _: list(map(and_ if cls is Meet else or_, xs, ys))
+    rows, mid, brows, cols = (k ** arity for arity in (*s, *t))
+    if cls is Neg:
+        return out, lambda xs, _, full: [x ^ full for x in xs]
+    if cls is Dag or cls is GenOp:
+        perm = [r * mid + c for c in range(mid) for r in range(rows)]
+        if cls is Dag:
+            return out, lambda xs, _, full: [xs[i] for i in perm]
+        return out, lambda xs, _, full: [xs[i] ^ full for i in perm]
+    if cls is SeqW or cls is SeqB:
+        def white(xs, ys):
+            ycols = [ys[c::cols] for c in range(cols)]
+            return [functools.reduce(or_, map(and_, xrow, ycol), 0)
+                    for xrow in [xs[r * mid:r * mid + mid] for r in range(rows)]
+                    for ycol in ycols]
+    else:
+        pairs = [(r * mid + c, q * cols + d) for r in range(rows) for q in range(brows)
+                 for c in range(mid) for d in range(cols)]
+
+        def white(xs, ys):
+            return [xs[i] & ys[j] for i, j in pairs]
+    if cls is SeqW or cls is TensW:
+        return out, lambda xs, ys, _: white(xs, ys)
+    return out, lambda xs, ys, full: [
+        z ^ full for z in white([x ^ full for x in xs], [y ^ full for y in ys])]
+
+
 def _apply(cls, a, b):
     """A node of class `cls` over the relations a and b (b is a for a unary
     node), by the kernel a program runs; a black one checks the spaces of its
@@ -349,22 +390,6 @@ def constant(head, k, *arities):
         return converse(constant("copyw" if head == "cocw" else "dscw", k, *arities))
     n, m, f = _GRAPHS[head](k, *arities)
     return _graph(k, n, m, f)
-
-
-def linear_adjoint(a):
-    """Converse of the complement; both linear adjoints of a in relations."""
-    return converse(complement(a))
-
-
-def is_map(a):
-    """True iff a is total and single-valued (a function): a ; copy equals
-    copy ; (a (x) a) and a ; discard equals discard, each lax law and its colax
-    converse decided by one equality."""
-    k = a.carrier
-    copies = equal(compose_white(a, constant("copyw", k, a.cod_arity)),
-                   compose_white(constant("copyw", k, a.dom_arity), tensor_white(a, a)))
-    return copies and equal(compose_white(a, constant("dscw", k, a.cod_arity)),
-                            constant("dscw", k, a.dom_arity))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +532,93 @@ class Program:
     def witness(self, i):
         """The counterexample pair of check i, which failed in the last run."""
         return inclusion_witness(*map(self.relation, self.checks[i]))
+
+
+class Lanes:
+    """A `Program` run bit-sliced over a chunk of 2^width candidates.  A lane
+    register holds one integer per pair of its relation, whose bit c is that
+    pair in candidate c of the chunk.  Candidate c of chunk h is numbered
+    h * 2^width + c, which reads, most significant first, the generators' masks
+    in register order; its bit i < width is the truth table `tables[i]`, and a
+    bit i >= width is all-zeros or all-ones within the chunk.  A lane register
+    of P pairs takes about P * (8 + 2^width / 8) bytes.  `compile` translates
+    the program's instructions from a given one on, and `run` runs a
+    translation over the lanes still alive."""
+
+    def __init__(self, prog, width):
+        self.prog, self.width, self.full = prog, width, (1 << (1 << width)) - 1
+        self.regs = dict.fromkeys(range(len(prog.sizes)))  # by register number
+        self.tables, self.fields = [0] * width, []
+        shift = sum(prog.sizes)
+        for size in prog.sizes:  # each generator's candidate bits: its shift and mask
+            shift -= size
+            self.fields.append((shift, (1 << size) - 1))
+        table = self.full  # table i + 1 XOR itself shifted down by 2^i is table i:
+        for i in reversed(range(width)):  # lanes c and c + 2^i differ in bit i + 1 iff c has bit i
+            table ^= table >> (1 << i)
+            self.tables[i] = table
+
+    def load(self, chunk):
+        """Load the generators' lanes of the given chunk; its all-lanes mask."""
+        tables, width, full = self.tables, self.width, self.full
+        for reg, (shift, mask) in enumerate(self.fields):
+            self.regs[reg] = [tables[i] if i < width else full if chunk >> i - width & 1 else 0
+                              for i in range(shift, shift + mask.bit_length())]
+        return full
+
+    def compile(self, start):
+        """The lane code of the program's instructions from `start` on: a node by
+        its `_lane_kernel` and a check as it is.  Each register folded without
+        generators that it reads is broadcast once, every pair all-zeros or
+        all-ones.  None if a register it adds would take more than LANE_BYTES, or
+        if it reads one that only scalar code computes."""
+        prog, regs, new = self.prog, self.regs, {}  # a new register -> its folded bits
+        classes = {reg: key[0] for key, reg in prog.numbers.items()}
+        code = []
+        for op, dst, a, b in prog.code[start:]:
+            for reg in (a, b):
+                if reg not in regs and reg not in new:
+                    if reg in prog.live:
+                        return None
+                    new[reg] = prog.regs[reg]
+            if op is not None:
+                new[dst] = None
+                op = _lane_kernel(classes[dst], prog.k, prog.shapes[a], prog.shapes[b])[1]
+            code.append((op, dst, a, b))
+        most = LANE_BYTES // (8 + (1 << self.width) // 8)  # the pairs of one register
+        if any(prog.k ** sum(prog.shapes[reg]) > most for reg in new):
+            return None
+        for reg, bits in new.items():
+            regs[reg] = bits if bits is None else [
+                self.full if c == "1" else 0
+                for c in bin(bits | 1 << prog.k ** sum(prog.shapes[reg]))[:2:-1]]
+        return code
+
+    def run(self, code, alive):
+        """Run lane code over the lanes set in `alive`: those whose checks all hold."""
+        regs, full = self.regs, self.full
+        for op, dst, a, b in code:
+            if op is not None:
+                regs[dst] = op(regs[a], regs[b], full)
+            else:  # the lanes where some pair is in lhs but not in rhs fail
+                alive &= ~functools.reduce(or_, map(and_, regs[a], map(invert, regs[b])), 0)
+        return alive
+
+    def candidates(self, chunk, alive):
+        """Each lane set in alive, in ascending order, with the generators'
+        bitmasks of its candidate, in register order."""
+        base, fields = chunk << self.width, self.fields
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            lane = low.bit_length() - 1
+            yield lane, [(base | lane) >> shift & mask for shift, mask in fields]
+
+    def interpretation(self, sig, masks):
+        """A candidate's bitmasks, loaded into the program's generator registers,
+        as an interpretation of sig."""
+        self.prog.regs[:len(masks)] = masks
+        return self.prog.interpretation(sig)
 
 
 # ---------------------------------------------------------------------------

@@ -355,10 +355,6 @@ def spine_at(t, path):
     return spine
 
 
-def subterm_at(t, path):
-    return spine_at(t, path)[-1]
-
-
 def replace_at(t, path, u, sig, spine=None):
     """Replace the subterm at `path` by `u`, which must have the same type
     under `sig` as the subterm it replaces, so the result stays well-typed

@@ -7,15 +7,15 @@ Equalities are written as two axioms.
 
 from __future__ import annotations
 
-import itertools
-
-from .finrel import Program, evaluate, inclusion_witness, space_bits
+from .finrel import Lanes, Program, evaluate, inclusion_witness, space_bits
 from .terms import (
     DiagrelError, ParseError, Record, Signature, parse_inequality, read_lines, read_sig_line,
     typecheck,
 )
 
 DEFAULT_SEARCH_BOUND = 2 ** 24
+# a search decides 2^LANE_BITS candidates, or all if fewer, in one lane run
+LANE_BITS = 16
 
 
 class Theory(Record):
@@ -87,24 +87,38 @@ def search_space(theory, k):
 
 def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
     """All interpretations over carrier k that model the theory, ordered
-    lexicographically by assignment bit-vectors.  Each axiom is compiled into
-    one `Program` when a candidate first reaches it, so a space is refused only
-    where evaluation reaches it; a candidate stops at its first failing axiom."""
+    lexicographically by assignment bit-vectors.  The search runs in chunks of
+    2^LANE_BITS candidates, each decided at once by a `Lanes` run of one
+    `Program`: the lanes still alive run each axiom's lane code in turn, and the
+    models are the lanes left, in ascending order.  An axiom is compiled when a
+    lane first reaches it, so a space is refused only where evaluation reaches
+    it; one whose lane code would be too wide (`finrel.LANE_BYTES`) is decided
+    by the scalar program, candidate by candidate, for the lanes still alive."""
     bits = search_space(theory, k)
     # 2^bits is built only when its exponent is no longer than the bound's
     if bits > bound.bit_length() or 1 << bits > bound:
         raise DiagrelError(
             f"search space of size 2^{bits} exceeds the bound {bound}")
     prog = Program(k, theory.signature.generators)
-    models = []
-    for masks in itertools.product(*(range(1 << size) for size in prog.sizes)):
-        failed = prog.run(masks)
-        while failed is None and len(prog.checks) < len(theory.axioms):
-            _, lhs, rhs = theory.axioms[len(prog.checks)]
-            prog.check(prog.add(lhs), prog.add(rhs))
-            failed = prog.run(masks)
-        if failed is None:
-            models.append(prog.interpretation(theory.signature))
+    width = min(bits, LANE_BITS)
+    lanes, code, models = Lanes(prog, width), [], []
+    for chunk in range(1 << bits - width):
+        alive = lanes.load(chunk)
+        for i, (_, lhs, rhs) in enumerate(theory.axioms):
+            if not alive:
+                break
+            if i == len(code):
+                start = len(prog.code)
+                prog.check(prog.add(lhs), prog.add(rhs))
+                code.append(lanes.compile(start))
+            if code[i] is not None:
+                alive = lanes.run(code[i], alive)
+                continue
+            for lane, masks in lanes.candidates(chunk, alive):
+                if prog.run(masks) is not None:
+                    alive ^= 1 << lane
+        models += [lanes.interpretation(theory.signature, masks)
+                   for _, masks in lanes.candidates(chunk, alive)]
     return models
 
 

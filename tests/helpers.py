@@ -236,6 +236,22 @@ def is_function(a):
                for r in range(a.rows))
 
 
+def linear_adjoint(a):
+    """Converse of the complement; both linear adjoints of a in relations."""
+    return F.converse(F.complement(a))
+
+
+def is_map(a):
+    """True iff a is total and single-valued (a function): a ; copy equals
+    copy ; (a (x) a) and a ; discard equals discard, each lax law and its colax
+    converse decided by one equality."""
+    k = a.carrier
+    copies = F.equal(F.compose_white(a, F.constant("copyw", k, a.cod_arity)),
+                     F.compose_white(F.constant("copyw", k, a.dom_arity), F.tensor_white(a, a)))
+    return copies and F.equal(F.compose_white(a, F.constant("dscw", k, a.cod_arity)),
+                              F.constant("dscw", k, a.dom_arity))
+
+
 def random_relation(rng, k, n, m):
     return F.FinRelation(k, n, m, rng.getrandbits(k ** n * k ** m))
 
@@ -248,7 +264,7 @@ def naive_evaluate(t, interp):
     if cls is T.Gen:
         return interp.assignment[t.name]
     if cls is T.GenOp:
-        return F.linear_adjoint(interp.assignment[t.name])
+        return linear_adjoint(interp.assignment[t.name])
     if cls in T.BINARY:
         op = {T.SeqW: F.compose_white, T.SeqB: F.compose_black, T.TensW: F.tensor_white,
               T.TensB: F.tensor_black, T.Meet: F.intersection, T.Join: F.union}[cls]

@@ -174,7 +174,7 @@ def test_criterion_6_equivalence_instances():
             r = F.FinRelation(k, 1, 1, b)
             phi = D.relation_to_predicate(r)[0]
             if (D.is_functional(phi, X, X) and D.is_entire(phi, X, X)) \
-                    != F.is_map(r):
+                    != helpers.is_map(r):
                 bad.append(("maps", r))
     # comprehensive diagonals and RUC on all predicates at sizes <= 3
     for sx in range(4):

@@ -300,8 +300,8 @@ def test_desugar_prints_every_term_desugar_builds(files, capsys, depth, code):
 
 def test_each_shared_option_is_declared_once():
     """Every option but --help, across the subcommands other than doctrine
-    (whose --size is its own), is one argparse Action: parent parsers share
-    their actions with the subcommands that inherit them."""
+    (whose --size is its own), is one argparse Action: one holder parser owns
+    it, and each subcommand that takes it adds that same Action."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     actions = {}

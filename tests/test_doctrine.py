@@ -269,7 +269,7 @@ def test_maps_are_functional_entire():
             r = F.FinRelation(k, 1, 1, b)
             phi, _, _ = D.relation_to_predicate(r)
             assert (D.is_functional(phi, X, X) and D.is_entire(phi, X, X)) \
-                == F.is_map(r)
+                == helpers.is_map(r)
 
 
 def test_composition_lemma_functional_entire():

@@ -302,7 +302,7 @@ def test_linear_adjoint_laws():
     for _ in range(100):
         k = rng.choice([1, 2, 3])
         a = helpers.random_relation(rng, k, 1, rng.randint(0, 2))
-        adj = F.linear_adjoint(a)
+        adj = helpers.linear_adjoint(a)
         assert F.included(F.constant("idw", k, 1), F.compose_black(a, adj))
         assert F.included(F.compose_white(adj, a), F.constant("idb", k, a.cod_arity))
 
@@ -313,9 +313,9 @@ def test_is_map_iff_function_exhaustive_k2():
     for k, n, m in spaces + [(3, 1, 1)]:
         for bits in range(1 << (k ** n * k ** m)):
             r = F.FinRelation(k, n, m, bits)
-            assert F.is_map(r) == helpers.is_function(r)
-    assert sum(F.is_map(F.FinRelation(2, 1, 1, b)) for b in range(16)) == 4
-    assert sum(F.is_map(F.FinRelation(3, 1, 1, b)) for b in range(512)) == 27
+            assert helpers.is_map(r) == helpers.is_function(r)
+    assert sum(helpers.is_map(F.FinRelation(2, 1, 1, b)) for b in range(16)) == 4
+    assert sum(helpers.is_map(F.FinRelation(3, 1, 1, b)) for b in range(512)) == 27
 
 
 def test_interpretation_validation():
@@ -336,7 +336,7 @@ def test_evaluate_generators_and_op():
     interp = F.Interpretation(sig, 2, {"R": r})
     assert F.equal(F.evaluate(T.Gen("R"), interp), r)
     # the opposite generator denotes the linear adjoint: complement of converse
-    assert F.equal(F.evaluate(T.GenOp("R"), interp), F.linear_adjoint(r))
+    assert F.equal(F.evaluate(T.GenOp("R"), interp), helpers.linear_adjoint(r))
 
 
 def test_evaluate_compositional():
@@ -433,7 +433,7 @@ def test_direct_evaluation_matches_desugared():
                 for name, (dn, dm) in sig.generators.items()})
             t = helpers.random_term(rng, sig, rng.randint(0, 2), rng.randint(0, 2), 3)
             for pos in T.positions(t):
-                node = T.subterm_at(t, pos)
+                node = helpers.naive_subterm_at(t, pos)
                 seen.add((type(node), getattr(node, "name", None)))
             assert F.equal(F.evaluate(t, interp),
                            helpers.desugared_evaluate(t, interp)), T.print_term(t)
@@ -461,7 +461,7 @@ def test_compiled_evaluation_matches_the_recursive_oracle():
             if rng.random() < 0.5:  # random_term draws no constant or symmetry
                 t = T.SeqB(helpers.random_primitive(rng, sig, rng.randint(0, 2), n, 2), t)
             for pos in T.positions(t):
-                node = T.subterm_at(t, pos)
+                node = helpers.naive_subterm_at(t, pos)
                 seen.add((type(node), T.typecheck(node, sig) == (0, 0)))
             assert F.evaluate(t, interp) == helpers.naive_evaluate(t, interp), T.print_term(t)
     assert {cls for cls, _ in seen} == {cls for cls, _ in T.FORMS.values()} | {T.Const}
@@ -518,13 +518,14 @@ def test_program_types_every_node_as_typecheck_does():
                 t = T.SeqB(helpers.random_primitive(rng, sig, rng.randint(0, 2), n, 2), t)
             prog = F.Program(k, sig.generators)
             for pos in T.positions(t):
-                node = T.subterm_at(t, pos)
+                node = helpers.naive_subterm_at(t, pos)
                 assert prog.shapes[prog.add(node)] == T.typecheck(node, sig), T.print_term(node)
-            inner = [pos for pos in T.positions(t) if type(T.subterm_at(t, pos)) in refused]
+            inner = [pos for pos in T.positions(t)
+                     if type(helpers.naive_subterm_at(t, pos)) in refused]
             if not inner:
                 continue
             pos = rng.choice(inner)
-            node = T.subterm_at(t, pos)
+            node = helpers.naive_subterm_at(t, pos)
             side = rng.randint(0, 1)
             dom, cod = T.typecheck(T.children(node)[side], sig)
             if type(node) in (T.SeqW, T.SeqB):  # the boundary the other operand meets
@@ -881,3 +882,53 @@ def test_black_kernels_refuse_sizes_as_their_de_morgan_definition(monkeypatch):
                 _outcome(lambda: c(F.compose_white(c(a), c(b)))), (limit, a, b)
             assert _outcome(F.tensor_black, a, b) == \
                 _outcome(lambda: c(F.tensor_white(c(a), c(b)))), (limit, a, b)
+
+
+# generators of every arity up to 2, arity-0 objects included
+LANE_SIG = T.Signature({"R": (1, 1), "S": (2, 1), "P": (0, 1), "U": (1, 0), "Z": (0, 0)})
+
+
+def _lane(lanes, lane):
+    """The bitmask that `lane` of a lane register holds: bit p from pair p."""
+    return sum((x >> lane & 1) << p for p, x in enumerate(lanes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_lane_run_agrees_with_the_scalar_run_lane_by_lane(k, width, rng):
+    """A random term at k <= 2 (both colours, sugar, `genop`, `neg`, arity-0
+    objects, constants and symmetries) run over one chunk of 2^width lanes: each
+    sampled lane equals the scalar `Program.run` on its candidate, whose
+    generator masks, concatenated in name order with the first most significant,
+    read chunk * 2^width + lane."""
+    names = sorted(LANE_SIG.generators)
+    sizes = [F.space_bits(k, *LANE_SIG.generators[name]) for name in names]
+    width = min(width, sum(sizes))
+    n, m = rng.randint(0, 2), rng.randint(0, 2)
+    t = helpers.random_term(rng, LANE_SIG, n, m, 3)
+    roll = rng.random()
+    if roll < 0.2:  # random_term draws no constant or symmetry: wrap one in a random term
+        kind = rng.choice(sorted(T.CONSTANT_TYPES))
+        dom, cod = T.CONSTANT_TYPES[kind]
+        t = T.SeqW(T.Const(kind), helpers.random_term(rng, LANE_SIG, cod, dom, 2))
+    elif roll < 0.3:
+        a, b = rng.randint(0, 1), rng.randint(0, 1)
+        sym = (T.SymW if rng.random() < 0.5 else T.SymB)(a, b)
+        t = T.TensW(sym, helpers.random_term(rng, LANE_SIG, rng.randint(0, 1), 1, 2))
+    prog = F.Program(k, LANE_SIG.generators)
+    reg = prog.add(t)
+    prog.check(reg, reg)
+    lanes = F.Lanes(prog, width)
+    chunk = rng.randrange(1 << sum(sizes) - width)
+    full = lanes.load(chunk)
+    assert full == (1 << (1 << width)) - 1
+    code = lanes.compile(0)
+    assert code is not None and lanes.run(code, full) == full
+    for _ in range(4):
+        lane = rng.randrange(1 << width)
+        cand, masks = chunk << width | lane, []
+        for size in reversed(sizes):
+            masks.insert(0, cand & (1 << size) - 1)
+            cand >>= size
+        assert prog.run(masks) is None
+        assert _lane(lanes.regs[reg], lane) == prog.regs[reg], T.print_term(t)

@@ -161,7 +161,7 @@ def mutate(rng, t):
     """t with one node changed: given another class of its layout, or, for
     a leaf with a number, that number increased."""
     path = rng.choice(T.positions(t))
-    node = T.subterm_at(t, path)
+    node = helpers.naive_subterm_at(t, path)
     if type(node) is T.Const:
         new = T.Const(T.mirror_head(node.kind))
     else:

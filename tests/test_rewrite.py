@@ -777,7 +777,7 @@ def test_apply_step_matches_naive_on_every_axiom(axiom):
             side = axiom.lhs if direction == "l2r" else axiom.rhs
             part = {v: x for v, x in binding.items() if rng.random() < 0.5}
             for at in [pos] + elsewhere:
-                sub = T.subterm_at(t, at)
+                sub = helpers.naive_subterm_at(t, at)
                 for b in ({}, part):
                     assert _outcome(R.match_pattern, side, sub, sig, b) \
                         == _outcome(helpers.naive_match_pattern, side, sub, sig, b)

@@ -230,3 +230,62 @@ def test_check_model_without_a_theory_generator_is_a_diagrel_error():
                             (T.Signature({"R": (2, 1)}), {"R": F.FinRelation.empty(2, 2, 1)})):
         with pytest.raises(T.DiagrelError):
             TH.check_model(th, F.Interpretation(sig, 2, assignment))
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("name", sorted(THEORY_TEXTS) + ["polar"])
+def test_enumerate_matches_naive_models_over_several_chunks(monkeypatch, name, k):
+    """With two lane bits a chunk holds 4 candidates, so each search spans 4 to
+    1,024 chunks; the models and their order are still the oracle's."""
+    monkeypatch.setattr(TH, "LANE_BITS", 2)
+    th = TH.parse_theory(_POLAR if name == "polar" else THEORY_TEXTS[name])
+    names = sorted(th.signature.generators)
+    found = [tuple(m.assignment[n].bits for n in names) for m in TH.enumerate_models(th, k)]
+    assert found == helpers.naive_models(th, k)
+
+
+@pytest.mark.parametrize("name,count", [("linear-order", 120), ("partial-order", 4231)])
+def test_order_model_counts_at_five(name, count):
+    """2^25 candidates: the labelled linear orders and posets on 5 points."""
+    th = TH.parse_theory(THEORY_TEXTS[name])
+    with pytest.raises(T.DiagrelError, match=r"size 2\^25 exceeds"):
+        TH.enumerate_models(th, 5)
+    assert len(TH.enumerate_models(th, 5, bound=2 ** 25)) == count
+
+
+def _count_runs(monkeypatch):
+    count, run = [0], F.Program.run
+
+    def counted(self, values):
+        count[0] += 1
+        return run(self, values)
+
+    monkeypatch.setattr(F.Program, "run", counted)
+    return count
+
+
+def test_enumerate_models_runs_no_candidate_on_the_scalar_program(monkeypatch):
+    """The five order theories decide every candidate in lanes."""
+    runs = _count_runs(monkeypatch)
+    for name in _THEORIES:
+        for k in range(5):
+            TH.enumerate_models(TH.parse_theory(THEORY_TEXTS[name]), k)
+    assert runs == [0]
+
+
+_WIDE = """sig R : 1 -> 1
+axiom reflexive : (idw 1) <= (gen R)
+axiom wide : (tensw (gen R) (idw 9)) <= (tensw (dag (gen R)) (idw 9))
+axiom transitive : (seqw (gen R) (gen R)) <= (gen R)
+"""
+
+
+def test_a_wide_axiom_is_decided_per_candidate_still_alive(monkeypatch):
+    """At k = 2 the wide axiom's tensor has 2^20 pairs, about 10 MB over 16
+    lanes, past `finrel.LANE_BYTES`: the scalar program decides it for the 4
+    candidates that pass reflexivity, and transitivity runs in lanes again."""
+    th = TH.parse_theory(_WIDE)
+    runs = _count_runs(monkeypatch)
+    found = [m.assignment["R"].bits for m in TH.enumerate_models(th, 2)]
+    assert runs == [4]
+    assert [(bits,) for bits in found] == helpers.naive_models(th, 2) and found == [9, 15]
