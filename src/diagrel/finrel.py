@@ -17,12 +17,14 @@ by direct shifts for a block of up to SHIFT_ROWS rows, and halve a wider one.
 `compose_white` and the other relation operations wrap them.  `evaluate`
 typechecks a term, which costs one slot read on a term already typed under the
 interpretation's signature, then compiles it into a `Program` and runs that
-once; model search and the proof spotcheck compile a term, and axiom
-verification an instance straight from its axiom's patterns, once and run it
-per interpretation.  No program is cached.  Each kernel is cached per class,
-carrier and operand arities (`_kernel`), and each constant per head, carrier
-and arities (`constant`); both passed their space check under the current
-guard, so `size_guard` empties them when it changes MAX_BITS.
+once; the proof spotcheck compiles a term, and axiom verification an instance
+straight from its axiom's patterns, once and runs it per interpretation.
+Model search compiles its axioms once and runs them bit-sliced (`Lanes`), a
+chunk of candidates per run, through lane kernels (`_lane_kernel`) typed as
+`_kernel` types.  No program is cached.  Each kernel is cached per class,
+carrier and operand arities (`_kernel`, `_lane_kernel`), and each constant per
+head, carrier and arities (`constant`); all passed their space check under the
+current guard, so `size_guard` empties them when it changes MAX_BITS.
 """
 
 from __future__ import annotations

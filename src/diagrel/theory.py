@@ -2,7 +2,9 @@
 
 A theory is a signature plus named axioms `c <= d`; an interpretation is a
 model when every axiom's inclusion holds in the relation semantics.
-Equalities are written as two axioms.
+Equalities are written as two axioms.  `check_model` evaluates each axiom in
+one interpretation; `enumerate_models` decides every candidate interpretation
+at a carrier, a chunk of them per bit-sliced run of the compiled axioms.
 """
 
 from __future__ import annotations
