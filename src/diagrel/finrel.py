@@ -574,7 +574,7 @@ class Lanes:
         generators that it reads is broadcast once, every pair all-zeros or
         all-ones.  None if a register it adds would take more than LANE_BYTES, or
         if it reads one that only scalar code computes."""
-        prog, regs, new = self.prog, self.regs, {}  # a new register -> its folded bits
+        prog, regs, new = self.prog, self.regs, {}  # an added register -> its folded bits, or None
         classes = {reg: key[0] for key, reg in prog.numbers.items()}
         code = []
         for op, dst, a, b in prog.code[start:]:
