@@ -251,10 +251,8 @@ def relp_tensor(phi, psi, X1, Y1, X2, Y2):
     reindexed along the projections onto X1×Y1 and X2×Y2."""
     if phi.over != prod(X1, Y1) or psi.over != prod(X2, Y2):
         raise DiagrelError("relp_tensor type mismatch")
-    XX, YY = prod(X1, X2), prod(Y1, Y2)
-    pX, pY = proj1(XX, YY), proj2(XX, YY)
-    r1 = pairing(compose(pX, proj1(X1, X2)), compose(pY, proj1(Y1, Y2)))
-    r2 = pairing(compose(pX, proj2(X1, X2)), compose(pY, proj2(Y1, Y2)))
+    r1 = product_mor(proj1(X1, X2), proj1(Y1, Y2))
+    r2 = product_mor(proj2(X1, X2), proj2(Y1, Y2))
     return meet(subst(r1, phi), subst(r2, psi))
 
 

@@ -9,11 +9,12 @@ usual relational composition and the tensor is conjunctive.  The black half
 is computed as their De Morgan dual: R ;b S = ~(~R ; ~S) (a universally
 quantified disjunction), the black tensor likewise (disjunctive), and each
 black constant is the complement of its white mirror, in the one builder of
-the constants, `constant`.  The kernels work on raw bitmasks: `_kernel` types
-a node by `terms.node_type`, the rule `typecheck` types by, and fixes its kernel
-to the operands' row counts and full masks; a black one XORs with those masks
-around the white loop.  They split a bitmask into row masks and join rows back
-by direct shifts for a block of up to SHIFT_ROWS rows, and halve a wider one.
+the constants, `constant`, which builds `top` and `bot` too.  The kernels
+work on raw bitmasks: `_kernel` types a node by `terms.node_type`, the rule
+`typecheck` types by, and fixes its kernel to the operands' row counts and
+full masks; a black one XORs with those masks around the white loop.  They
+split a bitmask into row masks and join rows back by direct shifts for a block
+of up to SHIFT_ROWS rows, and halve a wider one.
 `compose_white` and the other relation operations wrap them.  `evaluate`
 typechecks a term, which costs one slot read on a term already typed under the
 interpretation's signature, then compiles it into a `Program` and runs that
@@ -133,14 +134,6 @@ class FinRelation(Record):
         if len(xs) != n or len(ys) != m:
             raise DiagrelError(f"pair arity mismatch for relation {n}->{m}")
         return bool(self.bits >> (encode(k, xs) * self.cols + encode(k, ys)) & 1)
-
-    @staticmethod
-    def empty(k, n, m):
-        return FinRelation(k, n, m, 0)
-
-    @staticmethod
-    def full(k, n, m):
-        return FinRelation(k, n, m, (1 << space_bits(k, n, m)) - 1)
 
 
 def _check_same_space(a, b):
@@ -438,12 +431,13 @@ _AFTER = object()  # `Program.add`'s stack marker: the node below it is compiled
 class Program:
     """Terms compiled at carrier k into one post-order list of instructions
     over raw bitmask registers, first the generators' (`generators` maps each
-    name to its arities) in name order, in which the program draws, loads and
-    reads them back.  `add` compiles a term by `node` and `constant`, which also
-    compile one that is never built, from patterns.  A node of the same class over
-    the same registers, or a constant of the same head and arities, reuses a register;
-    a node with no generator below it is computed as it is compiled, so only nodes
-    that read a generator become instructions.  A program lives for one call."""
+    name to its arities) in name order, in which the program draws and loads
+    their bitmasks and builds an interpretation from them.  `add` compiles a
+    term by `node` and `constant`, which also compile one that is never built,
+    from patterns.  A node of the same class over the same registers, or a
+    constant of the same head and arities, reuses a register; a node with no
+    generator below it is computed as it is compiled, so only nodes that read
+    a generator become instructions.  A program lives for one call."""
 
     def __init__(self, k, generators):
         self.k, self.names, self.code, self.checks = k, sorted(generators), [], []
@@ -526,10 +520,11 @@ class Program:
     def relation(self, reg):
         return FinRelation(self.k, *self.shapes[reg], self.regs[reg])
 
-    def interpretation(self, sig):
-        """The generators' bitmasks of the last run as an interpretation of sig."""
+    def interpretation(self, sig, values):
+        """The generators' bitmasks `values`, in register order, as an interpretation of sig."""
         return Interpretation(sig, self.k, {
-            name: self.relation(reg) for reg, name in enumerate(self.names)})
+            name: FinRelation(self.k, *shape, bits)
+            for name, shape, bits in zip(self.names, self.shapes, values)})
 
     def witness(self, i):
         """The counterexample pair of check i, which failed in the last run."""
@@ -615,12 +610,6 @@ class Lanes:
             alive ^= low
             lane = low.bit_length() - 1
             yield lane, [(base | lane) >> shift & mask for shift, mask in fields]
-
-    def interpretation(self, sig, masks):
-        """A candidate's bitmasks, loaded into the program's generator registers,
-        as an interpretation of sig."""
-        self.prog.regs[:len(masks)] = masks
-        return self.prog.interpretation(sig)
 
 
 # ---------------------------------------------------------------------------

@@ -669,8 +669,8 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
     prog.check(prog.add(lhs), prog.add(rhs))
     rng = random.Random(seed)
     for _ in range(trials):
-        if prog.run(prog.draw(rng)) is not None:
-            return False, (prog.interpretation(sig), prog.witness(0))
+        if prog.run(values := prog.draw(rng)) is not None:
+            return False, (prog.interpretation(sig, values), prog.witness(0))
     return True, None
 
 

@@ -8,7 +8,8 @@ nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them,
 by one `typecheck` pass, for the proof kernel (`rewrite.check_proof`,
 `rewrite.spider_normalize`) and for `diagrel desugar`.  A node keeps the
 type `typecheck` gives it, in its slot `_ty` (no field), with the signature
-object it was given under, and is read back only under that same object.
+object it was given under, and is read back only under that same object, by
+`typecheck` itself, the one reader of a held type.
 
 The s-expression syntax is declared once, in `FORMS`: each head with its
 node class and argument kinds.  The eight constants are bare atoms.  The
@@ -16,7 +17,8 @@ colour switch is declared once, in `MIRROR`; a constant's mirror flips the
 last letter of its kind (`mirror_head`, which also switches axiom patterns).
 One builder, `macro(kind, n)`, gives the arity-indexed (co)copy and
 (co)discard of both colours, each in its kind's own colour, so a black macro
-is the colour switch of its white mirror.
+is the colour switch of its white mirror; the cup and cap of a desugared
+dag are composed of its macros.
 
 Every file format is read through `read_lines`: each line is cut at its
 first `#`, stripped, and skipped when blank.
@@ -374,14 +376,6 @@ def replace_at(t, path, u, sig, spine=None):
     return u
 
 
-def positions(t):
-    """All valid positions of t, root first, depth-first."""
-    out = [()]
-    for i, kid in enumerate(children(t)):
-        out.extend((i,) + p for p in positions(kid))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # typing
 
@@ -578,12 +572,12 @@ def build_term(sx, sig):
     name = args[0]  # gen and genop take one generator name
     if isinstance(name, list):
         raise ParseError("generator name must be an atom", line, col)
-    if sig is not None and name[0] not in sig.generators:
+    if name[0] not in sig.generators:
         raise ParseError(f"unknown generator {name[0]!r}", name[1], name[2])
     return cls(name[0])
 
 
-def parse_term(text, sig=None):
+def parse_term(text, sig=EMPTY_SIGNATURE):
     """Parse one term from `text`; generator names are checked against `sig`."""
     tokens = list(tokenize(text))
     if not tokens:
@@ -595,7 +589,7 @@ def parse_term(text, sig=None):
     return build_term(sx, sig)
 
 
-def parse_inequality(text, sig=None, line=1, col=1):
+def parse_inequality(text, sig=EMPTY_SIGNATURE, line=1, col=1):
     """Parse `TERM <= TERM`, which starts at (line, col), into its two terms;
     generator names are checked against `sig`."""
     tokens = list(tokenize(text, line, col))
@@ -644,25 +638,17 @@ def macro(kind, n):
     return t
 
 
-def cup_w(n):
-    """0 -> 2n, the pairs {((), (v,v))}."""
-    return SeqW(macro("codw", n), macro("copyw", n))
-
-
-def cap_w(n):
-    """2n -> 0, the pairs {((v,v), ())}."""
-    return SeqW(macro("cocw", n), macro("dscw", n))
-
-
 # ---------------------------------------------------------------------------
 # desugaring
 
 
 def _dag_expansion(t, n, m):
     """Cup/cap conjugation of a primitive term t : n -> m, giving m -> n."""
-    left = TensW(cup_w(n), IdW(m))
+    cup = SeqW(macro("codw", n), macro("copyw", n))  # 0 -> 2n, the pairs {((), (v,v))}
+    cap = SeqW(macro("cocw", m), macro("dscw", m))  # 2m -> 0, the pairs {((v,v), ())}
+    left = TensW(cup, IdW(m))
     mid = TensW(IdW(n), TensW(t, IdW(m)))
-    right = TensW(IdW(n), cap_w(m))
+    right = TensW(IdW(n), cap)
     return SeqW(left, SeqW(mid, right))
 
 
@@ -689,16 +675,12 @@ def desugar(t, sig=EMPTY_SIGNATURE):
     from the nodes after one `typecheck` pass; a sugar-free subtree is kept."""
     typecheck(t, sig)
 
-    def type_of(t):  # the type t holds under sig, typed again if it holds another's
-        held = getattr(t, "_ty", None)
-        return held[1] if held and held[0] is sig else typecheck(t, sig)
-
     def expand(t):
         cls = type(t)
         if cls in BINARY:
             a, b = expand(t.t), expand(t.u)
             if cls is Meet or cls is Join:
-                n, m = type_of(t)
+                n, m = typecheck(t, sig)
                 if cls is Meet:
                     return SeqW(macro("copyw", n), SeqW(TensW(a, b), macro("cocw", m)))
                 return SeqB(macro("copyb", n), SeqB(TensB(a, b), macro("cocb", m)))
@@ -708,7 +690,7 @@ def desugar(t, sig=EMPTY_SIGNATURE):
         if cls is Bot:
             return SeqB(macro("dscb", t.n), macro("codb", t.m))
         if cls is Dag:  # the conjugate of the expanded body, at the body's type
-            return _dag_expansion(expand(t.t), *type_of(t.t))
+            return _dag_expansion(expand(t.t), *typecheck(t.t, sig))
         if cls is Neg:
             return _negate_prim(expand(t.t), sig)
         return t

@@ -119,7 +119,7 @@ def enumerate_models(theory, k, bound=DEFAULT_SEARCH_BOUND):
             for lane, masks in lanes.candidates(chunk, alive):
                 if prog.run(masks) is not None:
                     alive ^= 1 << lane
-        models += [lanes.interpretation(theory.signature, masks)
+        models += [prog.interpretation(theory.signature, masks)
                    for _, masks in lanes.candidates(chunk, alive)]
     return models
 

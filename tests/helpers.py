@@ -278,7 +278,7 @@ def naive_evaluate(t, interp):
     if cls in (T.SymW, T.SymB):
         return F.constant("symw" if cls is T.SymW else "symb", k, t.m, t.n)
     if cls in (T.Top, T.Bot):
-        return (F.FinRelation.full if cls is T.Top else F.FinRelation.empty)(k, t.n, t.m)
+        return F.constant("top" if cls is T.Top else "bot", k, t.n, t.m)
     raise T.DiagrelError(f"cannot evaluate {t!r}")
 
 
@@ -606,7 +606,7 @@ def random_chain(rng, sig, steps, node_cap=40):
     start = term = random_primitive(rng, sig, 1, 1, 3)
     chain = []
     while len(chain) < steps:
-        path = rng.choice(T.positions(term))
+        path = rng.choice(positions(term))
         options = unit_assoc_rewrites(naive_subterm_at(term, path), sig,
                                       term_size(term) < node_cap)
         if options:
@@ -614,6 +614,14 @@ def random_chain(rng, sig, steps, node_cap=40):
             term = naive_splice(term, path, new)
             chain.append(R.Step(axiom, path, direction))
     return start, term, tuple(chain)
+
+
+def positions(t):
+    """All valid positions of t, root first, depth-first."""
+    out = [()]
+    for i, kid in enumerate(T.children(t)):
+        out.extend((i,) + p for p in positions(kid))
+    return out
 
 
 def naive_subterm_at(t, path):

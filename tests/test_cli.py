@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from diagrel import finrel as F, terms as T
+from diagrel import finrel as F, rewrite as R, terms as T
 from diagrel.cli import build_parser, run
 
 import helpers
@@ -185,6 +185,38 @@ def test_verify_axioms_unknown_family_exits_2(capsys):
     assert capsys.readouterr() == ("", "error: unknown family 'bogus'; known families: "
                                    "structural, cartesian, cocartesian, linear, fo, "
                                    "generator-adjoint\n")
+
+
+def _plant(monkeypatch, *axioms):
+    """Append `axioms` to the axiom database, for one test."""
+    db = R._axioms()[0] + axioms
+    monkeypatch.setattr(R, "_axioms", lambda: (db, {ax.name: ax for ax in db}))
+
+
+def test_check_proof_prints_the_spotcheck_countermodel(files, capsys, monkeypatch):
+    """A one-step proof by a planted false law is accepted, and the spotcheck
+    then finds its countermodel and exits 1."""
+    _plant(monkeypatch, R.Axiom("gen-below-genop", "planted", "le",
+                                R.PGenVar("r"), R.PGenVar("r", True)))
+    prf = files["dir"] / "plant.prf"
+    prf.write_text("prove (gen R) <= (genop R)\nstep gen-below-genop at e dir l2r\nqed\n")
+    assert run(["check-proof", "--sig", files["sig"], str(prf), "--spotcheck"]) == 1
+    assert capsys.readouterr() == ("accepted\nspotcheck countermodel: ((0,), (0,))\n", "")
+
+
+def test_verify_axioms_prints_a_counterexample(capsys, monkeypatch):
+    """`delta-l` with its sides swapped fails in some trials, and the
+    human-readable report names the instance and its witness."""
+    delta = R.axiom_by_name("delta-l")
+    _plant(monkeypatch, R.Axiom("delta-l-swapped", "planted", "le",
+                                delta.rhs, delta.lhs, delta.arrows))
+    assert run(["verify-axioms", "--family", "planted", "--trials", "50"]) == 1
+    assert capsys.readouterr() == (
+        "delta-l-swapped [planted]: 35/50  counterexample: binding={'W': 2, 'X': 1, "
+        "'Y': 1, 'Z': 1, 'a': Gen(name='~a'), 'b': Gen(name='~b'), 'c': Gen(name='~c')} "
+        "lhs=(seqb (seqw (gen ~a) (gen ~b)) (gen ~c)) "
+        "rhs=(seqw (gen ~a) (seqb (gen ~b) (gen ~c))) witness=((1,), (1, 0))\n"
+        "axioms: 1  failing: 1\n", "")
 
 
 def test_spider(files, capsys):

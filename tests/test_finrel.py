@@ -21,7 +21,7 @@ def test_encode_decode_roundtrip(k, xs):
 
 def test_space_guard():
     with pytest.raises(F.SizeLimit):
-        F.FinRelation.empty(2, 20, 20)
+        F.FinRelation(2, 20, 20, 0)
 
 
 # each constant head, white and black, at arities past 64 bits at carrier 2
@@ -184,7 +184,7 @@ def test_a_cached_kernel_still_meets_a_narrower_guard():
     sig = T.Signature.parse("sig R : 1 -> 1\n")
     interp = F.Interpretation(sig, 2, {"R": F.FinRelation(2, 1, 1, 0b1011)})
     # the 2 -> 2 tensor is the only node past 8 bits: the result is 2 -> 0
-    t = T.parse_term("(seqw (tensw (gen R) (gen R)) (top 2 0))")
+    t = T.parse_term("(seqw (tensw (gen R) (gen R)) (top 2 0))", sig)
     thy = TH.parse_theory("sig R : 1 -> 1\naxiom t : (tensw (gen R) (gen R)) <= "
                           "(tensw (gen R) (gen R))\n")
     assert F.evaluate(t, interp) == helpers.naive_evaluate(t, interp)
@@ -263,8 +263,8 @@ def test_constants_pointwise():
     assert F.equal(F.constant("codw", k, 1), F.converse(dw))
     # black (co)monoids are the complements of the white ones
     assert F.equal(F.constant("copyb", k, 1), F.complement(cw))
-    assert F.equal(F.constant("dscb", k, 1), F.FinRelation.empty(k, 1, 0))
-    assert F.equal(F.constant("codb", k, 1), F.FinRelation.empty(k, 0, 1))
+    assert F.equal(F.constant("dscb", k, 1), F.FinRelation(k, 1, 0, 0))
+    assert F.equal(F.constant("codb", k, 1), F.FinRelation(k, 0, 1, 0))
 
 
 def test_black_macros_denote_complements_of_white():
@@ -327,7 +327,7 @@ def test_interpretation_validation():
     with pytest.raises(T.DiagrelError):
         F.Interpretation(sig, 2, {"R": F.constant("idw", 3, 1)})
     with pytest.raises(T.DiagrelError):
-        F.Interpretation(sig, 2, {"R": F.FinRelation.empty(2, 2, 1)})
+        F.Interpretation(sig, 2, {"R": F.FinRelation(2, 2, 1, 0)})
 
 
 def test_evaluate_generators_and_op():
@@ -366,8 +366,8 @@ def test_meet_join_top_bot_semantics():
                        F.union(r, s))
     interp = F.Interpretation(sig, 2, {"R": F.constant("idw", 2, 1),
                                        "S": F.constant("idw", 2, 1)})
-    assert F.equal(F.evaluate(T.Top(1, 2), interp), F.FinRelation.full(2, 1, 2))
-    assert F.equal(F.evaluate(T.Bot(2, 1), interp), F.FinRelation.empty(2, 2, 1))
+    assert F.equal(F.evaluate(T.Top(1, 2), interp), F.constant("top", 2, 1, 2))
+    assert F.equal(F.evaluate(T.Bot(2, 1), interp), F.FinRelation(2, 2, 1, 0))
 
 
 def test_table1_dagger_laws_random():
@@ -392,9 +392,9 @@ def test_table1_dagger_laws_random():
         # monotone: a ≤ a∨c implies a† ≤ (a∨c)†
         assert F.included(ev(T.Dag(a)), ev(T.Dag(T.Join(a, c))))
     interp = F.Interpretation(sig, 2, {"R": F.constant("idw", 2, 1),
-                                       "S": F.FinRelation.empty(2, 2, 1),
-                                       "P": F.FinRelation.empty(2, 0, 2)})
-    assert F.equal(F.evaluate(T.Dag(T.Top(1, 2)), interp), F.FinRelation.full(2, 2, 1))
+                                       "S": F.FinRelation(2, 2, 1, 0),
+                                       "P": F.FinRelation(2, 0, 2, 0)})
+    assert F.equal(F.evaluate(T.Dag(T.Top(1, 2)), interp), F.constant("top", 2, 2, 1))
     assert F.equal(F.evaluate(T.Dag(T.IdW(2)), interp), F.constant("idw", 2, 2))
     assert F.equal(F.evaluate(T.Dag(T.Const("copyw")), interp), F.constant("cocw", 2, 1))
     assert F.equal(F.evaluate(T.Dag(T.Const("dscw")), interp), F.constant("codw", 2, 1))
@@ -408,7 +408,7 @@ def test_extensional_equality_of_maps():
              for f in itertools.product(range(k), repeat=k)]
     for t1 in funcs:
         for t2 in funcs:
-            if F.equal(F.compose_white(t1, F.converse(t2)), F.FinRelation.full(k, 1, 1)):
+            if F.equal(F.compose_white(t1, F.converse(t2)), F.constant("top", k, 1, 1)):
                 assert F.equal(t1, t2)
 
 
@@ -432,7 +432,7 @@ def test_direct_evaluation_matches_desugared():
                 name: helpers.random_relation(rng, k, dn, dm)
                 for name, (dn, dm) in sig.generators.items()})
             t = helpers.random_term(rng, sig, rng.randint(0, 2), rng.randint(0, 2), 3)
-            for pos in T.positions(t):
+            for pos in helpers.positions(t):
                 node = helpers.naive_subterm_at(t, pos)
                 seen.add((type(node), getattr(node, "name", None)))
             assert F.equal(F.evaluate(t, interp),
@@ -460,7 +460,7 @@ def test_compiled_evaluation_matches_the_recursive_oracle():
             t = helpers.random_term(rng, sig, n, m, 3)
             if rng.random() < 0.5:  # random_term draws no constant or symmetry
                 t = T.SeqB(helpers.random_primitive(rng, sig, rng.randint(0, 2), n, 2), t)
-            for pos in T.positions(t):
+            for pos in helpers.positions(t):
                 node = helpers.naive_subterm_at(t, pos)
                 seen.add((type(node), T.typecheck(node, sig) == (0, 0)))
             assert F.evaluate(t, interp) == helpers.naive_evaluate(t, interp), T.print_term(t)
@@ -490,6 +490,15 @@ def test_program_refuses_a_meet_or_join_of_different_types(cls):
         F.Program(2, {}).add(cls(T.IdW(1), T.IdW(2)))
 
 
+def test_program_refuses_a_check_of_different_types():
+    """Nothing is appended: a refused check leaves the program as it was."""
+    prog = F.Program(2, {})
+    lhs, rhs = prog.add(T.IdW(1)), prog.add(T.IdW(2))
+    with pytest.raises(T.DiagrelError, match=r"^sides typed \(1, 1\) vs \(2, 2\)$"):
+        prog.check(lhs, rhs)
+    assert prog.code == prog.checks == []
+
+
 @pytest.mark.parametrize("term", [T.Gen("R"), T.GenOp("R"), T.Dag(T.GenOp("R")), 42,
                                   (T.IdW(1),), ()], ids=repr)
 def test_program_refuses_what_it_cannot_compile(term):
@@ -517,10 +526,10 @@ def test_program_types_every_node_as_typecheck_does():
             if rng.random() < 0.5:  # random_term draws no constant or symmetry
                 t = T.SeqB(helpers.random_primitive(rng, sig, rng.randint(0, 2), n, 2), t)
             prog = F.Program(k, sig.generators)
-            for pos in T.positions(t):
+            for pos in helpers.positions(t):
                 node = helpers.naive_subterm_at(t, pos)
                 assert prog.shapes[prog.add(node)] == T.typecheck(node, sig), T.print_term(node)
-            inner = [pos for pos in T.positions(t)
+            inner = [pos for pos in helpers.positions(t)
                      if type(helpers.naive_subterm_at(t, pos)) in refused]
             if not inner:
                 continue
@@ -574,13 +583,13 @@ def test_direct_constants_denote_their_combs():
 def test_program_draws_the_oracle_bits_in_name_order():
     """`draw` takes the random bits `helpers.random_interpretation` takes, in
     name order, for a signature declared out of it, at every carrier from 0
-    (empty spaces) up; `interpretation` reads them back as relations."""
+    (empty spaces) up; `interpretation` builds them into relations."""
     sig = T.Signature.parse("sig S : 2 -> 1\nsig R : 1 -> 1\nsig P : 0 -> 0\n")
     for k in range(4):
         prog, rng, oracle = F.Program(k, sig.generators), random.Random(k), random.Random(k)
         for _ in range(4):
-            prog.run(prog.draw(rng))
-            assert prog.interpretation(sig) == helpers.random_interpretation(sig, k, oracle)
+            got = prog.interpretation(sig, prog.draw(rng))
+            assert got == helpers.random_interpretation(sig, k, oracle)
         assert rng.random() == oracle.random()
 
 
@@ -727,8 +736,8 @@ def test_a_valid_block_reads_each_distinct_label_once(monkeypatch):
     for the carrier, two for each block's arities, and one for each entry of
     each distinct row or column label: R's 9 pairs have the 3 labels 0, 1, 2,
     and S's 27 pairs the 9 rows 0 0 .. 2 2 and the same 3 columns."""
-    interp = F.Interpretation(FUZZ_SIG, 3, {"R": F.FinRelation.full(3, 1, 1),
-                                            "S": F.FinRelation.full(3, 2, 1)})
+    interp = F.Interpretation(FUZZ_SIG, 3, {"R": F.constant("top", 3, 1, 1),
+                                            "S": F.constant("top", 3, 2, 1)})
     read = helpers.count_calls(monkeypatch, F, "natural")
     assert F.parse_interpretation(F.print_interpretation(interp), FUZZ_SIG) == interp
     assert read == [1 + (2 + 3) + (2 + 9 * 2 + 3)]
@@ -770,11 +779,11 @@ def test_format_relation_matches_naive_writer(shape, bits):
 
 def test_format_relation_of_empty_and_full_relations():
     for k, n, m in SHAPES:
-        for rel in (F.FinRelation.empty(k, n, m), F.FinRelation.full(k, n, m)):
+        for rel in (F.FinRelation(k, n, m, 0), F.constant("top", k, n, m)):
             assert F.format_relation("R", rel) == helpers.naive_format_relation("R", rel)
-    assert F.format_relation("R", F.FinRelation.full(0, 0, 0)) == "rel R 0 0 {\n  ( ; )\n}\n"
-    assert F.format_relation("R", F.FinRelation.full(0, 0, 1)) == "rel R 0 1 {\n}\n"
-    assert F.format_relation("R", F.FinRelation.full(2, 0, 1)) == \
+    assert F.format_relation("R", F.constant("top", 0, 0, 0)) == "rel R 0 0 {\n  ( ; )\n}\n"
+    assert F.format_relation("R", F.constant("top", 0, 0, 1)) == "rel R 0 1 {\n}\n"
+    assert F.format_relation("R", F.constant("top", 2, 0, 1)) == \
         "rel R 0 1 {\n  ( ; 0)\n  ( ; 1)\n}\n"
 
 
@@ -783,7 +792,7 @@ def test_format_relation_builds_nothing_per_coordinate_at_carrier_zero():
     costs nothing per coordinate, here 10^6 of them."""
     tracemalloc.start()
     try:
-        text = F.format_relation("R", F.FinRelation.full(0, 10 ** 6, 3))
+        text = F.format_relation("R", F.constant("top", 0, 10 ** 6, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

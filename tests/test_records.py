@@ -160,7 +160,7 @@ _OTHER = {**helpers._SWITCH, T.Dag: T.Neg, T.Neg: T.Dag, T.Gen: T.GenOp, T.GenOp
 def mutate(rng, t):
     """t with one node changed: given another class of its layout, or, for
     a leaf with a number, that number increased."""
-    path = rng.choice(T.positions(t))
+    path = rng.choice(helpers.positions(t))
     node = helpers.naive_subterm_at(t, path)
     if type(node) is T.Const:
         new = T.Const(T.mirror_head(node.kind))

@@ -198,7 +198,7 @@ def test_match_and_instantiate_roundtrip():
     for _ in range(300):
         t = T.desugar(helpers.random_term(rng, SIG, rng.randint(0, 2),
                                           rng.randint(0, 2), 3), SIG)
-        for pos in T.positions(t):
+        for pos in helpers.positions(t):
             for ax in eq_axioms:
                 step = R.Step(ax.name, pos, "l2r")
                 try:
@@ -495,7 +495,7 @@ def test_spider_equality_matches_semantics():
 
 def test_spider_relation_at_carrier_zero_counts_closed_components():
     interp = F.Interpretation(SIG, 0, {
-        name: F.FinRelation.empty(0, n, m)
+        name: F.FinRelation(0, n, m, 0)
         for name, (n, m) in SIG.generators.items()})
     white = T.SeqW(T.Const("codw"), T.Const("dscw"))
     black = T.SeqB(T.Const("codb"), T.Const("dscb"))
@@ -773,7 +773,7 @@ def test_apply_step_matches_naive_on_every_axiom(axiom):
                 == _outcome(helpers.naive_instantiate, side, part, sig)
         for direction, (src, dst) in (("l2r", (lhs, rhs)), ("r2l", (rhs, lhs))):
             t, pos = _in_context(rng, sig, src)
-            elsewhere = rng.sample(T.positions(t), min(3, len(T.positions(t))))
+            elsewhere = rng.sample(helpers.positions(t), min(3, len(helpers.positions(t))))
             side = axiom.lhs if direction == "l2r" else axiom.rhs
             part = {v: x for v, x in binding.items() if rng.random() < 0.5}
             for at in [pos] + elsewhere:

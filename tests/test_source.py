@@ -1,5 +1,8 @@
 import ast
+import functools
+import importlib
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -31,3 +34,21 @@ def test_source_imports_only_the_standard_library():
             foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names | {"diagrel"}]
     assert foreign == []
+
+
+def test_readme_names_resolve():
+    """Every `module.name` of diagrel that the README names in backticks, call
+    arguments aside, exists, so a rename or a removal cannot leave it stale."""
+    modules = {name: importlib.import_module(f"diagrel.{name}")
+               for name in ("terms", "finrel", "rewrite", "theory", "doctrine", "cli")}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(rf"`((?:{'|'.join(modules)})\.[\w.]+)", text))
+    assert names
+    stale = []
+    for name in sorted(names):
+        module, *path = name.split(".")
+        try:
+            functools.reduce(getattr, path, modules[module])
+        except AttributeError:
+            stale.append(name)
+    assert stale == []

@@ -31,7 +31,7 @@ def test_order_theory_example_model():
 
 def test_order_theory_empty_relation_fails_reflexivity():
     th = TH.order_theory()
-    interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation.empty(2, 1, 1)})
+    interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation(2, 1, 1, 0)})
     report = TH.check_model(th, interp)
     assert not report.is_model
     failing = [name for name, ok, _ in report.verdicts if not ok]
@@ -128,7 +128,7 @@ def test_search_space_bound_is_exact():
 
 def test_check_model_reports_every_axiom_after_a_failure():
     th = TH.order_theory()
-    interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation.empty(2, 1, 1)})
+    interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation(2, 1, 1, 0)})
     report = TH.check_model(th, interp)
     assert [name for name, _, _ in report.verdicts] == [a[0] for a in th.axioms]
     holds = {name: ok for name, ok, _ in report.verdicts}
@@ -227,7 +227,7 @@ def test_enumerate_models_typechecks_no_candidate(monkeypatch):
 def test_check_model_without_a_theory_generator_is_a_diagrel_error():
     th = TH.order_theory()
     for sig, assignment in ((T.Signature({}), {}),
-                            (T.Signature({"R": (2, 1)}), {"R": F.FinRelation.empty(2, 2, 1)})):
+                            (T.Signature({"R": (2, 1)}), {"R": F.FinRelation(2, 2, 1, 0)})):
         with pytest.raises(T.DiagrelError):
             TH.check_model(th, F.Interpretation(sig, 2, assignment))
 
@@ -288,4 +288,23 @@ def test_a_wide_axiom_is_decided_per_candidate_still_alive(monkeypatch):
     runs = _count_runs(monkeypatch)
     found = [m.assignment["R"].bits for m in TH.enumerate_models(th, 2)]
     assert runs == [4]
+    assert [(bits,) for bits in found] == helpers.naive_models(th, 2) and found == [9, 15]
+
+
+def test_an_axiom_over_a_register_only_scalar_code_computes_runs_scalar(monkeypatch):
+    """`again` reads the wide tensor, which has no lane register: its lane
+    code is refused too, and the scalar program decides it for the candidates
+    still alive."""
+    th = TH.parse_theory(_WIDE + "axiom again : (tensw (gen R) (idw 9)) <= "
+                                 "(tensw (gen R) (idw 9))\n")
+    runs, compile, refused = _count_runs(monkeypatch), F.Lanes.compile, []
+
+    def counted(lanes, start):
+        code = compile(lanes, start)
+        refused.append(code is None)
+        return code
+
+    monkeypatch.setattr(F.Lanes, "compile", counted)
+    found = [m.assignment["R"].bits for m in TH.enumerate_models(th, 2)]
+    assert refused == [False, True, False, True] and runs == [6]
     assert [(bits,) for bits in found] == helpers.naive_models(th, 2) and found == [9, 15]
