@@ -33,6 +33,13 @@ LOOP5_TERMS = (
     "(top {N} 0)", "(bot 0 {N})", "(meet (idw {N}) (idw {N}))", "(join (idw {N}) (idw {N}))",
     "(dag (idw {N}))", "(neg (top {N} {N}))",
 )
+LOOP6_TERMS = (
+    "(gen S)", "(dag (gen S))", "(seqw (gen S) (gen R))", "(tensb (gen R) (genop S))",
+    "(meet (gen R) (neg (dag (gen R))))", "(seqw (gen R) (gen S))",
+)
+LOOP6_INCLUSIONS = (  # holds, fails with a witness, sides typed apart
+    ("(idw 1)", "(gen R)"), ("(gen R)", "(idw 1)"), ("(gen S)", "(gen R)"),
+)
 
 
 def _verify_axioms(d):
@@ -86,6 +93,26 @@ def _desugar_macros(d):
             yield ["desugar", term.format(N=n)]
 
 
+def _typecheck_included_models_doctrine(d):
+    (d / "t.sig").write_text("sig R : 1 -> 1\nsig S : 2 -> 1\n")
+    order = "carrier 2\nrel R 1 1 {\n  (0 ; 0)\n  (0 ; 1)\n  (1 ; 1)\n}\n"  # a model
+    (d / "order.interp").write_text(order)
+    (d / "t.interp").write_text(order + "rel S 2 1 {\n  (0 0 ; 0)\n}\n")
+    (d / "other.interp").write_text("carrier 2\nrel R 1 1 {\n  (0 ; 1)\n}\n")  # not a model
+    (d / "order.thy").write_text(theory.ORDER_THEORY_TEXT)
+    sig, interp = ["--sig", str(d / "t.sig")], ["--interp", str(d / "t.interp")]
+    for term in LOOP6_TERMS:
+        yield ["typecheck", *sig, term]
+    for lhs, rhs in LOOP6_INCLUSIONS:
+        yield ["included", *sig, *interp, lhs, rhs]
+    for model in ("order.interp", "other.interp"):
+        for machine in ([], ["--machine"]):
+            yield ["check-model", str(d / "order.thy"), "--interp", str(d / model), *machine]
+    yield ["doctrine", "comprehension", "0", "2", "--size", "3"]
+    yield ["doctrine", "ruc", "0", "3", "--size", "2"]
+    yield ["doctrine", "ruc", "1", "--size", "2"]
+
+
 @pytest.mark.parametrize("commands, digest", [
     (_verify_axioms, "e1ff7d57d6014a171f687d57251e717defd81af2135453250234023ee2c9a3dc"),
     (_models_and_proofs, "cfc335f87a97cef9df634784eccaffc45338ee2f8b0e54d1cdc472705b84f71d"),
@@ -93,8 +120,10 @@ def _desugar_macros(d):
     (_constants, "246cd390d9b71084823404ae5c9f27cf11705192673db9e5793deb0889384563"),
     (_desugar_macros, "789fbe632388b154d086a3f3864a314f675b384faf1c19fdace1eb8e3e4a3e75"),
     (_guarded_verify_axioms, "3adb23d289a768e98614fe4c230fa771eef1cd2ffe31e9ddb23d75428165d5cf"),
+    (_typecheck_included_models_doctrine,
+     "51a9263ebe4bfa1148c355a54eaf0710593fe0d33ec425d29728dd16b4e01834"),
 ], ids=["verify-axioms", "find-models-and-check-proof", "desugar-and-spider", "eval-constants",
-        "desugar-macros", "verify-axioms-guarded"])
+        "desugar-macros", "verify-axioms-guarded", "typecheck-included-models-doctrine"])
 def test_output_is_byte_identical(tmp_path, capsys, commands, digest):
     h = hashlib.sha256()
     for argv in commands(tmp_path):
