@@ -76,15 +76,17 @@ def _cmd_included(args):
 def _cmd_check_model(args):
     theory = theory_mod.parse_theory(_read(args.theory))
     interp = _load_interp(args, theory.signature)
-    report = theory_mod.check_model(theory, interp)
+    verdicts = theory_mod.check_model(theory, interp)
     if args.machine:
-        for name, holds, witness in report.verdicts:
+        for name, holds, witness in verdicts:
             print(f"axiom={name} holds={str(holds).lower()}"
                   + (f" witness={witness}" if witness else ""))
-    else:
-        print(report)
-    print("model" if report.is_model else "not a model")
-    return 0 if report.is_model else 1
+    else:  # one line per axiom, and one empty line for a theory without axioms
+        print("\n".join(f"axiom {name}: " + ("holds" if holds else f"fails witness={witness}")
+                        for name, holds, witness in verdicts))
+    is_model = all(holds for _, holds, _ in verdicts)
+    print("model" if is_model else "not a model")
+    return 0 if is_model else 1
 
 
 def _cmd_find_models(args):

@@ -28,7 +28,7 @@ import re
 from operator import attrgetter
 
 from . import terms as T
-from .finrel import Program, space_bits
+from .finrel import Program, SizeLimit, space_bits
 from .terms import (
     DiagrelError, EMPTY_SIGNATURE, Gen, GenOp, IdB, IdW, ParseError, Record, SeqB,
     SeqW, Signature, SymB, SymW, Term, desugar, format_position,
@@ -58,7 +58,6 @@ class PVar(Record):
 
 class PGenVar(Record):
     __slots__ = ("var", "op")
-    _defaults = {"op": False}
 
 
 class PConstM(Record):
@@ -266,7 +265,6 @@ def pattern_variables(p, objs, arrows, gens):
 class Axiom(Record):
     # family: as in `_LAWS`; kind: "eq" or "le"; arrows: ((name, dom-expr, cod-expr), ...)
     __slots__ = ("name", "family", "kind", "lhs", "rhs", "arrows")
-    _defaults = {"arrows": ()}
 
     def variables(self):
         objs, arrows, gens = set(), set(), set()
@@ -522,7 +520,6 @@ class ProofScript(Record):
 
 class Verdict(Record):
     __slots__ = ("accepted", "step_index", "reason")
-    _defaults = {"step_index": -1, "reason": ""}
 
     def __str__(self):
         if self.accepted:
@@ -645,7 +642,7 @@ def check_proof(script, sig=EMPTY_SIGNATURE):
         return Verdict(
             False, len(script.steps),
             f"final term {print_term(cur)} differs from goal {print_term(goal)}")
-    return Verdict(True)
+    return Verdict(True, -1, "")
 
 
 def check_trials(trials, k):
@@ -680,7 +677,6 @@ def semantic_spotcheck(script, sig=EMPTY_SIGNATURE, trials=50, k=2, seed=0):
 
 class AxiomReport(Record):
     __slots__ = ("name", "family", "trials", "failures", "counterexample")
-    _defaults = {"counterexample": ""}
 
     @property
     def ok(self):
@@ -708,7 +704,9 @@ def verify_axiom(axiom, k=2, trials=200, seed=0):
     compiled from the axiom's patterns into one program, which types each node:
     no instance is built (the first counterexample prints one) or typechecked.
     Each trial runs it on the bitmasks it draws.  An instance without generators
-    compiles to its checks alone, on constant registers, and draws no bits."""
+    compiles to its checks alone, on constant registers, and draws no bits.  An
+    instance that does not compile but for `SizeLimit` (its sides typed apart)
+    fails each trial that draws it, with the refusal as its counterexample."""
     check_trials(trials, k)
     rng = random.Random((axiom.name, k, seed).__repr__())
     failures = 0
@@ -721,20 +719,26 @@ def verify_axiom(axiom, k=2, trials=200, seed=0):
         draws = tuple(rng.randint(0, 2) for _ in range(len(objs) + 2 * len(gens)))
         if draws not in instances:
             sig, binding = _instance(axiom, objs, gens, draws)
-            prog = Program(k, sig.generators)
-            lhs, rhs = emit_l(binding, sig, prog), emit_r(binding, sig, prog)
-            prog.check(lhs, rhs)
-            if axiom.kind == "eq":
-                prog.check(rhs, lhs)
-            instances[draws] = sig, binding, prog
-        sig, binding, prog = instances[draws]
-        failed = prog.run(prog.draw(rng))
+            prog, error = Program(k, sig.generators), None
+            try:
+                lhs, rhs = emit_l(binding, sig, prog), emit_r(binding, sig, prog)
+                prog.check(lhs, rhs)
+                if axiom.kind == "eq":
+                    prog.check(rhs, lhs)
+            except SizeLimit:
+                raise
+            except DiagrelError as e:  # a mistyped instance fails each trial that draws it
+                error = str(e)
+            instances[draws] = sig, binding, prog, error
+        sig, binding, prog, error = instances[draws]
+        failed = error or prog.run(prog.draw(rng))
         if failed is not None:
             failures += 1
             if not counterexample:
                 lhs, rhs = build_l(binding, sig), build_r(binding, sig)
                 counterexample = (f"binding={binding} lhs={print_term(lhs)} "
-                                  f"rhs={print_term(rhs)} witness={prog.witness(failed)}")
+                                  f"rhs={print_term(rhs)} "
+                                  + (error or f"witness={prog.witness(failed)}"))
     return AxiomReport(axiom.name, axiom.family, trials, failures, counterexample)
 
 
@@ -759,7 +763,6 @@ class SpiderError(DiagrelError):
 class SpiderForm(Record):
     # partition: frozenset of frozensets of port labels "inI"/"outJ"
     __slots__ = ("n", "m", "colour", "partition", "closed")
-    _defaults = {"closed": 0}
     _key = attrgetter("n", "m", "colour", "partition")  # `closed` is not compared
 
 

@@ -1,11 +1,12 @@
 """Diagram terms over a monoidal signature: AST, parsing, typing, desugaring.
 
-Terms are immutable trees.  The primitive calculus has two colours (white
-and black) of identities, symmetries, (co)monoid constants, sequential
-composition and tensor, plus generator boxes and their opposed boxes.
-Derived constructors (dagger, negation, meet, join, top, bottom) are sugar
-nodes.  `finrel.evaluate` evaluates them directly; `desugar` expands them,
-by one `typecheck` pass, for the proof kernel (`rewrite.check_proof`,
+Terms are immutable trees, and every node class but `Const` comes from one
+factory, `_nodes`.  The primitive calculus has two colours (white and black)
+of identities, symmetries, (co)monoid constants, sequential composition and
+tensor, plus generator boxes and their opposed boxes.  Derived constructors
+(dagger, negation, meet, join, top, bottom) are sugar nodes.
+`finrel.evaluate` evaluates them directly; `desugar` expands them, by one
+`typecheck` pass, for the proof kernel (`rewrite.check_proof`,
 `rewrite.spider_normalize`) and for `diagrel desugar`.  A node keeps the
 type `typecheck` gives it, in its slot `_ty` (no field), with the signature
 object it was given under, and is read back only under that same object, by
@@ -77,13 +78,13 @@ def format_position(path):
 
 class Record:
     """An immutable record: its fields are the slots of its class and bases but
-    those named `_*`, in `_fields` order; `_defaults` fills those `__init__` may omit.
-    Records of one class are `==` when their `_key(record)`s (all fields, or
-    one value for one field) are, and `hash` agrees.  A class that checks its
-    fields or is built often writes its own `__init__` over `slot_setters`."""
+    those named `_*`, in `_fields` order, and `__init__` takes all of them,
+    positionally.  Records of one class are `==` when their `_key(record)`s (all
+    fields, or one value for one field) are, and `hash` agrees.  A class that
+    checks its fields or is built often writes its own `__init__` over
+    `slot_setters`."""
 
     __slots__ = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for base in reversed(cls.__mro__)
@@ -91,14 +92,11 @@ class Record:
         if "_key" not in vars(cls) and cls._fields:
             cls._key = attrgetter(*cls._fields)
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        values = {**self._defaults, **kwargs, **dict(zip(fields, args))}
-        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]) \
-                or len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        for name in fields:
-            object.__setattr__(self, name, values[name])
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -172,8 +170,9 @@ EMPTY_SIGNATURE = Signature({})
 
 
 class Term(Record):
-    """A term node: its slots and constructor come from a layout mixin outside
-    this hierarchy, so that each subclass is one form."""
+    """A term node: its slots and constructor come from a layout class outside
+    this hierarchy (`_nodes` builds one per node shape), so that each subclass
+    is one form."""
 
     __slots__ = ()
 
@@ -211,67 +210,31 @@ class Term(Record):
         return hash(tuple(keys))
 
 
-# the layouts: the slots and constructor of one node shape
-
-
-class _Nat:
-    __slots__ = ("n", "_ty")
-
-    def __init__(self, n):
-        _SET_NAT(self, n)
-
-
-class _Sym:
-    __slots__ = ("m", "n", "_ty")
-
-    def __init__(self, m, n):
-        _SET_SYM_M(self, m)
-        _SET_SYM_N(self, n)
-
-
-class _Box:
-    __slots__ = ("n", "m", "_ty")
-
-    def __init__(self, n, m):
-        _SET_BOX_N(self, n)
-        _SET_BOX_M(self, m)
-
-
-class _Name:
-    __slots__ = ("name", "_ty")
-
-    def __init__(self, name):
-        _SET_NAME(self, name)
-
-
-class _Unary:
-    __slots__ = ("t", "_ty")
-
-    def __init__(self, t):
-        _SET_UNARY(self, t)
-
-
-class _Binary:
-    __slots__ = ("t", "u", "_ty")
-
-    def __init__(self, t, u):
-        _SET_T(self, t)
-        _SET_U(self, u)
-
-
-def _nodes(layout, *names):
-    """A term class of `layout` for each name; each is one form."""
+def _nodes(fields, *names):
+    """A term class for each name, each one form, over one layout class: the
+    slots `fields` and `_ty`, and an `__init__` that sets the one or two fields,
+    given in order, through their slots' `__set__`."""
+    layout = type("_" + "_".join(fields), (), {"__slots__": (*fields, "_ty")})
+    set_a, set_b = (slot_setters(layout) + [None])[:2]
+    if set_b is None:
+        def __init__(self, a):
+            set_a(self, a)
+    else:
+        def __init__(self, a, b):
+            set_a(self, a)
+            set_b(self, b)
+    layout.__init__ = __init__
     return [type(name, (layout, Term), {"__slots__": ()}) for name in names]
 
 
-IdW, IdB = _nodes(_Nat, "IdW", "IdB")
-SymW, SymB = _nodes(_Sym, "SymW", "SymB")
-Gen, GenOp = _nodes(_Name, "Gen", "GenOp")
-SeqW, SeqB, TensW, TensB = _nodes(_Binary, "SeqW", "SeqB", "TensW", "TensB")
+IdW, IdB = _nodes(("n",), "IdW", "IdB")
+SymW, SymB = _nodes(("m", "n"), "SymW", "SymB")
+Gen, GenOp = _nodes(("name",), "Gen", "GenOp")
+SeqW, SeqB, TensW, TensB = _nodes(("t", "u"), "SeqW", "SeqB", "TensW", "TensB")
 # sugar nodes
-Dag, Neg = _nodes(_Unary, "Dag", "Neg")
-Meet, Join = _nodes(_Binary, "Meet", "Join")
-Top, Bot = _nodes(_Box, "Top", "Bot")
+Dag, Neg = _nodes(("t",), "Dag", "Neg")
+Meet, Join = _nodes(("t", "u"), "Meet", "Join")
+Top, Bot = _nodes(("n", "m"), "Top", "Bot")
 
 
 def mirror_head(head):
@@ -299,9 +262,7 @@ class Const(Term):
         _SET_KIND(self, kind)
 
 
-(_SET_NAT,), (_SET_NAME,), (_SET_UNARY,), (_SET_KIND,), (_SET_SYM_M, _SET_SYM_N), \
-    (_SET_BOX_N, _SET_BOX_M), (_SET_T, _SET_U) = map(slot_setters, (
-        _Nat, _Name, _Unary, Const, _Sym, _Box, _Binary))
+_SET_KIND, = slot_setters(Const)
 
 
 #: head -> (node class, argument kinds), each kind "nat", "name" (of a
@@ -661,12 +622,9 @@ def _negate_prim(t, sig):
         return MIRROR[cls](*(kids or [getattr(t, name) for name in cls._fields]))
     if cls is Const:
         return Const(mirror_head(t.kind))
-    if cls is Gen:
-        n, m = sig.type_of(t.name)
-        return _dag_expansion(GenOp(t.name), m, n)
-    if cls is GenOp:
-        n, m = sig.type_of(t.name)
-        return _dag_expansion(Gen(t.name), n, m)
+    if cls is Gen or cls is GenOp:
+        box = (GenOp if cls is Gen else Gen)(t.name)
+        return _dag_expansion(box, *typecheck(box, sig))
     raise DiagrelError(f"not primitive: {t!r}")
 
 

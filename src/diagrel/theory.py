@@ -32,23 +32,6 @@ class Theory(Record):
         super().__init__(signature, axioms)
 
 
-class ModelReport(Record):
-    __slots__ = ("verdicts",)  # ((name, holds: bool, witness-or-None), ...)
-
-    @property
-    def is_model(self):
-        return all(holds for _, holds, _ in self.verdicts)
-
-    def __str__(self):
-        lines = []
-        for name, holds, witness in self.verdicts:
-            if holds:
-                lines.append(f"axiom {name}: holds")
-            else:
-                lines.append(f"axiom {name}: fails witness={witness}")
-        return "\n".join(lines)
-
-
 def parse_theory(text):
     """Parse a theory file (see `terms`); an axiom may use a generator declared below it."""
     gens, axiom_lines = {}, []
@@ -73,12 +56,13 @@ def parse_theory(text):
 
 def check_model(theory, interp):
     """Evaluate every axiom, typechecked under `interp.signature` (by
-    `evaluate`); failing axioms carry the counterexample pair that decided them."""
+    `evaluate`): a tuple of `(name, holds, witness)` in axiom order, the witness
+    the counterexample pair that decided a failing axiom, else None."""
     verdicts = []
     for name, lhs, rhs in theory.axioms:
         witness = inclusion_witness(evaluate(lhs, interp), evaluate(rhs, interp))
         verdicts.append((name, witness is None, witness))
-    return ModelReport(tuple(verdicts))
+    return tuple(verdicts)
 
 
 def search_space(theory, k):

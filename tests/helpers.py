@@ -811,7 +811,7 @@ def naive_check_proof(script, sig):
         return R.Verdict(
             False, len(script.steps),
             f"final term {T.print_term(cur)} differs from goal {T.print_term(goal)}")
-    return R.Verdict(True)
+    return R.Verdict(True, -1, "")
 
 
 # --- naive verification and search oracles -------------------------------

@@ -197,7 +197,7 @@ def test_check_proof_prints_the_spotcheck_countermodel(files, capsys, monkeypatc
     """A one-step proof by a planted false law is accepted, and the spotcheck
     then finds its countermodel and exits 1."""
     _plant(monkeypatch, R.Axiom("gen-below-genop", "planted", "le",
-                                R.PGenVar("r"), R.PGenVar("r", True)))
+                                R.PGenVar("r", False), R.PGenVar("r", True), ()))
     prf = files["dir"] / "plant.prf"
     prf.write_text("prove (gen R) <= (genop R)\nstep gen-below-genop at e dir l2r\nqed\n")
     assert run(["check-proof", "--sig", files["sig"], str(prf), "--spotcheck"]) == 1
@@ -216,6 +216,18 @@ def test_verify_axioms_prints_a_counterexample(capsys, monkeypatch):
         "'Y': 1, 'Z': 1, 'a': Gen(name='~a'), 'b': Gen(name='~b'), 'c': Gen(name='~c')} "
         "lhs=(seqb (seqw (gen ~a) (gen ~b)) (gen ~c)) "
         "rhs=(seqw (gen ~a) (seqb (gen ~b) (gen ~c))) witness=((1,), (1, 0))\n"
+        "axioms: 1  failing: 1\n", "")
+
+
+def test_verify_axioms_reports_a_law_whose_sides_type_apart(capsys, monkeypatch):
+    """A planted law whose sides type apart at every instance fails each trial
+    with the refusal as its counterexample, and the run goes on to its summary."""
+    _plant(monkeypatch, R.Axiom("gen-below-genop", "planted", "le",
+                                R.PGenVar("r", False), R.PGenVar("r", True), ()))
+    assert run(["verify-axioms", "--family", "planted", "--trials", "50"]) == 1
+    assert capsys.readouterr() == (
+        "gen-below-genop [planted]: 6/50  counterexample: binding={'r': '~r'} "
+        "lhs=(gen ~r) rhs=(genop ~r) sides typed (1, 2) vs (2, 1)\n"
         "axioms: 1  failing: 1\n", "")
 
 

@@ -81,13 +81,14 @@ BOGUS = R.Axiom(
     "bogus-self-test", "structural", "eq",
     R.PConstM("copyw", (("X",),)),
     R.PConstM("copyb", (("X",),)),
+    (),
 )
 # false too, and fails on some interpretations of its arrow only
 BOGUS_ARROW = R.Axiom(
     "bogus-arrow", "structural", "le",
     R.PBin("seqw", R.PVar("a"), R.PConstM("copyw", (("Y",),))),
     R.PBin("seqw", R.PVar("a"), R.PConstM("copyb", (("Y",),))),
-    arrows=(("a", ("X",), ("Y",)),),
+    (("a", ("X",), ("Y",)),),
 )
 
 
@@ -185,7 +186,7 @@ def test_negative_trials_are_rejected():
         R.verify_axiom(BOGUS, trials=-1)
     with pytest.raises(T.DiagrelError, match="trials must be non-negative"):
         R.semantic_spotcheck(script, SIG, trials=-3)
-    assert R.verify_axiom(BOGUS, trials=0) == R.AxiomReport(BOGUS.name, BOGUS.family, 0, 0)
+    assert R.verify_axiom(BOGUS, trials=0) == R.AxiomReport(BOGUS.name, BOGUS.family, 0, 0, "")
     assert R.semantic_spotcheck(script, SIG, trials=0) == (True, None)
 
 

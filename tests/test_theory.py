@@ -26,17 +26,17 @@ def test_order_theory_example_model():
     th = TH.order_theory()
     r = helpers.from_pairs(2, 1, 1, [((0,), (0,)), ((1,), (1,)), ((0,), (1,))])
     interp = F.Interpretation(th.signature, 2, {"R": r})
-    assert TH.check_model(th, interp).is_model
+    assert all(ok for _, ok, _ in TH.check_model(th, interp))
 
 
 def test_order_theory_empty_relation_fails_reflexivity():
     th = TH.order_theory()
     interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation(2, 1, 1, 0)})
-    report = TH.check_model(th, interp)
-    assert not report.is_model
-    failing = [name for name, ok, _ in report.verdicts if not ok]
+    verdicts = TH.check_model(th, interp)
+    assert not all(ok for _, ok, _ in verdicts)
+    failing = [name for name, ok, _ in verdicts if not ok]
     assert "reflexive" in failing
-    witness = next(w for name, ok, w in report.verdicts if name == "reflexive")
+    witness = next(w for name, ok, w in verdicts if name == "reflexive")
     assert witness is not None
 
 
@@ -44,7 +44,7 @@ def test_empty_theory_always_models():
     th = TH.Theory(T.Signature({}), ())
     for k in (1, 2, 3):
         interp = F.Interpretation(th.signature, k, {})
-        assert TH.check_model(th, interp).is_model
+        assert all(ok for _, ok, _ in TH.check_model(th, interp))
 
 
 def _naive_order_count(k):
@@ -93,7 +93,7 @@ def test_enumerate_matches_naive_filter():
     naive = set()
     for bits in range(1 << (k * k)):
         interp = F.Interpretation(th.signature, k, {"R": F.FinRelation(k, 1, 1, bits)})
-        if TH.check_model(th, interp).is_model:
+        if all(ok for _, ok, _ in TH.check_model(th, interp)):
             naive.add(bits)
     assert found == naive
 
@@ -129,13 +129,13 @@ def test_search_space_bound_is_exact():
 def test_check_model_reports_every_axiom_after_a_failure():
     th = TH.order_theory()
     interp = F.Interpretation(th.signature, 2, {"R": F.FinRelation(2, 1, 1, 0)})
-    report = TH.check_model(th, interp)
-    assert [name for name, _, _ in report.verdicts] == [a[0] for a in th.axioms]
-    holds = {name: ok for name, ok, _ in report.verdicts}
+    verdicts = TH.check_model(th, interp)
+    assert [name for name, _, _ in verdicts] == [a[0] for a in th.axioms]
+    holds = {name: ok for name, ok, _ in verdicts}
     # reflexive, the first axiom, fails; the later ones are still decided
     assert holds == {"reflexive": False, "transitive": True,
                      "antisymmetric": True, "total": False}
-    assert all((w is None) == ok for _, ok, w in report.verdicts)
+    assert all((w is None) == ok for _, ok, w in verdicts)
 
 
 @settings(max_examples=300, deadline=None)
